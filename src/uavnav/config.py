@@ -135,11 +135,16 @@ def _require_keys(block: dict, allowed: set, path: str):
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
 
 
+def _is_number(v) -> bool:
+    """JSON numbers only: bool is an int subclass in Python but not a number here."""
+    return not isinstance(v, bool) and isinstance(v, (int, float))
+
+
 def _num(block, key, path, lo=None, hi=None, strict_lo=False):
     if key not in block:
         raise ConfigError(f"{path}.{key}: missing")
     v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
     v = float(v)
     if lo is not None and (v <= lo if strict_lo else v < lo):
@@ -161,10 +166,19 @@ def _point(value, path):
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+        or not all(_is_number(v) for v in value)
     ):
         raise ConfigError(f"{path}: expected [x, y]")
     return (float(value[0]), float(value[1]))
+
+
+def _layer_sizes(block, key, path) -> list[int]:
+    hidden = block.get(key)
+    if not isinstance(hidden, list) or not hidden or any(
+        isinstance(h, bool) or not isinstance(h, int) or h < 1 for h in hidden
+    ):
+        raise ConfigError(f"{path}.{key}: expected a list of positive ints")
+    return list(hidden)
 
 
 @dataclass(frozen=True)
@@ -352,7 +366,10 @@ def _validate_world(block: dict) -> dict:
         "agents": _int(block, "agents", path, lo=1),
     }
     sr = block.get("speed_range")
-    if not isinstance(sr, (list, tuple)) or len(sr) != 2 or sr[0] <= 0 or sr[1] < sr[0]:
+    if (
+        not isinstance(sr, (list, tuple)) or len(sr) != 2 or not all(_is_number(v) for v in sr)
+        or sr[0] <= 0 or sr[1] < sr[0]
+    ):
         raise ConfigError(f"{path}.speed_range: expected [lo, hi] with 0 < lo <= hi")
     out["speed_range"] = [float(sr[0]), float(sr[1])]
     if out["min_travel"] > 2 * out["position_bound"] * math.sqrt(2):
@@ -394,20 +411,17 @@ def _validate_training(block: dict) -> dict:
     }
     if out["gamma"] >= 1.0:
         raise ConfigError(f"{path}.gamma: must be < 1")
-    hidden = block.get("value_hidden")
-    if not isinstance(hidden, list) or not hidden or any(
-        not isinstance(h, int) or h < 1 for h in hidden
-    ):
-        raise ConfigError(f"{path}.value_hidden: expected a list of positive ints")
-    out["value_hidden"] = list(hidden)
+    out["value_hidden"] = _layer_sizes(block, "value_hidden", path)
     powers = block.get("jammer_powers")
-    if not isinstance(powers, list) or not powers or any(p < 0 for p in powers):
+    if not isinstance(powers, list) or not powers or any(
+        not _is_number(p) or p < 0 for p in powers
+    ):
         raise ConfigError(f"{path}.jammer_powers: expected a list of non-negative watts")
     out["jammer_powers"] = [float(p) for p in powers]
     jb = block.get("jammer_bounds")
     try:
         (xlo, xhi), (ylo, yhi) = jb
-        if xhi < xlo or yhi < ylo:
+        if not all(map(_is_number, (xlo, xhi, ylo, yhi))) or xhi < xlo or yhi < ylo:
             raise ValueError
     except (TypeError, ValueError):
         raise ConfigError(f"{path}.jammer_bounds: expected [[xlo,xhi],[ylo,yhi]]") from None
@@ -426,14 +440,10 @@ def _validate_mapping(block: dict) -> dict:
         },
         path,
     )
-    hidden = block.get("hidden")
-    if not isinstance(hidden, list) or not hidden or any(
-        not isinstance(h, int) or h < 1 for h in hidden
-    ):
-        raise ConfigError(f"{path}.hidden: expected a list of positive ints")
+    hidden = _layer_sizes(block, "hidden", path)
     return {
         "k_n": _int(block, "k_n", path, lo=1),
-        "hidden": list(hidden),
+        "hidden": hidden,
         "learning_rate": _num(block, "learning_rate", path, lo=0, strict_lo=True),
         "batch_size": _int(block, "batch_size", path, lo=1),
         "l2": _num(block, "l2", path, lo=0),

@@ -28,6 +28,9 @@ class NavPolicy:
     mode: str
     map_model: sinrmap.MapModel | None = None
     snapshot: radio.RadioEnvironment | None = None
+    # What every forward pass reads: value_net without subnormal weights, which
+    # gives the same outputs at full speed (see neuro.without_subnormals).
+    inference_net: neuro.NetworkParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -36,6 +39,7 @@ class NavPolicy:
             raise ValueError("proposed mode needs a map model")
         if self.mode == "outdated" and self.snapshot is None:
             raise ValueError("outdated mode needs an environment snapshot")
+        object.__setattr__(self, "inference_net", neuro.without_subnormals(self.value_net))
 
     @staticmethod
     def learned(value_net, map_model: sinrmap.MapModel) -> "NavPolicy":
@@ -83,11 +87,12 @@ def navigate_step(
     """Greedy one-step-lookahead action using the policy's map source (no exploration)."""
     if self_state.arrived:
         raise ValueError("agent already arrived")
-    space = world.sample_action_space(self_state, scenario, n_speeds, n_headings)
-    return valuetrain.lookahead_select(
-        policy.value_net, self_state, neighbors, space, policy.sinr_oracle(env_truth),
-        gamma, t, scenario, j_n=j_n,
+    speeds, headings = world.action_grid(self_state, scenario, n_speeds, n_headings)
+    k = valuetrain.lookahead_index(
+        policy.inference_net, self_state, neighbors, speeds, headings,
+        policy.sinr_oracle(env_truth), gamma, t, scenario, j_n=j_n,
     )
+    return Action(speed=float(speeds[k]), heading=float(headings[k]))
 
 
 @dataclass
@@ -209,23 +214,28 @@ def run_evaluation(
     seeded sampler, so identical seeds give identical reports."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if scenarios is None:
+        scenarios = sample_scenarios(env_truth, trials, seed, scenario_kwargs)
+    logs = [
+        run_trial(
+            policy, scenarios[trial % len(scenarios)], env_truth, gamma, j_n, n_speeds,
+            n_headings, trajectory=trajectory, episode_index=trial,
+        )
+        for trial in range(trials)
+    ]
+    return MetricsReport.from_trials(logs)
+
+
+def sample_scenarios(
+    env_truth: radio.RadioEnvironment, trials: int, seed: int,
+    scenario_kwargs: dict | None = None,
+) -> list[ScenarioConfig]:
+    """The seeded evaluation missions: endpoints at connected spots of env_truth."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    logs = []
     kwargs = dict(scenario_kwargs or {})
     kwargs.setdefault("n_agents", 4)
     kwargs.setdefault("position_ok", valuetrain.coverage_predicate(env_truth))
-    for trial in range(trials):
-        if scenarios is not None:
-            scenario = scenarios[trial % len(scenarios)]
-        else:
-            scenario = valuetrain.sample_scenario(rng, **kwargs)
-        logs.append(
-            run_trial(
-                policy, scenario, env_truth, gamma, j_n, n_speeds, n_headings,
-                trajectory=trajectory, episode_index=trial,
-            )
-        )
-    return MetricsReport.from_trials(logs)
+    return [valuetrain.sample_scenario(rng, **kwargs) for _ in range(trials)]
 
 
 def compare_modes(
@@ -242,13 +252,14 @@ def compare_modes(
     modes=MODES,
     trajectories: dict | None = None,
 ) -> dict[str, MetricsReport]:
-    """Evaluate the selected modes on identical seeded scenario streams."""
+    """Evaluate the selected modes on one seeded scenario stream, sampled once."""
+    if "proposed" in modes and map_model is None:
+        raise ValueError("proposed mode requested without a map model")
     snapshot = env_truth.without_jammer()
+    scenarios = sample_scenarios(env_truth, trials, seed, scenario_kwargs)
     out = {}
     for mode in modes:
         if mode == "proposed":
-            if map_model is None:
-                raise ValueError("proposed mode requested without a map model")
             policy = NavPolicy.learned(value_net, map_model)
         elif mode == "outdated":
             policy = NavPolicy.outdated(value_net, snapshot)
@@ -258,9 +269,8 @@ def compare_modes(
         if trajectories is not None:
             rows = trajectories.setdefault(mode, [])
         out[mode] = run_evaluation(
-            policy, env_truth, trials, seed, gamma,
-            scenario_kwargs=scenario_kwargs, j_n=j_n, n_speeds=n_speeds,
-            n_headings=n_headings, trajectory=rows,
+            policy, env_truth, trials, seed, gamma, scenarios=scenarios, j_n=j_n,
+            n_speeds=n_speeds, n_headings=n_headings, trajectory=rows,
         )
     return out
 

@@ -87,6 +87,32 @@ class NetworkParams:
         )
 
 
+def without_subnormals(params: NetworkParams) -> NetworkParams:
+    """Copy of params with every subnormal weight and bias set to 0.0.
+
+    Inference runs on such a copy.  Training under L2 with Adam leaves the
+    weights of dead units decaying into the subnormal range, and x86 takes a
+    slow microcode path for every subnormal operand, so a small batch forward
+    on a desk-trained value net runs about 9x slower than on the same net with
+    those weights at zero.  A subnormal term lies far below the last bit of any
+    normal-sized sum it joins, so the outputs stay bit-identical as long as
+    each output unit's sum has a normal-sized term, such as its bias; only a
+    unit whose whole input is subnormal changes, from a subnormal value to 0.
+    Training keeps updating the master weights; the source is left untouched.
+    """
+    tiny = np.finfo(float).tiny
+
+    def flushed(a: np.ndarray) -> np.ndarray:
+        return np.where((a != 0.0) & (np.abs(a) < tiny), 0.0, a)
+
+    return NetworkParams(
+        specs=params.specs,
+        weights=[flushed(w) for w in params.weights],
+        biases=[flushed(b) for b in params.biases],
+        standardizer=params.standardizer,
+    )
+
+
 def dense_specs(input_size: int, hidden: tuple[int, ...], output_size: int,
                 hidden_activation: str = "relu", output_activation: str = "identity"):
     sizes = [input_size, *hidden, output_size]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -85,6 +84,11 @@ class RadioEnvironment:
     pathloss_exponent: float = 2.0
     sinr_threshold: float = 10.0 ** (-0.3)
     margin: float = 0.1
+    # Per-station columns for sinr_many, built once here; `replace` goes through
+    # __init__, so every derived environment (with_jammer, ...) gets its own.
+    station_arrays: tuple[np.ndarray, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "stations", tuple(self.stations))
@@ -105,6 +109,16 @@ class RadioEnvironment:
             )
         if self.margin < 0:
             raise ValueError(f"margin must be >= 0, got {self.margin}")
+        st = self.stations
+        object.__setattr__(self, "station_arrays", (
+            np.array([s.position[0] for s in st]),
+            np.array([s.position[1] for s in st]),
+            np.array([s.height for s in st]),
+            np.array([s.tx_power for s in st]),
+            np.array([s.tilt_deg for s in st]),
+            np.array([s.beamwidth_deg for s in st]),
+            np.array([s.max_atten_db for s in st]),
+        ))
 
     def without_jammer(self) -> "RadioEnvironment":
         return replace(self, jammer=None)
@@ -201,18 +215,6 @@ def sinr(env: RadioEnvironment, uav_position) -> float:
     return powers[k] / denom
 
 
-@lru_cache(maxsize=64)
-def _station_arrays(env: RadioEnvironment):
-    sx = np.array([s.position[0] for s in env.stations])
-    sy = np.array([s.position[1] for s in env.stations])
-    sh = np.array([s.height for s in env.stations])
-    sp = np.array([s.tx_power for s in env.stations])
-    tilt = np.array([s.tilt_deg for s in env.stations])
-    beam = np.array([s.beamwidth_deg for s in env.stations])
-    atten = np.array([s.max_atten_db for s in env.stations])
-    return sx, sy, sh, sp, tilt, beam, atten
-
-
 def sinr_many(env: RadioEnvironment, positions: np.ndarray) -> np.ndarray:
     """Vectorized linear SINR for an (N, 2) array of positions.
 
@@ -222,7 +224,7 @@ def sinr_many(env: RadioEnvironment, positions: np.ndarray) -> np.ndarray:
     pos = np.asarray(positions, dtype=float)
     if pos.ndim == 1:
         pos = pos[None, :]
-    sx, sy, sh, sp, tilt, beam, atten = _station_arrays(env)
+    sx, sy, sh, sp, tilt, beam, atten = env.station_arrays
     hv = env.uav_altitude
     alpha = env.pathloss_exponent
     d = np.hypot(pos[:, 0:1] - sx[None, :], pos[:, 1:2] - sy[None, :])

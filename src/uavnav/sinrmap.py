@@ -168,6 +168,11 @@ def evaluate_accuracy(model: MapModel, measurements) -> float:
         raise ValueError("cannot evaluate accuracy on an empty slice")
     feats = np.stack([m.features for m in measurements])
     labels = np.array([m.level for m in measurements])
+    return _accuracy(model, feats, labels)
+
+
+def _accuracy(model: MapModel, feats: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose predicted level equals the label."""
     return float(np.mean(predict_levels(model, feats) == labels))
 
 
@@ -212,7 +217,10 @@ def retrain(
     hold_idx, train_idx = order[:n_hold], order[n_hold:]
     if len(train_idx) == 0:
         train_idx = order
-    holdout = [data[i] for i in hold_idx] if n_hold else data
+    if n_hold == 0:
+        hold_idx = np.arange(len(data))
+    # Stacked once: every epoch scores the same holdout rows.
+    hold_feats, hold_labels = feats[hold_idx], labels[hold_idx]
 
     standardizer = neuro.fit_standardizer(feats[train_idx])
     new_model = MapModel(
@@ -228,7 +236,7 @@ def retrain(
         neuro.train_epochs(
             new_model.network, feats[train_idx], labels[train_idx], epoch_cfg, rng, adam
         )
-        curve.append(evaluate_accuracy(new_model, holdout))
+        curve.append(_accuracy(new_model, hold_feats, hold_labels))
     return new_model, curve
 
 

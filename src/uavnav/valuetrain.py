@@ -185,19 +185,42 @@ def lookahead_select(
     reward_scale: float = TARGET_SCALE,
     pad_distance: float = world.FAR_NEIGHBOR,
 ) -> Action:
+    """lookahead_index over a list of Actions; returns the chosen element itself."""
+    speeds = np.array([a.speed for a in action_space])
+    headings = np.array([a.heading for a in action_space])
+    k = lookahead_index(
+        value_net, self_state, neighbors, speeds, headings, sinr_oracle, gamma, t, config,
+        j_n, reward_scale, pad_distance,
+    )
+    return action_space[k]
+
+
+def lookahead_index(
+    value_net: neuro.NetworkParams,
+    self_state: UavState,
+    neighbors,
+    speeds: np.ndarray,
+    headings: np.ndarray,
+    sinr_oracle,
+    gamma: float,
+    t: int,
+    config: ScenarioConfig,
+    j_n: int = 4,
+    reward_scale: float = TARGET_SCALE,
+    pad_distance: float = world.FAR_NEIGHBOR,
+) -> int:
     """Argmax over actions of scaled estimated reward + gamma * V(next state).
 
-    Neighbors travel one step at their observed (filtered) velocities; the
-    SINR oracle is queried at each candidate next position.  Ties go to the
-    first action in the given order.
+    Actions are given as parallel speed and heading arrays (see
+    world.action_grid).  Neighbors travel one step at their observed
+    (filtered) velocities; the SINR oracle is queried at each candidate next
+    position.  Ties go to the first action in the given order.
     """
-    if not action_space:
+    if len(speeds) == 0:
         raise ValueError("empty action space")
     dt = config.dt
     px, py = self_state.position
     dest = self_state.destination
-    speeds = np.array([a.speed for a in action_space])
-    headings = np.array([a.heading for a in action_space])
     vel = np.column_stack([speeds * np.cos(headings), speeds * np.sin(headings)])
     raw_pos = np.column_stack([px + vel[:, 0] * dt, py + vel[:, 1] * dt])
 
@@ -219,7 +242,7 @@ def lookahead_select(
     gated = t % config.n_t == 0
     conn = np.array([-1.0, -0.5, 0.0])[levels] if gated else np.zeros(len(levels))
 
-    coll = np.zeros(len(action_space))
+    coll = np.zeros(len(speeds))
     for ob in neighbors:
         rx, ry = px - ob[0], py - ob[1]
         wx, wy = vel[:, 0] - ob[2], vel[:, 1] - ob[3]
@@ -241,7 +264,7 @@ def lookahead_select(
     )
     values, _ = neuro.forward_batch(value_net, feature_rows)
     scores = reward_scale * rewards + gamma * values[:, 0]
-    return action_space[int(np.argmax(scores))]
+    return int(np.argmax(scores))
 
 
 def coverage_predicate(env: radio.RadioEnvironment, neighborhood: float = 5.0):
@@ -361,16 +384,15 @@ def run_episode(
             states[i].append(
                 to_agent_frame(uav, neighbors, int(current_levels[i]), j_n).vector()
             )
-            space = world.sample_action_space(uav, scenario, n_speeds, n_headings)
+            speeds, headings = world.action_grid(uav, scenario, n_speeds, n_headings)
             if rng.random() <= eps:
-                actions.append(space[int(rng.integers(len(space)))])
+                k = int(rng.integers(len(speeds)))
             else:
-                actions.append(
-                    lookahead_select(
-                        value_net, uav, neighbors, space, oracle, gamma, ep.t, scenario,
-                        j_n=j_n, reward_scale=target_scale,
-                    )
+                k = lookahead_index(
+                    value_net, uav, neighbors, speeds, headings, oracle, gamma, ep.t,
+                    scenario, j_n=j_n, reward_scale=target_scale,
                 )
+            actions.append(Action(speed=float(speeds[k]), heading=float(headings[k])))
         ep, step_rewards, _ = world.step_all(ep, actions, env, scenario)
         for i in range(n):
             if active_before[i]:
@@ -494,9 +516,10 @@ def train(
             rng_scn, position_ok=coverage_predicate(env), **scn_kwargs
         )
         eps = epsilon(episode, config)
+        # The rollout reads a copy without subnormals; updates go to value_net.
         log = run_episode(
-            value_net, env, scenario, eps, buffer, rng_ep, config.gamma,
-            j_n=config.j_n, n_speeds=config.n_speeds, n_headings=config.n_headings,
+            neuro.without_subnormals(value_net), env, scenario, eps, buffer, rng_ep,
+            config.gamma, j_n=config.j_n, n_speeds=config.n_speeds, n_headings=config.n_headings,
         )
         for _ in range(config.updates_per_episode):
             feats, targets = buffer.sample(config.batch_size, rng_ep)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -287,27 +288,44 @@ def agent_frame_rows(
     return rows
 
 
-def sample_action_space(
-    state: UavState, config: ScenarioConfig, n_speeds: int = 3, n_headings: int = 5
-) -> list[Action]:
-    """Speed x heading grid obeying the speed and turn-rate limits.
-
-    Always contains the hover action (speed 0) and the keep-heading action:
-    with an even heading count the grid point closest to the current heading
-    is snapped onto it.
-    """
-    if n_speeds < 2 or n_headings < 3:
-        raise ValueError("need n_speeds >= 2 and n_headings >= 3")
-    speeds = np.linspace(0.0, state.max_speed, n_speeds)
-    max_turn = config.dt * config.turn_rate_limit
+@lru_cache(maxsize=64)
+def _grid_axes(max_speed: float, max_turn: float, n_speeds: int, n_headings: int):
+    """Speed levels and heading offsets of the action grid (read-only arrays)."""
+    speeds = np.linspace(0.0, max_speed, n_speeds)
     offsets = np.linspace(-max_turn, max_turn, n_headings)
     if not np.isclose(offsets, 0.0).any():
         offsets[np.argmin(np.abs(offsets))] = 0.0
-    return [
-        Action(speed=float(s), heading=wrap_angle(state.orientation + float(o)))
-        for s in speeds
-        for o in offsets
-    ]
+    speeds = np.repeat(speeds, n_headings)
+    offsets = np.tile(offsets, n_speeds)
+    speeds.flags.writeable = offsets.flags.writeable = False
+    return speeds, offsets
+
+
+def action_grid(
+    state: UavState, config: ScenarioConfig, n_speeds: int = 3, n_headings: int = 5
+) -> tuple[np.ndarray, np.ndarray]:
+    """Speed x heading grid obeying the speed and turn-rate limits, as two arrays.
+
+    Returns (speeds, headings) of length n_speeds * n_headings, speed-major.
+    Always contains the hover action (speed 0) and the keep-heading action:
+    with an even heading count the grid point closest to the current heading
+    is snapped onto it.  The axes are cached per speed limit, turn limit and
+    grid size; only the wrap around the current orientation is computed here.
+    """
+    if n_speeds < 2 or n_headings < 3:
+        raise ValueError("need n_speeds >= 2 and n_headings >= 3")
+    speeds, offsets = _grid_axes(
+        state.max_speed, config.dt * config.turn_rate_limit, n_speeds, n_headings
+    )
+    return speeds, wrap_angles(state.orientation + offsets)
+
+
+def sample_action_space(
+    state: UavState, config: ScenarioConfig, n_speeds: int = 3, n_headings: int = 5
+) -> list[Action]:
+    """action_grid as a list of Actions, in the same order."""
+    speeds, headings = action_grid(state, config, n_speeds, n_headings)
+    return [Action(speed=float(s), heading=float(h)) for s, h in zip(speeds, headings)]
 
 
 def propagate(

@@ -21,6 +21,8 @@ from uavnav.cli import main
 from conftest import make_station, random_env
 from test_radio import brute_force_sinr
 
+pytestmark = pytest.mark.slow
+
 
 def report(criterion, ok, detail):
     print(f"\nCRITERION {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")

@@ -98,6 +98,21 @@ class TestConfigValidation:
         with pytest.raises(cfgmod.ConfigError, match="broken.json:1:"):
             cfgmod.load(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("world.speed_range", ["fast", 8.0]),
+        ("world.speed_range", [4.0, None]),
+        ("training.jammer_powers", [0.5, "1w"]),
+        ("training.jammer_bounds", [["east", "west"], [-40.0, 40.0]]),
+        ("training.value_hidden", [True, 8]),
+        ("mapping.hidden", [16, True]),
+    ])
+    def test_wrong_entry_type_exits_2(self, tmp_path, capsys, key, value):
+        cfg_path = tiny_config(tmp_path, **{key: value})
+        rc = main(["bootstrap", "--config", str(cfg_path), "--out", str(tmp_path / "b.csv")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestCovmap:
     def test_header_contract_and_units(self, tmp_path):

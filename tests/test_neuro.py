@@ -1,8 +1,10 @@
 import json
 import math
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from uavnav import neuro
 from uavnav.neuro import (
@@ -351,3 +353,30 @@ class TestValidation:
     def test_bad_activation_rejected(self):
         with pytest.raises(ValueError):
             LayerSpec(2, 2, "sigmoid")
+
+
+class TestWithoutSubnormals:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), share=hst.floats(0.0, 0.9))
+    def test_planted_subnormals(self, seed, share):
+        rng = np.random.default_rng(seed)
+        std = Standardizer(mean=rng.normal(size=34), std=rng.uniform(0.5, 2.0, 34))
+        net = init_network(VALUE_SPECS, rng, std)
+        tiny = np.finfo(float).tiny
+        for b in net.biases:
+            b += 0.1 * rng.normal(size=b.shape)
+        # The output bias stays normal-sized, as in a trained net: a unit whose
+        # whole input is subnormal would output 0 instead of a subnormal.
+        for a in net.weights + net.biases[:-1]:
+            planted = rng.random(a.shape) < share
+            a[planted] = rng.uniform(-1.0, 1.0, int(planted.sum())) * tiny
+        before = [a.copy() for a in net.weights + net.biases]
+        x = std.mean + 3.0 * std.std * rng.normal(size=(200, 34))
+
+        flushed = neuro.without_subnormals(net)
+
+        for a in flushed.weights + flushed.biases:
+            assert ((a == 0.0) | (np.abs(a) >= tiny)).all()
+        for a, b in zip(net.weights + net.biases, before):
+            assert a.tobytes() == b.tobytes()
+        assert forward_batch(flushed, x)[0].tobytes() == forward_batch(net, x)[0].tobytes()

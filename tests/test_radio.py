@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from uavnav import radio
 
@@ -332,3 +335,23 @@ class TestEnvironmentInvariants:
         bare = env.without_jammer()
         assert bare.jammer is None and env.jammer is not None
         assert bare.stations == env.stations
+
+
+class TestStationArrays:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1))
+    def test_derived_environments_match_scalar_sinr(self, seed):
+        # Arrays built for one environment must not leak into derived ones.
+        rng = np.random.default_rng(seed)
+        env = random_env(rng, with_jammer=False)
+        jammer = radio.Jammer(position=tuple(rng.uniform(-60, 60, 2)),
+                              height=float(rng.uniform(0, 20)),
+                              tx_power=float(rng.uniform(0.1, 3.0)))
+        other = random_env(rng, n_stations=int(rng.integers(1, 6)))
+        pts = rng.uniform(-80, 80, (20, 2))
+        radio.sinr_many(env, pts)
+        for derived in (env.with_jammer(jammer), env.with_jammer(jammer).without_jammer(),
+                        dataclasses.replace(env, stations=other.stations)):
+            got = radio.sinr_many(derived, pts)
+            for p, g in zip(pts, got):
+                assert g == pytest.approx(radio.sinr(derived, p), rel=1e-12)

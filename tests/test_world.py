@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from uavnav import radio, world
 from uavnav.world import (
@@ -149,6 +151,41 @@ class TestActionSpace:
         cfg = two_agent_config([(0, 0)], [(50, 0)])
         with pytest.raises(ValueError):
             sample_action_space(st, cfg, n_speeds=1, n_headings=3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        orientation=hst.floats(-10.0, 10.0),
+        vmax=hst.floats(0.1, 20.0),
+        dt=hst.floats(0.05, 2.0),
+        turn_rate=hst.floats(0.01, 3.0),
+        n_speeds=hst.integers(2, 5),
+        n_headings=hst.integers(3, 9),
+    )
+    def test_action_grid_matches_scalar_path(
+        self, orientation, vmax, dt, turn_rate, n_speeds, n_headings
+    ):
+        st = make_state(vmax=vmax, orientation=orientation)
+        cfg = two_agent_config([(0, 0)], [(50, 0)], dt=dt, turn_rate_limit=turn_rate)
+        speeds, headings = world.action_grid(st, cfg, n_speeds, n_headings)
+        # The per-action scalar construction, bit for bit.
+        max_turn = cfg.dt * cfg.turn_rate_limit
+        offsets = np.linspace(-max_turn, max_turn, n_headings)
+        if not np.isclose(offsets, 0.0).any():
+            offsets[np.argmin(np.abs(offsets))] = 0.0
+        expected = [
+            (float(s), wrap_angle(st.orientation + float(o)))
+            for s in np.linspace(0.0, vmax, n_speeds)
+            for o in offsets
+        ]
+        assert np.column_stack([speeds, headings]).tobytes() == np.array(expected).tobytes()
+        space = sample_action_space(st, cfg, n_speeds, n_headings)
+        assert [(a.speed, a.heading) for a in space] == expected
+
+    @given(hst.lists(hst.floats(-100.0, 100.0), min_size=1, max_size=20))
+    @example([math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 0.0, -0.0, 2 * math.pi])
+    def test_wrap_angles_matches_scalar(self, angles):
+        got = world.wrap_angles(np.array(angles))
+        assert got.tobytes() == np.array([wrap_angle(a) for a in angles]).tobytes()
 
 
 class TestPropagate:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +61,11 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
     curve_path = out / "curve.csv"
     state_path = out / "train-state.json"
     replay_path = out / "replay.npz"
+    adam_path = out / "adam.npz"
 
-    pairs, std_arrays = orca.read_bootstrap_csv(bootstrap_path)
+    pairs, _ = orca.read_bootstrap_csv(bootstrap_path)
     if not pairs:
         raise ConfigError(f"{bootstrap_path}: empty bootstrap set")
-    standardizer = (
-        neuro.Standardizer(mean=std_arrays[0], std=std_arrays[1]) if std_arrays else None
-    )
     run_cfg = cfg.train_run_config()
     schedule = cfg.jammer_schedule()
 
@@ -75,6 +74,7 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
     buffer = None
     rng_states = None
     initial_jammer = None
+    adam = None
     curve_prefix: list = []
     if resume:
         if not state_path.exists():
@@ -82,13 +82,18 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
         state = json.loads(state_path.read_text())
         start_episode = state["episode"]
         value_net = neuro.load_model(model_path)
-        data = np.load(replay_path)
+        data = _read_npz(replay_path, ("features", "targets"))
         buffer = valuetrain.ReplayBuffer(run_cfg.replay_capacity)
         for vec, target in zip(data["features"], data["targets"]):
             buffer.push(vec, float(target))
-        rng_states = {
-            k: _decode_rng_state(state["rng"][k]) for k in ("jammer", "scenario", "episode")
-        }
+        if buffer.digest() != state["buffer_digest"]:
+            raise ConfigError(f"{replay_path}: replay buffer does not match {state_path}")
+        n = len(value_net.weights)
+        opt = _read_npz(adam_path, [f"{k}{i}" for k in ADAM_MOMENTS for i in range(n)] + ["step"])
+        adam = neuro.AdamState(
+            **{k: [opt[f"{k}{i}"] for i in range(n)] for k in ADAM_MOMENTS}, step=int(opt["step"])
+        )
+        rng_states = {k: state["rng"][k] for k in ("jammer", "scenario", "episode")}
         if state.get("jammer") is not None:
             j = state["jammer"]
             initial_jammer = radio.Jammer(
@@ -98,13 +103,16 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
             p for p in valuetrain.read_curve_csv(curve_path) if p.episode < start_episode
         ]
 
-    def on_checkpoint(episode, net, buf, curve, rngs, jammer):
+    def on_checkpoint(episode, net, buf, curve, rngs, jammer, opt):
         neuro.save_model(net, model_path, digest=cfg.digest)
         valuetrain.write_curve_csv(
             curve_prefix + curve, curve_path, extra_comments=(f"digest={cfg.digest}",)
         )
         feats, targets = buf.as_arrays()
         np.savez(replay_path, features=feats, targets=targets)
+        np.savez(adam_path, step=opt.step, **{
+            f"{k}{i}": a for k in ADAM_MOMENTS for i, a in enumerate(getattr(opt, k))
+        })
         state = {
             "episode": episode,
             "epsilon": valuetrain.epsilon(min(episode, run_cfg.total_episodes - 1), run_cfg),
@@ -114,13 +122,9 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
                 "position": list(jammer.position), "height": jammer.height,
                 "tx_power": jammer.tx_power,
             },
-            "rng": {k: _encode_rng_state(v) for k, v in rngs.items()},
+            "rng": rngs,
         }
         state_path.write_text(json.dumps(state, sort_keys=True, indent=1) + "\n")
-
-    if value_net is None and run_cfg.pretrain_epochs > 0:
-        rng_init = np.random.default_rng(np.random.SeedSequence(run_cfg.seed).spawn(4)[0])
-        value_net = valuetrain.pretrain_value_net(pairs, run_cfg, rng_init, standardizer)
 
     result = valuetrain.train(
         run_cfg, pairs, cfg.env.without_jammer(), schedule,
@@ -131,6 +135,7 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
         rng_states=rng_states,
         initial_jammer=initial_jammer,
         on_checkpoint=on_checkpoint,
+        adam=adam,
     )
     print(
         f"train: {result.episodes_run} episodes done; model at {model_path}, "
@@ -138,19 +143,16 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
     )
 
 
-def _encode_rng_state(state: dict) -> dict:
-    def enc(v):
-        if isinstance(v, dict):
-            return {k: enc(x) for k, x in v.items()}
-        if isinstance(v, (int, str)):
-            return v
-        return int(v)
-
-    return enc(state)
+ADAM_MOMENTS = ("m_w", "v_w", "m_b", "v_b")
 
 
-def _decode_rng_state(state: dict) -> dict:
-    return state
+def _read_npz(path: Path, names) -> dict[str, np.ndarray]:
+    """Named arrays of a checkpoint archive; a missing or unreadable one is a validation error."""
+    try:
+        with np.load(path) as data:
+            return {k: data[k] for k in names}
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: unreadable checkpoint file ({exc})") from None
 
 
 def cmd_trainmap(cfg: cfgmod.RunConfig, measurements_path: str | None, out_path: str,

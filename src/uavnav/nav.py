@@ -9,7 +9,6 @@ connectivity check (i.e. mission completed with constraints respected).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,12 +95,7 @@ def navigate_step(
 
 
 @dataclass
-class TrialLog:
-    arrived: list[bool]
-    collided: list[bool]
-    disconnected: list[bool]
-    steps: int
-
+class TrialLog(world.Outcome):
     def successes(self) -> list[bool]:
         return [
             a and not c and not d
@@ -159,42 +153,25 @@ def run_trial(
     policy needs a choose_action(state, neighbors, env, t, scenario, gamma,
     j_n, n_speeds, n_headings) method; NavPolicy provides the lookahead one.
     """
-    ep = EpisodeState(uavs=scenario.initial_states())
-    if trajectory is not None:
-        _record_rows(trajectory, episode_index, ep, env_truth, None)
-    while not ep.all_arrived and ep.t < scenario.max_episode_steps:
-        actions: list[Action | None] = []
-        for i, uav in enumerate(ep.uavs):
-            if uav.arrived:
-                actions.append(None)
-                continue
-            actions.append(
-                policy.choose_action(
-                    uav, ep.neighbors_of(i), env_truth, ep.t, scenario, gamma,
-                    j_n, n_speeds, n_headings,
-                )
-            )
-        ep, _, flags = world.step_all(ep, actions, env_truth, scenario)
-        if trajectory is not None:
-            _record_rows(trajectory, episode_index, ep, env_truth, flags)
-        if ep.any_collision:
-            break
-    return TrialLog(
-        arrived=[u.arrived for u in ep.uavs],
-        collided=list(ep.ever_collided),
-        disconnected=list(ep.ever_disconnected),
-        steps=ep.t,
-    )
 
-
-def _record_rows(rows, episode, ep: EpisodeState, env, flags):
-    sinr_lin = radio.sinr_many(env, np.array([u.position for u in ep.uavs]))
-    for i, uav in enumerate(ep.uavs):
-        sample = radio.SinrLevel.from_linear(float(sinr_lin[i]), env)
-        f = flags[i] if flags is not None else world.StepFlags(uav.arrived, False, False)
-        rows.append(
-            world.format_trajectory_row(episode, ep.t, i, uav, sample.db, sample.level, f)
+    def choose(i, uav, neighbors, t):
+        return policy.choose_action(
+            uav, neighbors, env_truth, t, scenario, gamma, j_n, n_speeds, n_headings
         )
+
+    def record(ep: EpisodeState, flags):
+        sinr_lin = radio.sinr_many(env_truth, np.array([u.position for u in ep.uavs]))
+        for i, uav in enumerate(ep.uavs):
+            sample = radio.SinrLevel.from_linear(float(sinr_lin[i]), env_truth)
+            f = flags[i] if flags is not None else world.StepFlags(uav.arrived, False, False)
+            trajectory.append(world.format_trajectory_row(
+                episode_index, ep.t, i, uav, sample.db, sample.level, f
+            ))
+
+    run = world.rollout(
+        scenario, env_truth, choose, observe=None if trajectory is None else record
+    )
+    return TrialLog.of(run.final)
 
 
 def run_evaluation(

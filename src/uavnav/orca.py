@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import world
-from .world import Action, EpisodeState, ScenarioConfig, UavState, to_agent_frame
-from . import radio
+from . import radio, world
 from .valuetrain import discounted_returns
+from .world import Action, ScenarioConfig, UavState
+from .world import to_agent_frame  # noqa: F401  (bench/spans.py traces it here)
 
 EPS = 1e-10
 
@@ -238,49 +238,19 @@ def run_orca_episode(
     j_n: int = 4,
     record_states: bool = True,
 ):
-    """Roll one ORCA-driven episode; returns per-agent joint states and rewards.
+    """Roll one ORCA-driven episode; returns its world.Rollout.
 
     Velocities come straight from the reciprocal-avoidance solver, so the
     turn-rate limit is not enforced on bootstrap trajectories.
     """
     cfg = config or OrcaConfig()
-    ep = EpisodeState(uavs=scenario.initial_states())
-    n = scenario.num_agents
-    states_per_agent: list[list[np.ndarray]] = [[] for _ in range(n)]
-    rewards_per_agent: list[list[float]] = [[] for _ in range(n)]
-    collided = False
-    while not ep.all_arrived and ep.t < scenario.max_episode_steps:
-        levels = radio.quantize_many(
-            radio.sinr_many(env, np.array([u.position for u in ep.uavs])), env
-        )
-        active_before = [not u.arrived for u in ep.uavs]
-        actions: list[Action | None] = []
-        for i, uav in enumerate(ep.uavs):
-            if uav.arrived:
-                actions.append(None)
-                continue
-            if record_states:
-                js = to_agent_frame(uav, ep.neighbors_of(i), int(levels[i]), j_n)
-                states_per_agent[i].append(js.vector())
-            pref = preferred_velocity(uav, scenario.dt, tiebreak_rotation=1e-3 * (i + 1))
-            vel = orca_velocity(uav, ep.neighbors_of(i), pref, cfg, scenario.dt)
-            actions.append(Action(speed=math.hypot(*vel), heading=math.atan2(vel[1], vel[0])))
-        ep, rewards, _ = world.step_all(ep, actions, env, scenario)
-        for i in range(n):
-            if active_before[i]:
-                rewards_per_agent[i].append(rewards[i].total)
-        if ep.any_collision:
-            collided = True
-            break
-    # Arrived terminals carry zero future value and anchor the value net there.
-    terminal_states = []
-    if not collided:
-        for i, uav in enumerate(ep.uavs):
-            if uav.arrived and record_states:
-                levels = radio.quantize_many(radio.sinr_many(env, np.array([uav.position])), env)
-                js = to_agent_frame(uav, ep.neighbors_of(i), int(levels[0]), j_n)
-                terminal_states.append((i, js.vector()))
-    return states_per_agent, rewards_per_agent, terminal_states, ep
+
+    def choose(i, uav, neighbors, t):
+        pref = preferred_velocity(uav, scenario.dt, tiebreak_rotation=1e-3 * (i + 1))
+        vel = orca_velocity(uav, neighbors, pref, cfg, scenario.dt)
+        return Action(speed=math.hypot(*vel), heading=math.atan2(vel[1], vel[0]))
+
+    return world.rollout(scenario, env, choose, j_n=j_n if record_states else None)
 
 
 def generate_bootstrap_set(

@@ -96,7 +96,6 @@ class MeasurementCloud:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._window: deque = deque(maxlen=capacity)
-        self.accuracy_history: list[tuple[int, float]] = []
 
     def __len__(self) -> int:
         return len(self._window)
@@ -106,10 +105,6 @@ class MeasurementCloud:
 
     def measurements(self) -> list[Measurement]:
         return list(self._window)
-
-    def recent(self, n: int) -> list[Measurement]:
-        items = list(self._window)
-        return items[-n:]
 
     def purge_before(self, timestamp: int) -> int:
         """Drop measurements older than timestamp; returns how many were removed."""

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neuro, radio, world
-from .world import Action, EpisodeState, ScenarioConfig, UavState, to_agent_frame
+from .world import Action, ScenarioConfig, UavState, ground_truth_oracle
+from .world import to_agent_frame  # noqa: F401  (bench/spans.py traces it here)
 
 TARGET_SCALE = 0.25  # keeps worst-case returns out of the tanh saturation zone
 
@@ -102,13 +103,8 @@ class JammerSchedule:
 
 
 @dataclass
-class EpisodeLog:
+class EpisodeLog(world.Outcome):
     reward_sums: list[float]
-    arrived: list[bool]
-    collided: list[bool]
-    disconnected: list[bool]
-    steps: int
-    epsilon: float
 
     @property
     def mean_reward(self) -> float:
@@ -163,15 +159,6 @@ def epsilon(episode: int, config: TrainRunConfig) -> float:
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
 
 
-def ground_truth_oracle(env: radio.RadioEnvironment):
-    """Quantized-SINR query used by the offline trainer as its radio map."""
-
-    def oracle(positions: np.ndarray) -> np.ndarray:
-        return radio.quantize_many(radio.sinr_many(env, positions), env)
-
-    return oracle
-
-
 def lookahead_select(
     value_net: neuro.NetworkParams,
     self_state: UavState,
@@ -183,14 +170,13 @@ def lookahead_select(
     config: ScenarioConfig,
     j_n: int = 4,
     reward_scale: float = TARGET_SCALE,
-    pad_distance: float = world.FAR_NEIGHBOR,
 ) -> Action:
     """lookahead_index over a list of Actions; returns the chosen element itself."""
     speeds = np.array([a.speed for a in action_space])
     headings = np.array([a.heading for a in action_space])
     k = lookahead_index(
         value_net, self_state, neighbors, speeds, headings, sinr_oracle, gamma, t, config,
-        j_n, reward_scale, pad_distance,
+        j_n, reward_scale,
     )
     return action_space[k]
 
@@ -207,7 +193,6 @@ def lookahead_index(
     config: ScenarioConfig,
     j_n: int = 4,
     reward_scale: float = TARGET_SCALE,
-    pad_distance: float = world.FAR_NEIGHBOR,
 ) -> int:
     """Argmax over actions of scaled estimated reward + gamma * V(next state).
 
@@ -240,19 +225,20 @@ def lookahead_index(
 
     levels = np.asarray(sinr_oracle(positions), dtype=int)
     gated = t % config.n_t == 0
-    conn = np.array([-1.0, -0.5, 0.0])[levels] if gated else np.zeros(len(levels))
+    conn = world.CONNECTIVITY_BANDS[levels] if gated else np.zeros(len(levels))
 
+    # Closest approach to each neighbor (rows) under each action (columns).
     coll = np.zeros(len(speeds))
-    for ob in neighbors:
-        rx, ry = px - ob[0], py - ob[1]
-        wx, wy = vel[:, 0] - ob[2], vel[:, 1] - ob[3]
+    if neighbors:
+        obs = np.array([ob[:5] for ob in neighbors], dtype=float)
+        rx, ry = px - obs[:, 0:1], py - obs[:, 1:2]
+        wx, wy = vel[None, :, 0] - obs[:, 2:3], vel[None, :, 1] - obs[:, 3:4]
         w_sq = wx * wx + wy * wy
         t_cl = np.where(w_sq > 0.0, -(rx * wx + ry * wy) / np.where(w_sq > 0, w_sq, 1.0), 0.0)
         t_cl = np.clip(t_cl, 0.0, dt)
         d_min = np.hypot(rx + t_cl * wx, ry + t_cl * wy)
-        gap = d_min - self_state.radius - ob[4]
-        pair = np.where(gap <= 0.0, -1.0, np.where(gap <= 0.2, -(1.0 - gap / 0.2), 0.0))
-        coll = np.minimum(coll, pair)
+        gap = d_min - self_state.radius - obs[:, 4:5]
+        coll = np.minimum(coll, world.collision_ramp(gap).min(axis=0))
 
     rewards = conn + coll + 2.0 * arrived + config.movement_penalty
     moved = [
@@ -260,7 +246,7 @@ def lookahead_index(
     ]
     feature_rows = world.agent_frame_rows(
         positions, state_vel, headings, dest, self_state.radius, self_state.max_speed,
-        moved, levels, j_n, pad_distance,
+        moved, levels, j_n,
     )
     values, _ = neuro.forward_batch(value_net, feature_rows)
     scores = reward_scale * rewards + gamma * values[:, 0]
@@ -368,57 +354,29 @@ def run_episode(
 ) -> EpisodeLog:
     """One epsilon-greedy episode; visited states get scaled return-to-go targets."""
     oracle = sinr_oracle if sinr_oracle is not None else ground_truth_oracle(env)
-    ep = EpisodeState(uavs=scenario.initial_states())
-    n = scenario.num_agents
-    states: list[list[np.ndarray]] = [[] for _ in range(n)]
-    rewards: list[list[float]] = [[] for _ in range(n)]
-    while not ep.all_arrived and ep.t < scenario.max_episode_steps:
-        current_levels = oracle(np.array([u.position for u in ep.uavs]))
-        active_before = [not u.arrived for u in ep.uavs]
-        actions: list[Action | None] = []
-        for i, uav in enumerate(ep.uavs):
-            if uav.arrived:
-                actions.append(None)
-                continue
-            neighbors = ep.neighbors_of(i)
-            states[i].append(
-                to_agent_frame(uav, neighbors, int(current_levels[i]), j_n).vector()
+
+    def choose(i, uav, neighbors, t):
+        speeds, headings = world.action_grid(uav, scenario, n_speeds, n_headings)
+        if rng.random() <= eps:
+            k = int(rng.integers(len(speeds)))
+        else:
+            k = lookahead_index(
+                value_net, uav, neighbors, speeds, headings, oracle, gamma, t,
+                scenario, j_n=j_n, reward_scale=target_scale,
             )
-            speeds, headings = world.action_grid(uav, scenario, n_speeds, n_headings)
-            if rng.random() <= eps:
-                k = int(rng.integers(len(speeds)))
-            else:
-                k = lookahead_index(
-                    value_net, uav, neighbors, speeds, headings, oracle, gamma, ep.t,
-                    scenario, j_n=j_n, reward_scale=target_scale,
-                )
-            actions.append(Action(speed=float(speeds[k]), heading=float(headings[k])))
-        ep, step_rewards, _ = world.step_all(ep, actions, env, scenario)
-        for i in range(n):
-            if active_before[i]:
-                rewards[i].append(step_rewards[i].total)
-        if ep.any_collision:
-            break
-    # Arrived terminals anchor V ~ 0 at mission completion.
-    terminal_levels = oracle(np.array([u.position for u in ep.uavs]))
-    if buffer is not None:
-        for i in range(n):
-            targets = discounted_returns(rewards[i], gamma)
-            for vec, target in zip(states[i], targets):
-                buffer.push(vec, target_scale * target)
-            if ep.uavs[i].arrived and not ep.any_collision:
-                vec = to_agent_frame(
-                    ep.uavs[i], ep.neighbors_of(i), int(terminal_levels[i]), j_n
-                ).vector()
-                buffer.push(vec, 0.0)
-    return EpisodeLog(
-        reward_sums=[float(sum(r)) for r in rewards],
-        arrived=[u.arrived for u in ep.uavs],
-        collided=list(ep.ever_collided),
-        disconnected=list(ep.ever_disconnected),
-        steps=ep.t,
-        epsilon=eps,
+        return Action(speed=float(speeds[k]), heading=float(headings[k]))
+
+    run = world.rollout(
+        scenario, env, choose, j_n=None if buffer is None else j_n, level_oracle=oracle
     )
+    if buffer is not None:
+        terminals = dict(run.terminals)
+        for i, (frames, rewards) in enumerate(zip(run.frames, run.rewards)):
+            for vec, target in zip(frames, discounted_returns(rewards, gamma)):
+                buffer.push(vec, target_scale * target)
+            if i in terminals:
+                buffer.push(terminals[i], 0.0)
+    return EpisodeLog.of(run.final, reward_sums=[float(sum(r)) for r in run.rewards])
 
 
 @dataclass
@@ -443,13 +401,11 @@ def pretrain_value_net(
     bootstrap_pairs,
     config: TrainRunConfig,
     rng: np.random.Generator,
-    standardizer: neuro.Standardizer | None = None,
 ) -> neuro.NetworkParams:
     """Fit the standardizer on bootstrap features and regress scaled targets."""
     feats = np.stack([p[0] for p in bootstrap_pairs])
     targets = TARGET_SCALE * np.array([p[1] for p in bootstrap_pairs])
-    if standardizer is None:
-        standardizer = neuro.fit_standardizer(feats)
+    standardizer = neuro.fit_standardizer(feats)
     specs = neuro.dense_specs(
         feats.shape[1], config.value_hidden, 1, hidden_activation="relu",
         output_activation="tanh",
@@ -477,11 +433,13 @@ def train(
     rng_states: dict | None = None,
     initial_jammer: radio.Jammer | None = None,
     on_checkpoint=None,
+    adam: neuro.AdamState | None = None,
 ) -> TrainResult:
     """Full offline training loop; deterministic under config.seed.
 
-    on_checkpoint(episode, net, buffer, curve, rng_states) is called every
-    checkpoint_every episodes and at the end.
+    on_checkpoint(episode, net, buffer, curve, rng_states, jammer, adam) is
+    called every checkpoint_every episodes and at the end; passing those back
+    (with start_episode) resumes the run exactly.
     """
     if not bootstrap_pairs and value_net is None:
         raise ValueError("bootstrap set must be non-empty")
@@ -502,7 +460,7 @@ def train(
         for vec, value in bootstrap_pairs:
             buffer.push(vec, TARGET_SCALE * value)
 
-    adam = neuro.AdamState.for_params(value_net)
+    adam = adam or neuro.AdamState.for_params(value_net)
     curve: list[CurvePoint] = []
     jammer: radio.Jammer | None = initial_jammer
     scn_kwargs = dict(scenario_kwargs or {})
@@ -552,9 +510,11 @@ def train(
                     "episode": rng_ep.bit_generator.state,
                 },
                 jammer,
+                adam,
             )
     return TrainResult(
-        value_net=value_net, curve=curve, buffer=buffer, episodes_run=config.total_episodes
+        value_net=value_net, curve=curve, buffer=buffer,
+        episodes_run=config.total_episodes - start_episode,
     )
 
 

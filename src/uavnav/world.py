@@ -1,4 +1,4 @@
-"""UAV kinematics, agent-centric observations, rewards, and joint episode stepping.
+"""UAV kinematics, agent-centric observations, rewards, joint stepping and the episode loop.
 
 Agents move in 2D at a fixed altitude with speed and turn-rate limits.  Each
 step every active agent picks a (speed, heading) action; collisions are
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,11 +55,6 @@ class UavState:
     def observable(self) -> tuple[float, float, float, float, float]:
         """What other agents can see: position, velocity, radius."""
         return (*self.position, *self.velocity, self.radius)
-
-    def distance_to(self, other: "UavState") -> float:
-        return math.hypot(
-            self.position[0] - other.position[0], self.position[1] - other.position[1]
-        )
 
 
 @dataclass(frozen=True)
@@ -368,48 +364,36 @@ def segment_closest_approach(p1, v1, p2, v2, dt: float) -> float:
     return math.hypot(rx + t * wx, ry + t * wy)
 
 
-def min_future_distance(self_next: UavState, neighbors, dt: float) -> float:
-    """Closest approach to any neighbor during the step that produced self_next.
+# Connectivity reward per quantized SINR level (0 disconnected, 1 marginal, 2 connected).
+CONNECTIVITY_BANDS = np.array([-1.0, -0.5, 0.0])
+CONNECTIVITY_BANDS.flags.writeable = False
+COLLISION_BUFFER = 0.2  # m of clearance over which the collision penalty ramps to 0
 
-    self_next is the post-step state; its segment is reconstructed backwards
-    from its velocity.  Neighbors are (position, velocity) pairs at the start
-    of the step, carried forward at those velocities.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if not neighbors:
-        return math.inf
-    sx = self_next.position[0] - self_next.velocity[0] * dt
-    sy = self_next.position[1] - self_next.velocity[1] * dt
-    return min(
-        segment_closest_approach((sx, sy), self_next.velocity, pos, vel, dt)
-        for pos, vel in neighbors
+
+def collision_ramp(gap):
+    """Elementwise collision penalty of surface gaps: -1 at contact, linear to 0 at the buffer."""
+    gap = np.asarray(gap, dtype=float)
+    return np.where(
+        gap <= 0.0, -1.0,
+        np.where(gap <= COLLISION_BUFFER, -(1.0 - gap / COLLISION_BUFFER), 0.0),
     )
 
 
 def reward_connectivity(
     t: int, n_t: int, next_sinr: float, threshold: float, margin: float
 ) -> float:
-    """Gated connectivity penalty from the post-step SINR."""
+    """Gated connectivity penalty: the band of the post-step SINR's level."""
     if t % n_t != 0:
         return 0.0
-    if next_sinr < threshold:
-        return -1.0
-    if next_sinr < threshold + margin:
-        return -0.5
-    return 0.0
+    level = 0 if next_sinr < threshold else 1 if next_sinr < threshold + margin else 2
+    return float(CONNECTIVITY_BANDS[level])
 
 
 def reward_collision(d_min: float, r_i: float, r_j: float) -> float:
-    """-1 at contact, linear ramp over a 0.2 m buffer, 0 beyond."""
+    """collision_ramp of one pair's gap at closest approach d_min."""
     if r_i <= 0 or r_j <= 0:
         raise ValueError("radii must be > 0")
-    gap = d_min - r_i - r_j
-    if gap <= 0.0:
-        return -1.0
-    if gap <= 0.2:
-        return -(1.0 - gap / 0.2)
-    return 0.0
+    return float(collision_ramp(d_min - r_i - r_j))
 
 
 def reward_total(
@@ -430,11 +414,6 @@ def reward_total(
         arrival=2.0 if arrived_next else 0.0,
         movement=movement_penalty,
     )
-
-
-def connectivity_reward_from_level(level: int) -> float:
-    """Band value for a quantized level; mirrors reward_connectivity's cases."""
-    return (-1.0, -0.5, 0.0)[level]
 
 
 @dataclass
@@ -503,17 +482,29 @@ def step_all(
             # snaps onto its destination and reports zero velocity afterwards.
             seg_vel.append(act.velocity())
 
-    # Pairwise continuous collision check among agents active during this step.
-    collided_now = [False] * n
+    # Continuous collision check among agents active during this step.  Each
+    # pair's closest approach is computed once (it is symmetric in the pair)
+    # and gives both the collided flags and, from each side's gap, the
+    # penalties.  With heterogeneous radii the binding pair is the worst
+    # margin, not the smallest raw distance.
     active = [i for i in range(n) if not prev[i].arrived]
-    for a in range(len(active)):
-        for b in range(a + 1, len(active)):
-            i, j = active[a], active[b]
-            d = segment_closest_approach(
-                prev[i].position, seg_vel[i], prev[j].position, seg_vel[j], config.dt
-            )
-            if d <= prev[i].radius + prev[j].radius:
-                collided_now[i] = collided_now[j] = True
+    pairs = [(i, j) for a, i in enumerate(active) for j in active[a + 1:]]
+    closest = [
+        segment_closest_approach(prev[i].position, seg_vel[i], prev[j].position, seg_vel[j],
+                                 config.dt)
+        for i, j in pairs
+    ]
+    gaps = []
+    for (i, j), d in zip(pairs, closest):
+        gaps += [d - prev[i].radius - prev[j].radius, d - prev[j].radius - prev[i].radius]
+    penalties = collision_ramp(gaps).tolist()
+    collided_now = [False] * n
+    worst_pair = [0.0] * n
+    for k, ((i, j), d) in enumerate(zip(pairs, closest)):
+        if d <= prev[i].radius + prev[j].radius:
+            collided_now[i] = collided_now[j] = True
+        worst_pair[i] = min(worst_pair[i], penalties[2 * k])
+        worst_pair[j] = min(worst_pair[j], penalties[2 * k + 1])
 
     sinr_next = radio.sinr_many(env, np.array([u.position for u in nxt]))
     gated = state.t % config.n_t == 0
@@ -528,29 +519,13 @@ def step_all(
             rewards.append(ZERO_REWARD)
             flags.append(StepFlags(arrived=True, collided=False, disconnected=False))
             continue
-        # With heterogeneous radii the binding pair is the worst margin, not
-        # the smallest raw distance.
-        worst_pair = min(
-            (
-                reward_collision(
-                    segment_closest_approach(
-                        prev[i].position, seg_vel[i], prev[j].position, seg_vel[j], config.dt
-                    ),
-                    prev[i].radius,
-                    prev[j].radius,
-                )
-                for j in active
-                if j != i
-            ),
-            default=0.0,
-        )
         conn = reward_connectivity(
             state.t, config.n_t, float(sinr_next[i]), env.sinr_threshold, env.margin
         )
         rewards.append(
             RewardBreakdown(
                 connectivity=conn,
-                collision=worst_pair,
+                collision=worst_pair[i],
                 arrival=2.0 if nxt[i].arrived else 0.0,
                 movement=config.movement_penalty,
             )
@@ -574,6 +549,98 @@ def step_all(
         ever_collided=new_ec,
     )
     return new_state, rewards, flags
+
+
+@dataclass
+class Outcome:
+    """How each agent's episode ended, and the number of steps taken."""
+
+    arrived: list[bool]
+    collided: list[bool]
+    disconnected: list[bool]
+    steps: int
+
+    @classmethod
+    def of(cls, ep: EpisodeState, **extra):
+        return cls(
+            arrived=[u.arrived for u in ep.uavs], collided=list(ep.ever_collided),
+            disconnected=list(ep.ever_disconnected), steps=ep.t, **extra,
+        )
+
+
+def ground_truth_oracle(env: radio.RadioEnvironment):
+    """Quantized-SINR query of env at an (N, 2) array of positions."""
+
+    def oracle(positions: np.ndarray) -> np.ndarray:
+        return radio.quantize_many(radio.sinr_many(env, positions), env)
+
+    return oracle
+
+
+class Rollout(NamedTuple):
+    """A finished episode, per agent: frames, rewards, terminal frames; and the final state."""
+
+    frames: list[list[np.ndarray]]  # agent frame before each of the agent's actions
+    rewards: list[list[float]]  # step reward totals while the agent was active
+    terminals: list[tuple[int, np.ndarray]]  # (agent, frame) after arrival, if no collision
+    final: EpisodeState
+
+
+def rollout(
+    scenario: ScenarioConfig,
+    env: radio.RadioEnvironment,
+    choose,
+    j_n: int | None = None,
+    level_oracle=None,
+    observe=None,
+) -> Rollout:
+    """The episode loop of bootstrap, training and evaluation.
+
+    Every step, choose(i, uav, neighbors, t) gives the action of each active
+    agent, in agent order, and step_all advances them together.  The episode
+    ends when all agents have arrived, at the step cap, or right after the
+    first collision.  With j_n given, each active agent's frame is recorded
+    before it acts, and after a collision-free episode so is the terminal
+    frame of each arrived agent; their SINR levels come from level_oracle,
+    by default ground_truth_oracle(env).  observe(ep, flags), if given, sees
+    the initial state (flags None) and the state after every step.
+    """
+    level_oracle = level_oracle or ground_truth_oracle(env)
+    n = scenario.num_agents
+    ep = EpisodeState(uavs=scenario.initial_states())
+    rewards: list[list[float]] = [[] for _ in range(n)]
+    frames: list[list[np.ndarray]] = [[] for _ in range(n)]
+    if observe is not None:
+        observe(ep, None)
+    while not ep.all_arrived and ep.t < scenario.max_episode_steps:
+        if j_n is not None:
+            levels = level_oracle(np.array([u.position for u in ep.uavs]))
+        actions: list[Action | None] = []
+        for i, uav in enumerate(ep.uavs):
+            if uav.arrived:
+                actions.append(None)
+                continue
+            neighbors = ep.neighbors_of(i)
+            if j_n is not None:
+                frames[i].append(to_agent_frame(uav, neighbors, int(levels[i]), j_n).vector())
+            actions.append(choose(i, uav, neighbors, ep.t))
+        ep, step_rewards, flags = step_all(ep, actions, env, scenario)
+        for i, act in enumerate(actions):
+            if act is not None:
+                rewards[i].append(step_rewards[i].total)
+        if observe is not None:
+            observe(ep, flags)
+        if ep.any_collision:
+            break
+    # Arrived terminals carry zero future value and anchor the value net there.
+    terminals = []
+    if j_n is not None and not ep.any_collision and any(u.arrived for u in ep.uavs):
+        levels = level_oracle(np.array([u.position for u in ep.uavs]))
+        terminals = [
+            (i, to_agent_frame(u, ep.neighbors_of(i), int(levels[i]), j_n).vector())
+            for i, u in enumerate(ep.uavs) if u.arrived
+        ]
+    return Rollout(frames, rewards, terminals, ep)
 
 
 TRAJECTORY_COLUMNS = (

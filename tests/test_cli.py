@@ -227,6 +227,34 @@ class TestTrainCommand:
         curve = valuetrain.read_curve_csv(out_dir / "curve.csv")
         assert [p.episode for p in curve] == [0, 1, 2, 3, 4]
 
+    def _interrupted_run(self, tmp_path):
+        """A 2-episode run to resume from, and the argv that resumes it to 4."""
+        cfg_path = tiny_config(tmp_path)
+        boot = self._bootstrap(tmp_path, cfg_path)
+        argv = ["train", "--config", str(cfg_path), "--bootstrap", str(boot),
+                "--out-dir", str(tmp_path / "run"), "--episodes", "2"]
+        assert main(argv) == 0
+        return tmp_path / "run", [*argv[:-1], "4", "--resume"]
+
+    def test_resume_without_optimizer_state_is_validation_error(self, tmp_path):
+        out_dir, resume = self._interrupted_run(tmp_path)
+        (out_dir / "adam.npz").unlink()
+        assert main(resume) == 2
+
+    @pytest.mark.parametrize("name", ["adam.npz", "replay.npz"])
+    def test_resume_with_unreadable_checkpoint_archive_is_validation_error(self, tmp_path, name):
+        out_dir, resume = self._interrupted_run(tmp_path)
+        (out_dir / name).write_bytes(b"not an npz archive")
+        assert main(resume) == 2
+
+    def test_resume_with_altered_replay_is_validation_error(self, tmp_path):
+        out_dir, resume = self._interrupted_run(tmp_path)
+        with np.load(out_dir / "replay.npz") as data:
+            feats, targets = data["features"], data["targets"].copy()
+        targets[0] += 1.0
+        np.savez(out_dir / "replay.npz", features=feats, targets=targets)
+        assert main(resume) == 2
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
         boot = self._bootstrap(tmp_path, cfg_path)

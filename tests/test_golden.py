@@ -1,0 +1,109 @@
+"""Golden output digests: a small end-to-end run whose every output byte is pinned.
+
+bootstrap, train, trainmap and eval run on a shrunken default config; the
+sha256 of each output file must stay as recorded.  A refactor that leaves
+the program's behaviour alone leaves these digests alone; any change that
+alters output bits has to update them on purpose (and say so).
+
+The run reaches every reward branch of world.step_all (the collision ramp,
+contact, and both connectivity bands), the ORCA bootstrap, ε-greedy and
+greedy lookahead, replay pushes with arrived terminals, checkpoints, a jammer
+change, map training and all three evaluation modes.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from uavnav import config as cfgmod
+from uavnav import valuetrain
+from uavnav.cli import main
+
+TRAJECTORY_DIGEST = "24e9937ab1004f1870671052aea33d0d3b5b8fd5d3682849c289eaf02a7b8e85"
+
+GOLDEN = {
+    "boot.csv": "bafd7e1d14b1663c360cf37c4e9978662bd7b3036e6e53fe8bcd1a742d6bf7aa",
+    "run/value-model.json": "a262f2fd3a5480e38920522d0e3d8397683e428929ab6fc2278615ce98869ed5",
+    "run/curve.csv": "dbe5a8f990a022fc8b91581bfc7b36d35f1d882db6759542518a117f36776922",
+    "run/replay.npz": "3a1bb13ead8c02e9384d213ca28059dcd7a705605b9ac3e1028b4180414ee00f",
+    "run/train-state.json": "9d5bda38a7ad7a54a95b25631a61b5ee8c6a933e898d8c7462865bd66d1e0773",
+    "map.json": "c1cc7a27fd1a8a40a88c56510710100598247f1b6ddc1e605a14a02ba765dee7",
+    "acc.csv": "d7f517564d0147a69d65d993b4337a7ce0ee43a11b3bb9787736c3db12417303",
+    "report.json": "65dd850ca19de0c6095d78ed5773560dc8e7c4be956bc8f80a471e36ff39636c",
+    "traj/trajectories-proposed.csv": TRAJECTORY_DIGEST,
+    "traj/trajectories-outdated.csv": TRAJECTORY_DIGEST,
+    "traj/trajectories-perfect.csv": TRAJECTORY_DIGEST,
+}
+
+
+def golden_config() -> dict:
+    raw = json.loads(json.dumps(cfgmod.DEFAULT_CONFIG))
+    raw["seed"] = 5
+    raw["world"].update({"position_bound": 15.0, "min_travel": 15.0, "min_separation": 3.0})
+    raw["training"].update(
+        {"total_episodes": 6, "bootstrap_episodes": 6, "pretrain_epochs": 3,
+         "checkpoint_every": 3, "jammer_change_period": 3}
+    )
+    raw["mapping"].update({"synthetic_measurements": 2000, "cloud_capacity": 2000, "epochs": 5})
+    raw["evaluation"].update({"trials": 3})
+    return raw
+
+
+def run_golden(d: Path) -> None:
+    """The four commands of the golden run, with outputs under d."""
+    cfg = d / "config.json"
+    cfg.write_text(json.dumps(golden_config()))
+    c = ["--config", str(cfg)]
+    assert main(["bootstrap", *c, "--preset", "center-1w", "--out", str(d / "boot.csv")]) == 0
+    assert main(["train", *c, "--bootstrap", str(d / "boot.csv"),
+                 "--out-dir", str(d / "run")]) == 0
+    assert main(["trainmap", *c, "--preset", "center-1w", "--out", str(d / "map.json"),
+                 "--curve", str(d / "acc.csv")]) == 0
+    assert main(["eval", *c, "--preset", "center-1w",
+                 "--value-model", str(d / "run" / "value-model.json"),
+                 "--map-model", str(d / "map.json"), "--out", str(d / "report.json"),
+                 "--trajectories", str(d / "traj")]) == 0
+
+
+def digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_golden_digests(tmp_path):
+    run_golden(tmp_path)
+    assert {name: digest(tmp_path / name) for name in GOLDEN} == GOLDEN
+
+
+class Interrupted(BaseException):
+    """Stops a run like a kill would: cli.main does not catch it."""
+
+
+def test_resume_after_interrupt_gives_uninterrupted_bytes(tmp_path, monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(golden_config()))
+    boot = tmp_path / "boot.csv"
+    assert main(["bootstrap", "--config", str(cfg), "--preset", "center-1w",
+                 "--out", str(boot)]) == 0
+    train = ["train", "--config", str(cfg), "--bootstrap", str(boot),
+             "--out-dir", str(tmp_path / "run")]
+    real_train = valuetrain.train
+
+    def train_until_first_checkpoint(*args, on_checkpoint, **kwargs):
+        def checkpoint_then_stop(*state):
+            on_checkpoint(*state)
+            raise Interrupted
+
+        return real_train(*args, on_checkpoint=checkpoint_then_stop, **kwargs)
+
+    monkeypatch.setattr(valuetrain, "train", train_until_first_checkpoint)
+    with pytest.raises(Interrupted):
+        main(train)
+    monkeypatch.undo()
+    assert json.loads((tmp_path / "run" / "train-state.json").read_text())["episode"] == 3
+
+    assert main([*train, "--resume"]) == 0
+    for name in ("run/value-model.json", "run/curve.csv", "run/replay.npz",
+                 "run/train-state.json"):
+        assert digest(tmp_path / name) == GOLDEN[name], name

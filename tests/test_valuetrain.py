@@ -115,7 +115,7 @@ def reference_lookahead(value_net, self_state, neighbors, space, oracle, gamma, 
     for a in space:
         nxt = world.propagate(self_state, a, dt, cfg.arrival_tolerance)
         level = int(oracle(np.array([nxt.position]))[0])
-        conn = world.connectivity_reward_from_level(level) if t % cfg.n_t == 0 else 0.0
+        conn = float(world.CONNECTIVITY_BANDS[level]) if t % cfg.n_t == 0 else 0.0
         coll = 0.0
         for ob in neighbors:
             d = world.segment_closest_approach(

@@ -3,7 +3,7 @@ import math
 import hypothesis.strategies as hst
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from uavnav import radio, world
 from uavnav.world import (
@@ -12,7 +12,6 @@ from uavnav.world import (
     RewardBreakdown,
     ScenarioConfig,
     UavState,
-    min_future_distance,
     propagate,
     reward_collision,
     reward_connectivity,
@@ -224,18 +223,16 @@ class TestPropagate:
 
 
 class TestMinFutureDistance:
-    def test_no_neighbors(self):
-        st = propagate(make_state(), Action(1.0, 0.0), 0.5)
-        assert min_future_distance(st, [], 0.5) == math.inf
+    """Closest approach of two agents over one step: segment_closest_approach."""
 
     def test_parallel_constant_gap(self):
-        st = propagate(make_state(pos=(0, 0)), Action(3.0, 0.0), 0.5)
-        assert min_future_distance(st, [((0.0, 5.0), (3.0, 0.0))], 0.5) == pytest.approx(5.0)
+        d = segment_closest_approach((0.0, 0.0), (3.0, 0.0), (0.0, 5.0), (3.0, 0.0), 0.5)
+        assert d == pytest.approx(5.0)
 
     def test_head_on_closing(self):
         # Gap 2, closing speed 2, window 0.5 -> minimum 1 at the window end.
-        st = propagate(make_state(pos=(0, 0)), Action(1.0, 0.0), 0.5)
-        assert min_future_distance(st, [((2.0, 0.0), (-1.0, 0.0))], 0.5) == pytest.approx(1.0)
+        d = segment_closest_approach((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (-1.0, 0.0), 0.5)
+        assert d == pytest.approx(1.0)
 
     def test_matches_dense_sampling_oracle(self, rng):
         for _ in range(200):
@@ -364,6 +361,49 @@ class TestStepAll:
             )
             runs.append((tuple(ep.uavs[0].position), rewards[0].total, rewards[1].total))
         assert runs[0] == runs[1]
+
+
+class TestStepAllCollisionProperty:
+    """step_all's per-agent collision results against the scalar pair functions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        agents=hst.lists(
+            hst.tuples(
+                hst.floats(-2.0, 2.0), hst.floats(-2.0, 2.0),  # start
+                hst.floats(0.1, 1.0),  # radius
+                hst.floats(0.0, 6.0), hst.floats(-math.pi, math.pi),  # speed, heading
+            ),
+            min_size=2, max_size=4,
+        )
+    )
+    def test_worst_pair_and_contact_match_scalar_pairs(self, agents):
+        starts = [(x, y) for x, y, _, _, _ in agents]
+        radii = [r for _, _, r, _, _ in agents]
+        for i in range(len(agents)):
+            for j in range(i + 1, len(agents)):
+                gap = math.hypot(starts[i][0] - starts[j][0], starts[i][1] - starts[j][1])
+                assume(gap > radii[i] + radii[j])
+        cfg = ScenarioConfig(
+            starts=tuple(starts),
+            destinations=tuple((100.0 + 10 * k, 100.0) for k in range(len(agents))),
+            radii=tuple(radii), max_speeds=(6.0,) * len(agents),
+        )
+        actions = [Action(v, h) for _, _, _, v, h in agents]
+        ep = EpisodeState(uavs=cfg.initial_states())
+        _, rewards, flags = step_all(ep, actions, single_station_env(tx_power=1e6), cfg)
+        for i in range(len(agents)):
+            dists = {
+                j: segment_closest_approach(starts[i], actions[i].velocity(), starts[j],
+                                            actions[j].velocity(), cfg.dt)
+                for j in range(len(agents)) if j != i
+            }
+            expected = min(0.0, min(reward_collision(d, radii[i], radii[j])
+                                    for j, d in dists.items()))
+            assert rewards[i].collision == expected
+            assert flags[i].collided == any(
+                d <= radii[i] + radii[j] for j, d in dists.items()
+            )
 
 
 class TestScenarioConfig:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import zipfile
 from pathlib import Path
@@ -104,15 +105,16 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
         ]
 
     def on_checkpoint(episode, net, buf, curve, rngs, jammer, opt):
-        neuro.save_model(net, model_path, digest=cfg.digest)
-        valuetrain.write_curve_csv(
-            curve_prefix + curve, curve_path, extra_comments=(f"digest={cfg.digest}",)
-        )
         feats, targets = buf.as_arrays()
-        np.savez(replay_path, features=feats, targets=targets)
-        np.savez(adam_path, step=opt.step, **{
-            f"{k}{i}": a for k in ADAM_MOMENTS for i, a in enumerate(getattr(opt, k))
-        })
+        _replace_files([
+            (model_path, lambda p: neuro.save_model(net, p, digest=cfg.digest)),
+            (curve_path, lambda p: valuetrain.write_curve_csv(
+                curve_prefix + curve, p, extra_comments=(f"digest={cfg.digest}",))),
+            (replay_path, lambda p: _save_npz(p, features=feats, targets=targets)),
+            (adam_path, lambda p: _save_npz(p, step=opt.step, **{
+                f"{k}{i}": a for k in ADAM_MOMENTS for i, a in enumerate(getattr(opt, k))
+            })),
+        ])
         state = {
             "episode": episode,
             "epsilon": valuetrain.epsilon(min(episode, run_cfg.total_episodes - 1), run_cfg),
@@ -124,7 +126,9 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
             },
             "rng": rngs,
         }
-        state_path.write_text(json.dumps(state, sort_keys=True, indent=1) + "\n")
+        # Written last: it names a checkpoint only once all of that checkpoint is in place.
+        _replace_files([(state_path, lambda p: p.write_text(
+            json.dumps(state, sort_keys=True, indent=1) + "\n"))])
 
     result = valuetrain.train(
         run_cfg, pairs, cfg.env.without_jammer(), schedule,
@@ -144,6 +148,29 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
 
 
 ADAM_MOMENTS = ("m_w", "v_w", "m_b", "v_b")
+
+
+def _replace_files(writes) -> None:
+    """Write each (path, write) pair's file via write(temp path), then move them all into place.
+
+    The temp files sit beside their targets and are moved with os.replace
+    only after every write succeeded, so a failed write leaves every target
+    as it was.
+    """
+    temps = [path.with_name(path.name + ".tmp") for path, _ in writes]
+    try:
+        for (_, write), temp in zip(writes, temps):
+            write(temp)
+        for (path, _), temp in zip(writes, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
+def _save_npz(path: Path, **arrays) -> None:
+    with open(path, "wb") as f:  # np.savez appends ".npz" to a path without it
+        np.savez(f, **arrays)
 
 
 def _read_npz(path: Path, names) -> dict[str, np.ndarray]:

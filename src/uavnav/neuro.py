@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -48,27 +49,51 @@ class Standardizer:
         return Standardizer(mean=np.zeros(n), std=np.ones(n))
 
 
+def _pack(weights, biases):
+    """One contiguous float vector of every layer's weights then biases, and views into it.
+
+    Returns (flat, weight views, bias views); the arrays passed in are copied.
+    """
+    parts = [np.asarray(a, dtype=float) for w, b in zip(weights, biases) for a in (w, b)]
+    flat = np.concatenate([a.ravel() for a in parts])
+    views, at = [], 0
+    for a in parts:
+        views.append(flat[at:at + a.size].reshape(a.shape))
+        at += a.size
+    return flat, tuple(views[0::2]), tuple(views[1::2])
+
+
 @dataclass
 class NetworkParams:
+    """Layer weights and biases, held as views into one flat vector.
+
+    The constructor copies the given arrays into `flat`; `weights` and
+    `biases` are tuples of views into it, so an in-place edit of a layer is
+    an edit of `flat` and a layer cannot be swapped out from under Adam.
+    """
+
     specs: tuple[LayerSpec, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     standardizer: Standardizer
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.specs = tuple(self.specs)
+        if len(self.weights) != len(self.specs) or len(self.biases) != len(self.specs):
+            raise ValueError("need one weight matrix and one bias vector per layer")
         for i, spec in enumerate(self.specs):
-            if self.weights[i].shape != (spec.input_size, spec.output_size):
-                raise ValueError(f"layer {i} weight shape {self.weights[i].shape} mismatch")
-            if self.biases[i].shape != (spec.output_size,):
-                raise ValueError(f"layer {i} bias shape {self.biases[i].shape} mismatch")
+            if np.shape(self.weights[i]) != (spec.input_size, spec.output_size):
+                raise ValueError(f"layer {i} weight shape {np.shape(self.weights[i])} mismatch")
+            if np.shape(self.biases[i]) != (spec.output_size,):
+                raise ValueError(f"layer {i} bias shape {np.shape(self.biases[i])} mismatch")
             if i > 0 and spec.input_size != self.specs[i - 1].output_size:
                 raise ValueError(f"layer {i} input does not chain from layer {i - 1}")
         if len(self.standardizer.mean) != self.specs[0].input_size:
             raise ValueError("standardizer length does not match input layer")
-        for w, b in zip(self.weights, self.biases):
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError("non-finite parameters")
+        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
+        if not np.isfinite(self.flat).all():
+            raise ValueError("non-finite parameters")
 
     @property
     def input_size(self) -> int:
@@ -79,12 +104,8 @@ class NetworkParams:
         return self.specs[-1].output_size
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            specs=self.specs,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            standardizer=self.standardizer,
-        )
+        return NetworkParams(specs=self.specs, weights=self.weights, biases=self.biases,
+                             standardizer=self.standardizer)
 
 
 def without_subnormals(params: NetworkParams) -> NetworkParams:
@@ -147,7 +168,7 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(float)
+        return z > 0.0  # a float times the mask gives the same bits as times 1.0/0.0
     if kind == "tanh":
         t = np.tanh(z)
         return 1.0 - t * t
@@ -208,45 +229,55 @@ def backward(params: NetworkParams, cache, output_gradient, l2: float = 0.0):
 
 @dataclass
 class AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    """Adam moments, held like NetworkParams: m and v are flat vectors in the
+    same layout as params.flat, and m_w, v_w, m_b, v_b are views into them."""
+
+    m_w: tuple[np.ndarray, ...]
+    v_w: tuple[np.ndarray, ...]
+    m_b: tuple[np.ndarray, ...]
+    v_b: tuple[np.ndarray, ...]
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    m: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.m, self.m_w, self.m_b = _pack(self.m_w, self.m_b)
+        self.v, self.v_w, self.v_b = _pack(self.v_w, self.v_b)
 
     @staticmethod
     def for_params(params: NetworkParams, beta1: float = 0.9, beta2: float = 0.999,
                    eps: float = 1e-8) -> "AdamState":
-        return AdamState(
-            m_w=[np.zeros_like(w) for w in params.weights],
-            v_w=[np.zeros_like(w) for w in params.weights],
-            m_b=[np.zeros_like(b) for b in params.biases],
-            v_b=[np.zeros_like(b) for b in params.biases],
-            beta1=beta1, beta2=beta2, eps=eps,
-        )
+        zeros_w = [np.zeros_like(w) for w in params.weights]
+        zeros_b = [np.zeros_like(b) for b in params.biases]
+        return AdamState(m_w=zeros_w, v_w=zeros_w, m_b=zeros_b, v_b=zeros_b,
+                         beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(params: NetworkParams, grads, state: AdamState, lr: float) -> NetworkParams:
-    """Standard bias-corrected Adam update, in place on params and state."""
+    """Standard bias-corrected Adam update, in place on params and state.
+
+    One pass over the flat vectors: each operation is elementwise, so every
+    parameter gets the same bits as a layer-by-layer update.
+    """
     grads_w, grads_b = grads
+    grad = np.concatenate([g.ravel() for gw, gb in zip(grads_w, grads_b) for g in (gw, gb)])
+    m, v, value = state.m, state.v, params.flat
+    if not grad.shape == m.shape == v.shape == value.shape:
+        raise ValueError(f"gradient {grad.shape} or Adam state {m.shape}/{v.shape} does not "
+                         f"match parameters {value.shape}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
-    for i in range(len(params.weights)):
-        for value, grad, m, v in (
-            (params.weights[i], grads_w[i], state.m_w[i], state.v_w[i]),
-            (params.biases[i], grads_b[i], state.m_b[i], state.v_b[i]),
-        ):
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad * grad
-            value -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    value -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
     return params
 
 
@@ -274,8 +305,12 @@ class TrainConfig:
 
 def train_epochs(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
                  config: TrainConfig, rng: np.random.Generator,
-                 adam: AdamState | None = None):
-    """Minibatch Adam on mean squared error; returns (params, per-epoch mean loss)."""
+                 adam: AdamState | None = None,
+                 after_epoch: Callable[[], None] | None = None):
+    """Minibatch Adam on mean squared error; returns (params, per-epoch mean loss).
+
+    after_epoch, if given, is called once at the end of every epoch.
+    """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
@@ -300,6 +335,8 @@ def train_epochs(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
             adam_step(params, grads, adam, config.learning_rate)
             losses.append(loss)
         history.append(float(np.mean(losses)))
+        if after_epoch is not None:
+            after_epoch()
     return params, history
 
 

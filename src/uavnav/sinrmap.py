@@ -136,11 +136,6 @@ def init_map_model(k_n: int, rng: np.random.Generator,
     return MapModel(network=neuro.init_network(specs, rng), k_n=k_n)
 
 
-def predict_level(model: MapModel, features) -> int:
-    out, _ = neuro.forward(model.network, features)
-    return int(np.clip(np.rint(out[0]), 0, 2))
-
-
 def predict_levels(model: MapModel, features: np.ndarray) -> np.ndarray:
     out, _ = neuro.forward_batch(model.network, features)
     return np.clip(np.rint(out[:, 0]), 0, 2).astype(int)
@@ -217,21 +212,20 @@ def retrain(
     # Stacked once: every epoch scores the same holdout rows.
     hold_feats, hold_labels = feats[hold_idx], labels[hold_idx]
 
-    standardizer = neuro.fit_standardizer(feats[train_idx])
+    train_feats = feats[train_idx]
+    standardizer = neuro.fit_standardizer(train_feats)
     new_model = MapModel(
         network=neuro.init_network(model.network.specs, rng, standardizer), k_n=model.k_n
     )
-    adam = neuro.AdamState.for_params(new_model.network)
-    epoch_cfg = neuro.TrainConfig(
+    train_cfg = neuro.TrainConfig(
         learning_rate=config.learning_rate, batch_size=config.batch_size,
-        l2_coefficient=config.l2, epochs=1,
+        l2_coefficient=config.l2, epochs=config.epochs,
     )
     curve = []
-    for _ in range(config.epochs):
-        neuro.train_epochs(
-            new_model.network, feats[train_idx], labels[train_idx], epoch_cfg, rng, adam
-        )
-        curve.append(_accuracy(new_model, hold_feats, hold_labels))
+    neuro.train_epochs(
+        new_model.network, train_feats, labels[train_idx], train_cfg, rng,
+        after_epoch=lambda: curve.append(_accuracy(new_model, hold_feats, hold_labels)),
+    )
     return new_model, curve
 
 

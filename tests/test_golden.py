@@ -15,11 +15,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uavnav import config as cfgmod
 from uavnav import valuetrain
 from uavnav.cli import main
+
+CHECKPOINT = ("run/value-model.json", "run/curve.csv", "run/replay.npz", "run/adam.npz",
+              "run/train-state.json")
 
 TRAJECTORY_DIGEST = "24e9937ab1004f1870671052aea33d0d3b5b8fd5d3682849c289eaf02a7b8e85"
 
@@ -29,6 +33,7 @@ GOLDEN = {
     "run/curve.csv": "dbe5a8f990a022fc8b91581bfc7b36d35f1d882db6759542518a117f36776922",
     "run/replay.npz": "3a1bb13ead8c02e9384d213ca28059dcd7a705605b9ac3e1028b4180414ee00f",
     "run/train-state.json": "9d5bda38a7ad7a54a95b25631a61b5ee8c6a933e898d8c7462865bd66d1e0773",
+    "run/adam.npz": "9dab03ef1523aa18aa69d5f4192e005d50f011bc232c9d4f22102dfc388b948f",
     "map.json": "c1cc7a27fd1a8a40a88c56510710100598247f1b6ddc1e605a14a02ba765dee7",
     "acc.csv": "d7f517564d0147a69d65d993b4337a7ce0ee43a11b3bb9787736c3db12417303",
     "report.json": "65dd850ca19de0c6095d78ed5773560dc8e7c4be956bc8f80a471e36ff39636c",
@@ -104,6 +109,39 @@ def test_resume_after_interrupt_gives_uninterrupted_bytes(tmp_path, monkeypatch)
     assert json.loads((tmp_path / "run" / "train-state.json").read_text())["episode"] == 3
 
     assert main([*train, "--resume"]) == 0
-    for name in ("run/value-model.json", "run/curve.csv", "run/replay.npz",
-                 "run/train-state.json"):
+    for name in CHECKPOINT:
+        assert digest(tmp_path / name) == GOLDEN[name], name
+
+
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(golden_config()))
+    boot = tmp_path / "boot.csv"
+    assert main(["bootstrap", "--config", str(cfg), "--preset", "center-1w",
+                 "--out", str(boot)]) == 0
+    train = ["train", "--config", str(cfg), "--bootstrap", str(boot),
+             "--out-dir", str(tmp_path / "run")]
+    real_savez = np.savez
+    archives = []
+    first_checkpoint = {}
+
+    def savez_failing_second_adam(file, **arrays):
+        archives.append(sorted(arrays))
+        if len(archives) == 3:  # replay.npz of the second checkpoint: the first is complete
+            first_checkpoint.update({name: digest(tmp_path / name) for name in CHECKPOINT})
+        if len(archives) == 4:
+            assert "step" in arrays  # adam.npz
+            raise OSError("disk full")
+        real_savez(file, **arrays)
+
+    monkeypatch.setattr(np, "savez", savez_failing_second_adam)
+    assert main(train) == 3
+    monkeypatch.undo()
+    assert {name: digest(tmp_path / name) for name in CHECKPOINT} == first_checkpoint
+    assert json.loads((tmp_path / "run" / "train-state.json").read_text())["episode"] == 3
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(
+        Path(name).name for name in CHECKPOINT)
+
+    assert main([*train, "--resume"]) == 0
+    for name in CHECKPOINT:
         assert digest(tmp_path / name) == GOLDEN[name], name

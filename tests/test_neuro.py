@@ -233,6 +233,122 @@ class TestAdam:
             assert params.weights[0][0, 0] == pytest.approx(w_ref, abs=1e-12)
 
 
+def per_array_adam_step(weights, biases, grads, state, lr):
+    """Adam as a loop over each layer's arrays: the update the flat one must equal bit for bit."""
+    grads_w, grads_b = grads
+    state["step"] += 1
+    t = state["step"]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    corr1 = 1.0 - b1 ** t
+    corr2 = 1.0 - b2 ** t
+    for i in range(len(weights)):
+        for value, grad, m, v in (
+            (weights[i], grads_w[i], state["m_w"][i], state["v_w"][i]),
+            (biases[i], grads_b[i], state["m_b"][i], state["v_b"][i]),
+        ):
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            value -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+
+
+class TestFlatLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1),
+           sizes=hst.lists(hst.integers(1, 12), min_size=2, max_size=5),
+           steps=hst.integers(1, 50), l2=hst.sampled_from([0.0, 1e-4]))
+    def test_adam_matches_per_array_loop(self, seed, sizes, steps, l2):
+        rng = np.random.default_rng(seed)
+        params = init_network(dense_specs(sizes[0], tuple(sizes[1:-1]), sizes[-1]), rng)
+        weights = [w.copy() for w in params.weights]
+        biases = [b.copy() for b in params.biases]
+        ref_state = {"step": 0, **{k: [np.zeros_like(a) for a in arrays] for k, arrays in (
+            ("m_w", weights), ("v_w", weights), ("m_b", biases), ("v_b", biases))}}
+        state = AdamState.for_params(params)
+        lr = float(rng.uniform(1e-4, 0.1))
+        for _ in range(steps):
+            x = rng.normal(size=(int(rng.integers(1, 9)), sizes[0]))
+            out, cache = forward_batch(params, x)
+            grads = backward_batch(params, cache, out - rng.normal(size=out.shape), l2)
+            adam_step(params, grads, state, lr)
+            per_array_adam_step(weights, biases, grads, ref_state, lr)
+        for got, want in zip(params.weights + params.biases, weights + biases):
+            assert got.tobytes() == want.tobytes()
+        for k in ("m_w", "v_w", "m_b", "v_b"):
+            for got, want in zip(getattr(state, k), ref_state[k]):
+                assert got.tobytes() == want.tobytes()
+        assert state.step == steps
+
+    def test_layers_are_views_of_the_flat_vector(self, rng):
+        params = init_network(MAP_SPECS, rng)
+        assert sum(a.size for a in params.weights + params.biases) == params.flat.size
+        params.weights[1][2, 3] = 7.5
+        params.biases[0][4] = -2.0
+        flat = np.concatenate([a.ravel() for wb in zip(params.weights, params.biases)
+                               for a in wb])
+        assert flat.tobytes() == params.flat.tobytes()
+        params.flat[:] = np.arange(params.flat.size)
+        assert params.weights[0][0, 1] == 1.0
+        assert params.biases[-1][0] == params.flat.size - 1
+
+    def test_a_layer_cannot_be_swapped_out(self, rng):
+        params = init_network(dense_specs(2, (3,), 1), rng)
+        with pytest.raises(TypeError):
+            params.weights[0] = np.zeros((2, 3))
+        with pytest.raises(TypeError):
+            params.biases[-1] = np.zeros(1)
+
+    def test_construction_copies_and_copy_is_independent(self, rng):
+        w = [np.ones((2, 3)), np.ones((3, 1))]
+        b = [np.zeros(3), np.zeros(1)]
+        params = NetworkParams(specs=dense_specs(2, (3,), 1), weights=w, biases=b,
+                               standardizer=Standardizer.identity(2))
+        w[0][0, 0] = 5.0
+        assert params.weights[0][0, 0] == 1.0
+        twin = params.copy()
+        twin.weights[0][0, 0] = 5.0
+        assert params.weights[0][0, 0] == 1.0
+        assert not np.shares_memory(twin.flat, params.flat)
+
+    def test_adam_state_from_separate_arrays_packs_them(self, rng, tmp_path):
+        # cli rebuilds the state this way from adam.npz on --resume.
+        params = init_network(dense_specs(3, (4,), 2), rng)
+        moments = {k: [rng.normal(size=a.shape) for a in arrays] for k, arrays in (
+            ("m_w", params.weights), ("v_w", params.weights),
+            ("m_b", params.biases), ("v_b", params.biases))}
+        state = AdamState(**moments, step=4)
+        for k, arrays in moments.items():
+            for got, given_array in zip(getattr(state, k), arrays):
+                assert got.tobytes() == given_array.tobytes()
+                assert not np.shares_memory(got, given_array)
+            flat = state.m if k.startswith("m") else state.v
+            assert all(np.shares_memory(a, flat) for a in getattr(state, k))
+        state.m_b[0][1] = 9.0
+        assert 9.0 in state.m
+        with pytest.raises(TypeError):
+            state.v_w[0] = np.zeros((3, 4))
+        # The archive of the views holds the same keys and bytes as one of plain arrays.
+        names = {f"{k}{i}" for k in moments for i in range(2)} | {"step"}
+        for name, arrays in (("views", {k: getattr(state, k) for k in moments}),
+                             ("plain", {k: [a.copy() for a in getattr(state, k)]
+                                        for k in moments})):
+            with open(tmp_path / f"{name}.npz", "wb") as f:
+                np.savez(f, step=state.step, **{
+                    f"{k}{i}": a for k, group in arrays.items() for i, a in enumerate(group)})
+            with np.load(tmp_path / f"{name}.npz") as data:
+                assert set(data.files) == names
+        assert (tmp_path / "views.npz").read_bytes() == (tmp_path / "plain.npz").read_bytes()
+
+    def test_adam_rejects_state_of_another_network(self, rng):
+        params = init_network(dense_specs(2, (3,), 1), rng)
+        other = init_network(dense_specs(2, (4,), 1), rng)
+        grads = ([np.zeros_like(w) for w in params.weights],
+                 [np.zeros_like(b) for b in params.biases])
+        with pytest.raises(ValueError):
+            adam_step(params, grads, AdamState.for_params(other), lr=0.1)
+
+
 class TestStandardizer:
     def test_constant_column_floored(self):
         std = fit_standardizer([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]])

@@ -13,7 +13,6 @@ from uavnav.sinrmap import (
     featurize,
     featurize_many,
     init_map_model,
-    predict_level,
     predict_levels,
     retrain,
     sample_measurements,
@@ -115,13 +114,17 @@ class TestPredict:
         return sinrmap.MapModel(network=net, k_n=1)
 
     def test_rounding_and_clamping(self):
-        assert predict_level(self._const_model(1.4), np.zeros(5)) == 1
-        assert predict_level(self._const_model(-0.7), np.zeros(5)) == 0
-        assert predict_level(self._const_model(2.5), np.zeros(5)) == 2
-        assert predict_level(self._const_model(7.3), np.zeros(5)) == 2
+        def level(value):
+            (got,) = predict_levels(self._const_model(value), np.zeros((1, 5)))
+            return got
+
+        assert level(1.4) == 1
+        assert level(-0.7) == 0
+        assert level(2.5) == 2
+        assert level(7.3) == 2
         # documented round-half-to-even at the midpoints
-        assert predict_level(self._const_model(1.5), np.zeros(5)) == 2
-        assert predict_level(self._const_model(0.5), np.zeros(5)) == 0
+        assert level(1.5) == 2
+        assert level(0.5) == 0
 
     def test_levels_always_valid(self, rng):
         model = init_map_model(2, rng)
@@ -201,6 +204,49 @@ class TestRetrain:
                             tuple(curve)))
         assert results[0] == results[1]
 
+    def test_matches_one_train_call_per_epoch(self):
+        """retrain equals, bit for bit, a loop of one-epoch train_epochs calls."""
+
+        def retrain_epoch_by_epoch(model, cloud, config, rng):
+            data = cloud.measurements()
+            feats = np.stack([m.features for m in data])
+            labels = np.array([float(m.level) for m in data])
+            order = rng.permutation(len(data))
+            n_hold = int(len(data) * config.holdout_fraction)
+            hold_idx, train_idx = order[:n_hold], order[n_hold:]
+            standardizer = neuro.fit_standardizer(feats[train_idx])
+            new_model = sinrmap.MapModel(
+                network=neuro.init_network(model.network.specs, rng, standardizer),
+                k_n=model.k_n,
+            )
+            adam = neuro.AdamState.for_params(new_model.network)
+            epoch_cfg = neuro.TrainConfig(
+                learning_rate=config.learning_rate, batch_size=config.batch_size,
+                l2_coefficient=config.l2, epochs=1,
+            )
+            curve = []
+            for _ in range(config.epochs):
+                neuro.train_epochs(new_model.network, feats[train_idx], labels[train_idx],
+                                   epoch_cfg, rng, adam)
+                hits = predict_levels(new_model, feats[hold_idx]) == labels[hold_idx]
+                curve.append(float(np.mean(hits)))
+            return new_model, curve
+
+        env = jammed_env()
+        cloud = MeasurementCloud(600)
+        for m in sample_measurements(env, 600, np.random.default_rng(8), (-40, -40, 40, 40),
+                                     k_n=2):
+            cloud.record(m)
+        cfg = MapTrainConfig(epochs=5, batch_size=64, hidden=(16, 8))
+        model = init_map_model(2, np.random.default_rng(9), hidden=(16, 8))
+        rng_a, rng_b = np.random.default_rng(10), np.random.default_rng(10)
+        got, got_curve = retrain(model, cloud, cfg, rng_a)
+        want, want_curve = retrain_epoch_by_epoch(model, cloud, cfg, rng_b)
+        assert got_curve == want_curve
+        assert len(got_curve) == 5
+        assert got.network.flat.tobytes() == want.network.flat.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
     def test_purge_and_retrain_recovers_new_regime(self, rng):
         old_env = jammed_env(jx=10.0)
         new_env = jammed_env(jx=-15.0, jy=8.0)
@@ -268,5 +314,5 @@ class TestModelFile:
         sinrmap.save_map_model(model, path)
         back = sinrmap.load_map_model(path)
         assert back.k_n == 6
-        x = rng.normal(size=30)
-        assert predict_level(back, x) == predict_level(model, x)
+        x = rng.normal(size=(1, 30))
+        assert predict_levels(back, x) == predict_levels(model, x)

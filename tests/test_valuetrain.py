@@ -175,16 +175,14 @@ class TestLookaheadSelect:
         space = world.sample_action_space(st, cfg, 3, 5)
         oracle = ground_truth_oracle(strong_env)
         a1 = lookahead_select(net, st, nbs, space, oracle, 0.95, 0, cfg, reward_scale=0.5)
-        doubled = net.copy()
-        doubled.weights[-1] = doubled.weights[-1].copy()
         # tanh output cannot be scaled linearly; emulate with identity output
         specs = neuro.dense_specs(34, (8,), 1, "relu", "identity")
         lin = neuro.NetworkParams(specs=specs, weights=[w.copy() for w in net.weights],
                                   biases=[b.copy() for b in net.biases],
                                   standardizer=net.standardizer)
         lin2 = lin.copy()
-        lin2.weights[-1] *= 3.0
-        lin2.biases[-1] *= 3.0
+        lin2.weights[-1][:] *= 3.0
+        lin2.biases[-1][:] *= 3.0
         b1 = lookahead_select(lin, st, nbs, space, oracle, 0.95, 0, cfg, reward_scale=0.5)
         b2 = lookahead_select(lin2, st, nbs, space, oracle, 0.95, 0, cfg, reward_scale=1.5)
         assert b1 is b2

@@ -25,6 +25,15 @@ def _rng_for(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(purpose,)))
 
 
+def _read(reader, path):
+    """reader(path); an input file it cannot parse is a validation error naming it."""
+    try:
+        return reader(path)
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        detail = str(exc) if str(path) in str(exc) else f"{path}: {type(exc).__name__}: {exc}"
+        raise ConfigError(f"unreadable input {detail}") from None
+
+
 def cmd_bootstrap(cfg: cfgmod.RunConfig, out_path: str) -> None:
     """Generate the ORCA bootstrap state-value set and fitted standardizer."""
     t = cfg.training
@@ -64,7 +73,7 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
     replay_path = out / "replay.npz"
     adam_path = out / "adam.npz"
 
-    pairs, _ = orca.read_bootstrap_csv(bootstrap_path)
+    pairs, _ = _read(orca.read_bootstrap_csv, bootstrap_path)
     if not pairs:
         raise ConfigError(f"{bootstrap_path}: empty bootstrap set")
     run_cfg = cfg.train_run_config()
@@ -80,9 +89,9 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
     if resume:
         if not state_path.exists():
             raise ConfigError(f"{state_path}: no checkpoint to resume from")
-        state = json.loads(state_path.read_text())
+        state = _read(lambda p: json.loads(p.read_text()), state_path)
         start_episode = state["episode"]
-        value_net = neuro.load_model(model_path)
+        value_net = _read(neuro.load_model, model_path)
         data = _read_npz(replay_path, ("features", "targets"))
         buffer = valuetrain.ReplayBuffer(run_cfg.replay_capacity)
         for vec, target in zip(data["features"], data["targets"]):
@@ -101,7 +110,7 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
                 position=tuple(j["position"]), height=j["height"], tx_power=j["tx_power"]
             )
         curve_prefix = [
-            p for p in valuetrain.read_curve_csv(curve_path) if p.episode < start_episode
+            p for p in _read(valuetrain.read_curve_csv, curve_path) if p.episode < start_episode
         ]
 
     def on_checkpoint(episode, net, buf, curve, rngs, jammer, opt):
@@ -189,7 +198,7 @@ def cmd_trainmap(cfg: cfgmod.RunConfig, measurements_path: str | None, out_path:
     rng = _rng_for(cfg.seed, 2)
     cloud = sinrmap.MeasurementCloud(m["cloud_capacity"])
     if measurements_path is not None:
-        measurements = sinrmap.read_measurement_csv(measurements_path)
+        measurements = _read(sinrmap.read_measurement_csv, measurements_path)
         if not measurements:
             raise ConfigError(f"{measurements_path}: empty measurement source")
         expected = sinrmap.FEATURES_PER_STATION * m["k_n"]
@@ -217,8 +226,8 @@ def cmd_trainmap(cfg: cfgmod.RunConfig, measurements_path: str | None, out_path:
 def cmd_eval(cfg: cfgmod.RunConfig, value_path: str, map_path: str | None,
              out_path: str, trajectories_dir: str | None, trials: int | None) -> None:
     """Compare navigation modes on identical seeded scenarios and write the report."""
-    value_net = neuro.load_model(value_path)
-    expected = world.JointState.length(cfg.world["j_n"])
+    value_net = _read(neuro.load_model, value_path)
+    expected = world.frame_length(cfg.world["j_n"])
     if value_net.input_size != expected:
         raise ConfigError(
             f"{value_path}: value net input {value_net.input_size} does not match "
@@ -229,7 +238,7 @@ def cmd_eval(cfg: cfgmod.RunConfig, value_path: str, map_path: str | None,
     if "proposed" in modes:
         if map_path is None:
             raise ConfigError("eval with 'proposed' mode needs --map-model")
-        map_model = sinrmap.load_map_model(map_path)
+        map_model = _read(sinrmap.load_map_model, map_path)
         if map_model.k_n != cfg.mapping["k_n"]:
             raise ConfigError(
                 f"{map_path}: k_n={map_model.k_n} does not match config {cfg.mapping['k_n']}"
@@ -326,6 +335,8 @@ def main(argv=None) -> int:
         episodes = getattr(args, "episodes", None)
         if episodes is not None and episodes < 1:
             raise ConfigError("--episodes must be >= 1")
+        if getattr(args, "trials", None) is not None and args.trials < 1:
+            raise ConfigError("--trials must be >= 1")
         cfg = cfgmod.load(args.config, preset=args.preset, seed=args.seed,
                           episodes=episodes if args.command == "train" else None)
         if args.command == "bootstrap":

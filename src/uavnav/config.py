@@ -127,7 +127,8 @@ PRESETS = {
 }
 
 
-def _require_keys(block: dict, allowed: set, path: str):
+def _require_keys(block: dict, allowed, path: str):
+    """block must be an object whose keys all lie in allowed (a set or a dict's keys)."""
     if not isinstance(block, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = set(block) - allowed
@@ -138,6 +139,13 @@ def _require_keys(block: dict, allowed: set, path: str):
 def _is_number(v) -> bool:
     """JSON numbers only: bool is an int subclass in Python but not a number here."""
     return not isinstance(v, bool) and isinstance(v, (int, float))
+
+
+def _numbers(block: dict, keys, path: str) -> None:
+    """Each of keys that block holds must be a number."""
+    for key in keys:
+        if key in block and not _is_number(block[key]):
+            raise ConfigError(f"{path}.{key}: expected a number, got {block[key]!r}")
 
 
 def _num(block, key, path, lo=None, hi=None, strict_lo=False):
@@ -257,7 +265,6 @@ class RunConfig:
             l2=m["l2"],
             epochs=m["epochs"],
             holdout_fraction=m["holdout_fraction"],
-            hidden=tuple(m["hidden"]),
         )
 
     def arena_bounds(self) -> tuple[float, float, float, float]:
@@ -267,31 +274,19 @@ class RunConfig:
 
 def _validate_environment(block: dict) -> radio.RadioEnvironment:
     path = "environment"
-    _require_keys(
-        block,
-        {
-            "stations", "station_defaults", "jammer", "noise_power", "uav_altitude",
-            "pathloss_exponent", "sinr_threshold_db", "margin",
-        },
-        path,
-    )
-    defaults = dict(block.get("station_defaults") or {})
-    _require_keys(
-        defaults,
-        {"height", "tx_power", "tilt_deg", "beamwidth_deg", "max_atten_db"},
-        f"{path}.station_defaults",
-    )
+    _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
+    station_fields = DEFAULT_CONFIG[path]["station_defaults"].keys()
+    defaults = block.get("station_defaults") or {}
+    _require_keys(defaults, station_fields, f"{path}.station_defaults")
+    _numbers(defaults, station_fields, f"{path}.station_defaults")
     stations_block = block.get("stations")
     if not isinstance(stations_block, list) or not stations_block:
         raise ConfigError(f"{path}.stations: expected a non-empty list")
     stations = []
     for i, sb in enumerate(stations_block):
         spath = f"{path}.stations[{i}]"
-        _require_keys(
-            sb,
-            {"position", "height", "tx_power", "tilt_deg", "beamwidth_deg", "max_atten_db"},
-            spath,
-        )
+        _require_keys(sb, {"position", *station_fields}, spath)
+        _numbers(sb, station_fields, spath)
         merged = {**defaults, **sb}
         if "position" not in merged:
             raise ConfigError(f"{spath}.position: missing")
@@ -313,12 +308,15 @@ def _validate_environment(block: dict) -> radio.RadioEnvironment:
     if jb is not None:
         jpath = f"{path}.jammer"
         _require_keys(jb, {"position", "height", "tx_power", "active"}, jpath)
+        _numbers(jb, ("height", "tx_power"), jpath)
+        if not isinstance(jb.get("active", True), bool):
+            raise ConfigError(f"{jpath}.active: expected true or false, got {jb['active']!r}")
         try:
             jammer = radio.Jammer(
                 position=_point(jb.get("position", [0, 0]), f"{jpath}.position"),
                 height=float(jb.get("height", 0.0)),
                 tx_power=float(jb.get("tx_power", 1.0)),
-                active=bool(jb.get("active", True)),
+                active=jb.get("active", True),
             )
         except ValueError as exc:
             raise ConfigError(f"{jpath}: {exc}") from exc
@@ -338,16 +336,7 @@ def _validate_environment(block: dict) -> radio.RadioEnvironment:
 
 def _validate_world(block: dict) -> dict:
     path = "world"
-    _require_keys(
-        block,
-        {
-            "arena_half_extent", "position_bound", "min_travel", "min_separation",
-            "agent_radius", "speed_range", "dt", "n_t", "turn_rate_limit",
-            "max_episode_steps", "arrival_tolerance", "movement_penalty",
-            "n_speeds", "n_headings", "j_n", "agents",
-        },
-        path,
-    )
+    _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
     out = {
         "arena_half_extent": _num(block, "arena_half_extent", path, lo=0, strict_lo=True),
         "position_bound": _num(block, "position_bound", path, lo=0, strict_lo=True),
@@ -379,17 +368,7 @@ def _validate_world(block: dict) -> dict:
 
 def _validate_training(block: dict) -> dict:
     path = "training"
-    _require_keys(
-        block,
-        {
-            "total_episodes", "gamma", "epsilon_start", "epsilon_end",
-            "epsilon_decay_fraction", "replay_capacity", "batch_size", "learning_rate",
-            "l2", "updates_per_episode", "pretrain_epochs", "value_hidden", "checkpoint_every",
-            "bootstrap_episodes", "jammer_change_period", "jammer_powers",
-            "jammer_bounds", "jammer_height", "orca_time_horizon", "orca_neighbor_range",
-        },
-        path,
-    )
+    _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
     out = {
         "total_episodes": _int(block, "total_episodes", path, lo=1),
         "gamma": _num(block, "gamma", path, lo=0, strict_lo=True),
@@ -431,15 +410,7 @@ def _validate_training(block: dict) -> dict:
 
 def _validate_mapping(block: dict) -> dict:
     path = "mapping"
-    _require_keys(
-        block,
-        {
-            "k_n", "hidden", "learning_rate", "batch_size", "l2", "epochs",
-            "holdout_fraction", "cloud_capacity", "drop_threshold", "check_every",
-            "synthetic_measurements",
-        },
-        path,
-    )
+    _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
     hidden = _layer_sizes(block, "hidden", path)
     return {
         "k_n": _int(block, "k_n", path, lo=1),
@@ -458,9 +429,7 @@ def _validate_mapping(block: dict) -> dict:
 
 def _validate_evaluation(block: dict) -> dict:
     path = "evaluation"
-    _require_keys(
-        block, {"trials", "seed_offset", "modes", "max_episode_steps"}, path
-    )
+    _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
     modes = block.get("modes")
     if not isinstance(modes, list) or not modes or any(m not in ("proposed", "outdated", "perfect") for m in modes):
         raise ConfigError(f"{path}.modes: expected a subset of proposed/outdated/perfect")
@@ -473,14 +442,10 @@ def _validate_evaluation(block: dict) -> dict:
 
 
 def validate(raw: dict) -> RunConfig:
-    _require_keys(
-        raw, {"seed", "environment", "world", "training", "mapping", "evaluation"}, "config"
-    )
-    for key in ("environment", "world", "training", "mapping", "evaluation"):
+    _require_keys(raw, DEFAULT_CONFIG.keys(), "config")
+    for key in DEFAULT_CONFIG:
         if key not in raw:
             raise ConfigError(f"config.{key}: missing")
-    if "seed" not in raw:
-        raise ConfigError("config.seed: missing")
     seed = raw["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"config.seed: expected a non-negative integer, got {seed!r}")

@@ -9,6 +9,7 @@ connectivity check (i.e. mission completed with constraints respected).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,11 +162,13 @@ def run_trial(
 
     def record(ep: EpisodeState, flags):
         sinr_lin = radio.sinr_many(env_truth, np.array([u.position for u in ep.uavs]))
+        levels = radio.quantize_many(sinr_lin, env_truth)
         for i, uav in enumerate(ep.uavs):
-            sample = radio.SinrLevel.from_linear(float(sinr_lin[i]), env_truth)
+            s = float(sinr_lin[i])
+            db = 10.0 * math.log10(s) if s > 0 else -math.inf
             f = flags[i] if flags is not None else world.StepFlags(uav.arrived, False, False)
             trajectory.append(world.format_trajectory_row(
-                episode_index, ep.t, i, uav, sample.db, sample.level, f
+                episode_index, ep.t, i, uav, db, int(levels[i]), f
             ))
 
     run = world.rollout(

@@ -197,11 +197,6 @@ def forward_batch(params: NetworkParams, x: np.ndarray):
     return (a[0] if squeeze else a), cache
 
 
-def forward(params: NetworkParams, x):
-    """Single-vector forward pass (standardize, then affine + activation per layer)."""
-    return forward_batch(params, np.asarray(x, dtype=float))
-
-
 def backward_batch(params: NetworkParams, cache, output_gradient: np.ndarray, l2: float = 0.0):
     """Exact gradients of (loss + l2/2 * ||W||^2) given dLoss/doutput; biases unregularized."""
     activations, pre = cache
@@ -221,10 +216,6 @@ def backward_batch(params: NetworkParams, cache, output_gradient: np.ndarray, l2
         if i > 0:
             da = dz @ params.weights[i].T
     return grads_w, grads_b
-
-
-def backward(params: NetworkParams, cache, output_gradient, l2: float = 0.0):
-    return backward_batch(params, cache, np.asarray(output_gradient, dtype=float), l2)
 
 
 @dataclass

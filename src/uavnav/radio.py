@@ -19,12 +19,11 @@ __all__ = [
     "GroundStation",
     "Jammer",
     "RadioEnvironment",
-    "SinrLevel",
     "gbs_antenna_gain",
     "uav_antenna_gain",
     "path_loss",
     "jammer_interference",
-    "received_power",
+    "received_powers",
     "serving_gbs",
     "sinr",
     "sinr_many",
@@ -127,20 +126,6 @@ class RadioEnvironment:
         return replace(self, jammer=jammer)
 
 
-@dataclass(frozen=True)
-class SinrLevel:
-    """A SINR sample carried in linear, dB and quantized form."""
-
-    linear: float
-    db: float
-    level: int
-
-    @staticmethod
-    def from_linear(linear_sinr: float, env: RadioEnvironment) -> "SinrLevel":
-        db = 10.0 * math.log10(linear_sinr) if linear_sinr > 0 else -math.inf
-        return SinrLevel(linear=linear_sinr, db=db, level=quantize_sinr(linear_sinr, env))
-
-
 def gbs_antenna_gain(horizontal_distance: float, station: GroundStation, uav_altitude: float) -> float:
     """Directional GBS antenna gain toward a UAV at the given horizontal distance.
 
@@ -170,81 +155,58 @@ def path_loss(horizontal_distance: float, height_difference: float, alpha: float
     return sq ** (alpha / 2.0)
 
 
-def jammer_interference(env: RadioEnvironment, uav_position) -> float:
-    """Interference power received from the jammer at a UAV position (watts)."""
-    jam = env.jammer
-    if jam is None or not jam.active or jam.tx_power == 0.0:
-        return 0.0
-    if jam.height >= env.uav_altitude:
-        raise ValueError("jammer height must be below uav_altitude")
-    dx = uav_position[0] - jam.position[0]
-    dy = uav_position[1] - jam.position[1]
-    d = math.hypot(dx, dy)
-    dh = env.uav_altitude - jam.height
-    gain = dh / math.sqrt(d * d + dh * dh)
-    return jam.tx_power * gain / path_loss(d, dh, env.pathloss_exponent)
-
-
-def received_power(station: GroundStation, env: RadioEnvironment, uav_position) -> float:
-    """Power received at the UAV from one station: P * G_gbs * G_uav / L."""
-    dx = uav_position[0] - station.position[0]
-    dy = uav_position[1] - station.position[1]
-    d = math.hypot(dx, dy)
-    g_b = gbs_antenna_gain(d, station, env.uav_altitude)
-    g_v = uav_antenna_gain(d, station.height, env.uav_altitude)
-    loss = path_loss(d, station.height - env.uav_altitude, env.pathloss_exponent)
-    return station.tx_power * g_b * g_v / loss
-
-
-def serving_gbs(env: RadioEnvironment, uav_position) -> int:
-    """Index of the station with the largest received power; ties go to the lowest index."""
-    best, best_p = 0, -math.inf
-    for k, station in enumerate(env.stations):
-        p = received_power(station, env, uav_position)
-        if p > best_p:
-            best, best_p = k, p
-    return best
-
-
-def sinr(env: RadioEnvironment, uav_position) -> float:
-    """Linear SINR at a position: serving power over noise + jammer + other stations."""
-    powers = [received_power(s, env, uav_position) for s in env.stations]
-    k = int(np.argmax(powers))
-    denom = env.noise_power + jammer_interference(env, uav_position)
-    denom += sum(powers) - powers[k]
-    return powers[k] / denom
-
-
-def sinr_many(env: RadioEnvironment, positions: np.ndarray) -> np.ndarray:
-    """Vectorized linear SINR for an (N, 2) array of positions.
-
-    Matches `sinr` elementwise; used by the coverage grid and the trainer's
-    radio-map oracle where per-call overhead matters.
-    """
+def _points(positions) -> np.ndarray:
+    """An (N, 2) float array of positions; a single (x, y) becomes one row."""
     pos = np.asarray(positions, dtype=float)
-    if pos.ndim == 1:
-        pos = pos[None, :]
+    return pos[None, :] if pos.ndim == 1 else pos
+
+
+def received_powers(env: RadioEnvironment, positions) -> np.ndarray:
+    """(N, K) power received at each of N positions from each of K stations: P * G_gbs * G_uav / L."""
+    pos = _points(positions)
     sx, sy, sh, sp, tilt, beam, atten = env.station_arrays
     hv = env.uav_altitude
-    alpha = env.pathloss_exponent
     d = np.hypot(pos[:, 0:1] - sx[None, :], pos[:, 1:2] - sy[None, :])
     ang = np.degrees(np.arctan2(sh[None, :] - hv, d))
     x = (ang - tilt[None, :]) / beam[None, :]
     g_b = 10.0 ** (-np.minimum(1.2 * x * x, atten[None, :] / 10.0))
     dh = hv - sh[None, :]
     slant_sq = d * d + dh * dh
-    powers = sp[None, :] * g_b * (dh / np.sqrt(slant_sq)) / slant_sq ** (alpha / 2.0)
-    jam = 0.0
-    if env.jammer is not None and env.jammer.active and env.jammer.tx_power > 0.0:
-        if env.jammer.height >= hv:
-            raise ValueError("jammer height must be below uav_altitude")
-        dj = np.hypot(pos[:, 0] - env.jammer.position[0], pos[:, 1] - env.jammer.position[1])
-        dhj = hv - env.jammer.height
-        slant_sq_j = dj * dj + dhj * dhj
-        jam = env.jammer.tx_power * (dhj / np.sqrt(slant_sq_j)) / slant_sq_j ** (alpha / 2.0)
+    return sp[None, :] * g_b * (dh / np.sqrt(slant_sq)) / slant_sq ** (env.pathloss_exponent / 2.0)
+
+
+def jammer_interference(env: RadioEnvironment, positions):
+    """Interference power (watts) from the jammer at each of N positions, shape (N,).
+
+    0.0 (a scalar) when there is no jammer, or it is inactive or silent.
+    """
+    jam = env.jammer
+    if jam is None or not jam.active or not jam.tx_power > 0.0:
+        return 0.0
+    pos = _points(positions)
+    dj = np.hypot(pos[:, 0] - jam.position[0], pos[:, 1] - jam.position[1])
+    dhj = env.uav_altitude - jam.height
+    slant_sq_j = dj * dj + dhj * dhj
+    return jam.tx_power * (dhj / np.sqrt(slant_sq_j)) / slant_sq_j ** (env.pathloss_exponent / 2.0)
+
+
+def sinr_many(env: RadioEnvironment, positions) -> np.ndarray:
+    """Linear SINR at each of N positions: serving (strongest) station power
+    over noise + jammer + the other stations."""
+    powers = received_powers(env, positions)
     serving = powers.max(axis=1)
     total = powers.sum(axis=1)
-    return serving / (env.noise_power + jam + (total - serving))
+    return serving / (env.noise_power + jammer_interference(env, positions) + (total - serving))
+
+
+def sinr(env: RadioEnvironment, uav_position) -> float:
+    """sinr_many at one position."""
+    return float(sinr_many(env, uav_position)[0])
+
+
+def serving_gbs(env: RadioEnvironment, uav_position) -> int:
+    """Index of the station with the largest received power; ties go to the lowest index."""
+    return int(np.argmax(received_powers(env, uav_position)[0]))
 
 
 def quantize_sinr(linear_sinr: float, env: RadioEnvironment) -> int:

@@ -20,34 +20,18 @@ FAR_STATION = 300.0  # sentinel distance for padded station blocks
 FEATURES_PER_STATION = 5
 
 
-def featurize(uav_position, stations, uav_altitude: float, k_n: int,
-              pad_distance: float = FAR_STATION) -> np.ndarray:
-    """Blocks of [rel_x, rel_y, distance, elevation, azimuth] for the k_n nearest stations.
+def featurize_many(positions: np.ndarray, stations, uav_altitude: float, k_n: int,
+                   pad_distance: float = FAR_STATION) -> np.ndarray:
+    """Per position of an (N, 2) array: blocks of [rel_x, rel_y, distance,
+    elevation, azimuth] for the k_n nearest stations, closest first.
 
     stations are (x, y, height) triples; coordinates are translated to the UAV
     (no rotation; azimuth is measured in the global frame).  A station directly
-    below reports elevation pi/2 and azimuth 0.
+    below reports elevation pi/2 and azimuth 0.  Missing stations (k_n above
+    their count) are padded with [0, 0, pad_distance, 0, 0].
     """
     if len(stations) == 0:
         raise ValueError("no stations to featurize")
-    px, py = float(uav_position[0]), float(uav_position[1])
-    with_d = sorted(
-        ((math.hypot(s[0] - px, s[1] - py), s) for s in stations), key=lambda t: t[0]
-    )[:k_n]
-    out: list[float] = []
-    for d, s in with_d:
-        rx, ry = s[0] - px, s[1] - py
-        elev = math.pi / 2.0 if d == 0.0 else math.atan2(uav_altitude - s[2], d)
-        azim = 0.0 if d == 0.0 else math.atan2(ry, rx)
-        out.extend((rx, ry, d, elev, azim))
-    for _ in range(k_n - len(with_d)):
-        out.extend((0.0, 0.0, pad_distance, 0.0, 0.0))
-    return np.array(out)
-
-
-def featurize_many(positions: np.ndarray, stations, uav_altitude: float, k_n: int,
-                   pad_distance: float = FAR_STATION) -> np.ndarray:
-    """Vectorized featurize over an (N, 2) position array."""
     pos = np.asarray(positions, dtype=float)
     if pos.ndim == 1:
         pos = pos[None, :]
@@ -181,7 +165,6 @@ class MapTrainConfig:
     l2: float = 1e-4
     epochs: int = 60
     holdout_fraction: float = 0.1
-    hidden: tuple[int, ...] = (32, 16, 8)
 
 
 def retrain(

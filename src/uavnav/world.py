@@ -66,22 +66,9 @@ class Action:
         return (self.speed * math.cos(self.heading), self.speed * math.sin(self.heading))
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Agent-centric feature vector: 9 self features, 6 per neighbor slot, SINR level."""
-
-    self_features: tuple[float, ...]
-    neighbor_features: tuple[float, ...]
-    sinr_level: int
-
-    def vector(self) -> np.ndarray:
-        return np.array(
-            [*self.self_features, *self.neighbor_features, float(self.sinr_level)]
-        )
-
-    @staticmethod
-    def length(j_n: int) -> int:
-        return 9 + 6 * j_n + 1
+def frame_length(j_n: int) -> int:
+    """Length of an agent frame: 9 self features, 6 per neighbor slot, SINR level."""
+    return 9 + 6 * j_n + 1
 
 
 @dataclass(frozen=True)
@@ -169,8 +156,8 @@ def to_agent_frame(
     sinr_level: int,
     j_n: int,
     pad_distance: float = FAR_NEIGHBOR,
-) -> JointState:
-    """Transform observations into the agent-centric frame.
+) -> np.ndarray:
+    """Transform observations into the agent-centric frame (a frame_length(j_n) vector).
 
     The frame is translated to the agent and rotated so +x points at its
     destination; neighbor observables are (x, y, vx, vy, radius) tuples in the
@@ -209,9 +196,7 @@ def to_agent_frame(
         blocks.extend((rx, ry, rvx, rvy, d_j, a_j))
     for _ in range(j_n - len(ordered)):
         blocks.extend((0.0, 0.0, 0.0, 0.0, pad_distance, 0.0))
-    return JointState(
-        self_features=self_features, neighbor_features=tuple(blocks), sinr_level=sinr_level
-    )
+    return np.array([*self_features, *blocks, float(sinr_level)])
 
 
 def wrap_angles(a: np.ndarray) -> np.ndarray:
@@ -237,7 +222,7 @@ def agent_frame_rows(
 
     positions/velocities are (A, 2), orientations and levels (A,); neighbor_obs
     is a list of observable tuples shared by all candidates.  Row i equals
-    to_agent_frame(state_i, neighbor_obs, levels[i], j_n).vector().
+    to_agent_frame(state_i, neighbor_obs, levels[i], j_n).
     """
     pos = np.asarray(positions, dtype=float)
     vel = np.asarray(velocities, dtype=float)
@@ -248,7 +233,7 @@ def agent_frame_rows(
     rot = np.where(d_d > 0.0, np.arctan2(dy, dx), 0.0)
     cos_r, sin_r = np.cos(-rot), np.sin(-rot)
 
-    rows = np.zeros((a, JointState.length(j_n)))
+    rows = np.zeros((a, frame_length(j_n)))
     rows[:, 0] = vel[:, 0] * cos_r - vel[:, 1] * sin_r
     rows[:, 1] = vel[:, 0] * sin_r + vel[:, 1] * cos_r
     rows[:, 2] = d_d
@@ -622,7 +607,7 @@ def rollout(
                 continue
             neighbors = ep.neighbors_of(i)
             if j_n is not None:
-                frames[i].append(to_agent_frame(uav, neighbors, int(levels[i]), j_n).vector())
+                frames[i].append(to_agent_frame(uav, neighbors, int(levels[i]), j_n))
             actions.append(choose(i, uav, neighbors, ep.t))
         ep, step_rewards, flags = step_all(ep, actions, env, scenario)
         for i, act in enumerate(actions):
@@ -637,7 +622,7 @@ def rollout(
     if j_n is not None and not ep.any_collision and any(u.arrived for u in ep.uavs):
         levels = level_oracle(np.array([u.position for u in ep.uavs]))
         terminals = [
-            (i, to_agent_frame(u, ep.neighbors_of(i), int(levels[i]), j_n).vector())
+            (i, to_agent_frame(u, ep.neighbors_of(i), int(levels[i]), j_n))
             for i, u in enumerate(ep.uavs) if u.arrived
         ]
     return Rollout(frames, rewards, terminals, ep)

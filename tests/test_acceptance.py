@@ -184,8 +184,8 @@ class TestCriterion03GradientCheck:
             for _ in range(50):
                 x = rng.normal(size=n_in)
                 y = rng.normal(size=1)
-                out, cache = neuro.forward(params, x)
-                gw, gb = neuro.backward(params, cache, out - y, l2=1e-4)
+                out, cache = neuro.forward_batch(params, x)
+                gw, gb = neuro.backward_batch(params, cache, out - y, l2=1e-4)
                 for li, idx in [flat[k] for k in rng.integers(0, len(flat), size=40)]:
                     orig = params.weights[li][idx]
                     params.weights[li][idx] = orig + h
@@ -201,7 +201,7 @@ class TestCriterion03GradientCheck:
 
 
 def _loss(params, x, y, l2=1e-4):
-    out, _ = neuro.forward(params, x)
+    out, _ = neuro.forward_batch(params, x)
     return 0.5 * float(((out - y) ** 2).sum()) + 0.5 * l2 * sum(
         float((w**2).sum()) for w in params.weights
     )

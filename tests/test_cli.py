@@ -113,6 +113,31 @@ class TestConfigValidation:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("block, field, value", [
+        ("stations[0]", "height", [1]),
+        ("stations[0]", "height", True),
+        ("stations[0]", "tilt_deg", "10"),
+        ("station_defaults", "tx_power", None),
+        ("station_defaults", "beamwidth_deg", "15"),
+        ("station_defaults", "max_atten_db", False),
+        ("jammer", "height", [3]),
+        ("jammer", "tx_power", "1"),
+        ("jammer", "active", "no"),
+        ("jammer", "active", 1),
+    ])
+    def test_wrong_station_or_jammer_field_exits_2(self, tmp_path, capsys, block, field, value):
+        raw = json.loads(json.dumps(cfgmod.DEFAULT_CONFIG))
+        env = raw["environment"]
+        env["jammer"] = {"position": [0.0, 0.0], "height": 18.0, "tx_power": 1.0}
+        target = env["stations"][0] if block == "stations[0]" else env[block]
+        target[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["covmap", "--config", str(path), "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert f"environment.{block}.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestCovmap:
     def test_header_contract_and_units(self, tmp_path):
@@ -282,13 +307,15 @@ class TestTrainmapCommand:
         final = float(rows[-1].split(",")[1])
         assert final >= 0.9  # uniform coverage: trivially learnable
 
-    def test_malformed_measurement_file_errors(self, tmp_path):
+    def test_malformed_measurement_file_errors(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)
         bad = tmp_path / "meas.csv"
-        bad.write_text("# sinr-measurements v1 features=5 count=1\n0,1.0,2.0\n")
-        rc = main(["trainmap", "--config", str(cfg_path), "--measurements", str(bad),
-                   "--out", str(tmp_path / "m.json")])
-        assert rc == 3
+        for row in ("0,1.0,2.0", "0,1,2,3,4,x,1"):  # wrong width; a non-number
+            bad.write_text(f"# sinr-measurements v1 features=5 count=1\n{row}\n")
+            rc = main(["trainmap", "--config", str(cfg_path), "--measurements", str(bad),
+                       "--out", str(tmp_path / "m.json")])
+            assert rc == 2
+            assert f"{bad}:2:" in capsys.readouterr().err
 
     def test_same_seed_identical_outputs(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
@@ -364,6 +391,57 @@ class TestEvalCommand:
                          "--map-model", str(map_path), "--out", str(out)]) == 0
             ds.append(digest(out))
         assert ds[0] == ds[1]
+
+
+class TestBadInputFiles:
+    """An input file the readers cannot parse is a validation error (exit 2) naming it."""
+
+    def _assert_rejected(self, argv, path, capsys):
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def _value_model(self, tmp_path, cfg_path):
+        """An untrained value network of the right input size for cfg_path."""
+        from uavnav import neuro, world
+
+        j_n = cfgmod.load(cfg_path).world["j_n"]
+        specs = neuro.dense_specs(world.frame_length(j_n), (4,), 1, "relu", "tanh")
+        path = tmp_path / "value.json"
+        neuro.save_model(neuro.init_network(specs, np.random.default_rng(0)), path)
+        return path
+
+    def test_bootstrap_row_of_wrong_width(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path)
+        boot = tmp_path / "boot.csv"
+        boot.write_text("# bootstrap-pairs v1 features=3 count=1\n1.0,2.0,0.5\n")
+        self._assert_rejected(["train", "--config", str(cfg_path), "--bootstrap", str(boot),
+                               "--out-dir", str(tmp_path / "run")], boot, capsys)
+
+    def test_value_model_that_does_not_parse(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path)
+        value = tmp_path / "value.json"
+        value.write_text('{"format": ')
+        self._assert_rejected(["eval", "--config", str(cfg_path), "--value-model", str(value),
+                               "--out", str(tmp_path / "r.json")], value, capsys)
+
+    def test_map_model_without_network(self, tmp_path, capsys):
+        from uavnav import sinrmap
+
+        cfg_path = tiny_config(tmp_path)
+        value = self._value_model(tmp_path, cfg_path)
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps({"format": sinrmap.MAP_FORMAT, "k_n": 1}))
+        self._assert_rejected(["eval", "--config", str(cfg_path), "--value-model", str(value),
+                               "--map-model", str(map_path), "--out", str(tmp_path / "r.json")],
+                              map_path, capsys)
+
+    def test_zero_trials_rejected(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path, **{"evaluation.modes": ["perfect"]})
+        rc = main(["eval", "--config", str(cfg_path), "--value-model",
+                   str(self._value_model(tmp_path, cfg_path)), "--out", str(tmp_path / "r.json"),
+                   "--trials", "0"])
+        assert rc == 2
+        assert "--trials" in capsys.readouterr().err
 
 
 class TestDefaults:

@@ -1,6 +1,6 @@
 """Golden output digests: a small end-to-end run whose every output byte is pinned.
 
-bootstrap, train, trainmap and eval run on a shrunken default config; the
+bootstrap, train, trainmap, eval and covmap run on a shrunken default config; the
 sha256 of each output file must stay as recorded.  A refactor that leaves
 the program's behaviour alone leaves these digests alone; any change that
 alters output bits has to update them on purpose (and say so).
@@ -8,7 +8,7 @@ alters output bits has to update them on purpose (and say so).
 The run reaches every reward branch of world.step_all (the collision ramp,
 contact, and both connectivity bands), the ORCA bootstrap, ε-greedy and
 greedy lookahead, replay pushes with arrived terminals, checkpoints, a jammer
-change, map training and all three evaluation modes.
+change, map training, all three evaluation modes and the coverage raster.
 """
 
 import hashlib
@@ -40,6 +40,7 @@ GOLDEN = {
     "traj/trajectories-proposed.csv": TRAJECTORY_DIGEST,
     "traj/trajectories-outdated.csv": TRAJECTORY_DIGEST,
     "traj/trajectories-perfect.csv": TRAJECTORY_DIGEST,
+    "cov.csv": "bb215b9d0e428bd1a91825d93e8386564164ad219fd71ef1a23506fa304c5d17",
 }
 
 
@@ -57,7 +58,7 @@ def golden_config() -> dict:
 
 
 def run_golden(d: Path) -> None:
-    """The four commands of the golden run, with outputs under d."""
+    """The five commands of the golden run, with outputs under d."""
     cfg = d / "config.json"
     cfg.write_text(json.dumps(golden_config()))
     c = ["--config", str(cfg)]
@@ -70,6 +71,7 @@ def run_golden(d: Path) -> None:
                  "--value-model", str(d / "run" / "value-model.json"),
                  "--map-model", str(d / "map.json"), "--out", str(d / "report.json"),
                  "--trajectories", str(d / "traj")]) == 0
+    assert main(["covmap", *c, "--preset", "center-1w", "--out", str(d / "cov.csv")]) == 0
 
 
 def digest(path) -> str:

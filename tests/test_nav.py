@@ -28,7 +28,7 @@ def trained_constant_map(env, rng, k_n=2, samples=2000, epochs=30):
         cloud.record(m)
     model = sinrmap.init_map_model(k_n, rng, hidden=(8,))
     model, curve = sinrmap.retrain(
-        model, cloud, sinrmap.MapTrainConfig(epochs=epochs, hidden=(8,)), rng
+        model, cloud, sinrmap.MapTrainConfig(epochs=epochs), rng
     )
     return model, curve
 

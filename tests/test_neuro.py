@@ -14,10 +14,8 @@ from uavnav.neuro import (
     Standardizer,
     TrainConfig,
     adam_step,
-    backward,
     dense_specs,
     fit_standardizer,
-    forward,
     forward_batch,
     backward_batch,
     init_network,
@@ -44,7 +42,7 @@ def reference_forward(params, x):
 
 
 def loss_of(params, x, y, l2):
-    out, _ = forward(params, x)
+    out, _ = forward_batch(params, x)
     data = 0.5 * float(((out - y) ** 2).sum())
     reg = 0.5 * l2 * sum(float((w**2).sum()) for w in params.weights)
     return data + reg
@@ -95,7 +93,7 @@ class TestForward:
             biases=[np.zeros(4), np.zeros(2)],
             standardizer=Standardizer.identity(3),
         )
-        out, _ = forward(params, [1.0, -2.0, 3.0])
+        out, _ = forward_batch(params, [1.0, -2.0, 3.0])
         assert (out == 0).all()
 
     def test_single_tanh_unit(self):
@@ -104,9 +102,9 @@ class TestForward:
             specs=specs, weights=[np.array([[1.0]])], biases=[np.array([0.0])],
             standardizer=Standardizer.identity(1),
         )
-        out, _ = forward(params, [0.0])
+        out, _ = forward_batch(params, [0.0])
         assert out[0] == 0.0
-        out, _ = forward(params, [100.0])
+        out, _ = forward_batch(params, [100.0])
         assert out[0] == pytest.approx(math.tanh(100.0))
 
     def test_matches_reference_implementation(self, rng):
@@ -115,22 +113,22 @@ class TestForward:
             params.standardizer = fit_standardizer(rng.normal(size=(50, specs[0].input_size)))
             for _ in range(5):
                 x = rng.normal(size=specs[0].input_size) * 3
-                got, _ = forward(params, x)
+                got, _ = forward_batch(params, x)
                 assert np.allclose(got, reference_forward(params, x), atol=1e-12)
 
     def test_rejects_bad_inputs(self, rng):
         params = init_network(dense_specs(4, (3,), 1), rng)
         with pytest.raises(ValueError):
-            forward(params, [1.0, 2.0])
+            forward_batch(params, [1.0, 2.0])
         with pytest.raises(ValueError):
-            forward(params, [1.0, 2.0, math.nan, 0.0])
+            forward_batch(params, [1.0, 2.0, math.nan, 0.0])
 
     def test_batch_matches_single(self, rng):
         params = init_network(VALUE_SPECS, rng)
         xs = rng.normal(size=(7, 34))
         batch, _ = forward_batch(params, xs)
         for i in range(7):
-            single, _ = forward(params, xs[i])
+            single, _ = forward_batch(params, xs[i])
             assert np.allclose(batch[i], single, atol=0)
 
     def test_tanh_output_bounded(self, rng):
@@ -142,8 +140,8 @@ class TestForward:
 class TestBackward:
     def test_zero_gradient_flows_zero(self, rng):
         params = init_network(dense_specs(3, (5,), 2), rng)
-        _, cache = forward(params, [1.0, 2.0, 3.0])
-        gw, gb = backward(params, cache, np.zeros(2), l2=0.0)
+        _, cache = forward_batch(params, [1.0, 2.0, 3.0])
+        gw, gb = backward_batch(params, cache, np.zeros(2), l2=0.0)
         assert all((g == 0).all() for g in gw)
         assert all((g == 0).all() for g in gb)
 
@@ -154,16 +152,16 @@ class TestBackward:
             specs=specs, weights=[np.array([[1.0]])], biases=[np.array([0.0])],
             standardizer=Standardizer.identity(1),
         )
-        out, cache = forward(params, [1.0])
-        gw, gb = backward(params, cache, out - np.array([0.0]), l2=0.0)
+        out, cache = forward_batch(params, [1.0])
+        gw, gb = backward_batch(params, cache, out - np.array([0.0]), l2=0.0)
         assert gw[0][0, 0] == pytest.approx(1.0)
         assert gb[0][0] == pytest.approx(1.0)
 
     def test_rejects_stale_cache(self, rng):
         params = init_network(dense_specs(3, (5,), 2), rng)
-        _, cache = forward(params, [1.0, 2.0, 3.0])
+        _, cache = forward_batch(params, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            backward(params, cache, np.zeros(3), l2=0.0)
+            backward_batch(params, cache, np.zeros(3), l2=0.0)
 
     @pytest.mark.parametrize("specs", [VALUE_SPECS, MAP_SPECS], ids=["value", "map"])
     def test_matches_finite_differences(self, specs, rng):
@@ -174,8 +172,8 @@ class TestBackward:
         for _ in range(5):
             x = rng.normal(size=specs[0].input_size)
             y = rng.normal(size=1)
-            out, cache = forward(params, x)
-            analytic = backward(params, cache, out - y, l2=l2)
+            out, cache = forward_batch(params, x)
+            analytic = backward_batch(params, cache, out - y, l2=l2)
             numeric = finite_difference_grads(params, x, y, l2)
             worst = max(
                 worst,
@@ -431,7 +429,7 @@ class TestSerialization:
         assert (back.standardizer.std == params.standardizer.std).all()
         # identical outputs, bit for bit
         x = rng.normal(size=specs[0].input_size)
-        assert forward(params, x)[0][0] == forward(back, x)[0][0]
+        assert forward_batch(params, x)[0][0] == forward_batch(back, x)[0][0]
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -113,47 +113,61 @@ class TestPathLoss:
 
 
 class TestJammerInterference:
+    POINTS = np.array([[0.0, 0.0], [12.0, -7.0], [50.0, 0.0]])
+
     def test_absent(self):
         env = single_station_env()
-        assert radio.jammer_interference(env, (0, 0)) == 0.0
+        assert radio.jammer_interference(env, self.POINTS) == 0.0
 
     def test_inactive_and_zero_power(self):
         env = single_station_env(jammer=radio.Jammer(position=(5, 5), tx_power=1.0, active=False))
-        assert radio.jammer_interference(env, (0, 0)) == 0.0
+        assert radio.jammer_interference(env, self.POINTS) == 0.0
         env = single_station_env(jammer=radio.Jammer(position=(5, 5), tx_power=0.0))
-        assert radio.jammer_interference(env, (0, 0)) == 0.0
+        assert radio.jammer_interference(env, self.POINTS) == 0.0
 
     def test_overhead_value(self):
         env = single_station_env(jammer=radio.Jammer(position=(0, 0), height=0.0, tx_power=1.0))
-        # P / L(0) with L = 2500 and unit vertical gain.
-        assert radio.jammer_interference(env, (0, 0)) == pytest.approx(4e-4, rel=1e-12)
+        got = radio.jammer_interference(env, self.POINTS)
+        assert got.shape == (3,)
+        # Overhead: P / L with L = 50^2 and unit vertical gain.
+        assert got[0] == pytest.approx(4e-4, rel=1e-12)
+        # 45 degrees off at d = 50: gain 1/sqrt(2), L = 5000.
+        assert got[2] == pytest.approx(1.0 / math.sqrt(2.0) / 5000.0, rel=1e-12)
+        assert got[0] > got[1] > got[2]
 
     def test_rejects_jammer_at_or_above_uav(self):
         with pytest.raises(ValueError):
             single_station_env(jammer=radio.Jammer(position=(0, 0), height=50.0))
 
 
+def component_power(station, env, pos):
+    """Received power composed from the scalar antenna, gain and path-loss formulas."""
+    d = math.dist(pos, station.position)
+    return (
+        station.tx_power
+        * radio.gbs_antenna_gain(d, station, env.uav_altitude)
+        * radio.uav_antenna_gain(d, station.height, env.uav_altitude)
+        / radio.path_loss(d, station.height - env.uav_altitude, env.pathloss_exponent)
+    )
+
+
 class TestReceivedPower:
     def test_linearity_in_tx_power(self):
         env1 = single_station_env(tx_power=1.0)
         env2 = single_station_env(tx_power=2.0)
-        p1 = radio.received_power(env1.stations[0], env1, (30, 10))
-        p2 = radio.received_power(env2.stations[0], env2, (30, 10))
+        p1 = radio.received_powers(env1, [(30, 10)])[0, 0]
+        p2 = radio.received_powers(env2, [(30, 10)])[0, 0]
         assert p2 == pytest.approx(2 * p1, rel=1e-15)
 
     def test_composition_matches_component_oracle(self, rng):
         for _ in range(50):
-            env = random_env(rng, n_stations=1, with_jammer=False)
-            st = env.stations[0]
-            pos = tuple(rng.uniform(-80, 80, 2))
-            d = math.dist(pos, st.position)
-            expected = (
-                st.tx_power
-                * radio.gbs_antenna_gain(d, st, env.uav_altitude)
-                * radio.uav_antenna_gain(d, st.height, env.uav_altitude)
-                / radio.path_loss(d, st.height - env.uav_altitude, env.pathloss_exponent)
-            )
-            assert radio.received_power(st, env, pos) == pytest.approx(expected, rel=1e-12)
+            env = random_env(rng, n_stations=3, with_jammer=False)
+            pts = rng.uniform(-80, 80, (4, 2))
+            got = radio.received_powers(env, pts)
+            assert got.shape == (4, 3)
+            for row, pos in zip(got, pts):
+                for p, st in zip(row, env.stations):
+                    assert p == pytest.approx(component_power(st, env, tuple(pos)), rel=1e-12)
 
 
 class TestServingGbs:
@@ -171,8 +185,7 @@ class TestServingGbs:
             stations=(make_station(-40, 0, max_atten_db=5.0), make_station(40, 0, max_atten_db=5.0))
         )
         assert radio.serving_gbs(env, (38, 2)) == 1
-        p0 = radio.received_power(env.stations[0], env, (38, 2))
-        p1 = radio.received_power(env.stations[1], env, (38, 2))
+        p0, p1 = radio.received_powers(env, (38, 2))[0]
         assert p1 > p0
 
     def test_invariant_under_uniform_power_scaling(self, rng):
@@ -199,8 +212,8 @@ class TestSinr:
     def test_single_station_no_jammer(self):
         env = single_station_env()
         pos = (25.0, -14.0)
-        expected = radio.received_power(env.stations[0], env, pos) / env.noise_power
-        assert radio.sinr(env, pos) == pytest.approx(expected, rel=1e-15)
+        expected = component_power(env.stations[0], env, pos) / env.noise_power
+        assert radio.sinr(env, pos) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_jammer_power(self, rng):
         for _ in range(50):
@@ -238,7 +251,30 @@ class TestSinr:
             pts = rng.uniform(-60, 60, (40, 2))
             vec = radio.sinr_many(env, pts)
             for i, p in enumerate(pts):
-                assert vec[i] == pytest.approx(radio.sinr(env, tuple(p)), rel=1e-12)
+                assert vec[i] == pytest.approx(brute_force_sinr(env, tuple(p)), rel=1e-12)
+
+
+class TestScalarViews:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1),
+           jammer=hst.sampled_from(["absent", "active", "inactive", "silent"]))
+    def test_sinr_and_serving_gbs_are_kernel_rows(self, seed, jammer):
+        rng = np.random.default_rng(seed)
+        env = random_env(rng, n_stations=int(rng.integers(1, 6)), with_jammer=False)
+        if jammer != "absent":
+            env = env.with_jammer(radio.Jammer(
+                position=tuple(rng.uniform(-60, 60, 2)), height=float(rng.uniform(0, 20)),
+                tx_power=0.0 if jammer == "silent" else float(rng.uniform(0.1, 3.0)),
+                active=jammer != "inactive",
+            ))
+        pts = rng.uniform(-80, 80, (15, 2))
+        many = radio.sinr_many(env, pts)
+        powers = radio.received_powers(env, pts)
+        for i, p in enumerate(pts):
+            assert radio.sinr(env, tuple(p)) == many[i]
+            assert radio.serving_gbs(env, tuple(p)) == int(np.argmax(powers[i]))
+        if jammer in ("inactive", "silent"):
+            assert (many == radio.sinr_many(env.without_jammer(), pts)).all()
 
 
 class TestQuantize:
@@ -354,4 +390,4 @@ class TestStationArrays:
                         dataclasses.replace(env, stations=other.stations)):
             got = radio.sinr_many(derived, pts)
             for p, g in zip(pts, got):
-                assert g == pytest.approx(radio.sinr(derived, p), rel=1e-12)
+                assert g == pytest.approx(brute_force_sinr(derived, tuple(p)), rel=1e-12)

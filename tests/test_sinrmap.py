@@ -10,7 +10,6 @@ from uavnav.sinrmap import (
     MeasurementCloud,
     detect_change,
     evaluate_accuracy,
-    featurize,
     featurize_many,
     init_map_model,
     predict_levels,
@@ -26,6 +25,29 @@ def jammed_env(jx=10.0, jy=0.0, power=50.0):
     return single_station_env(
         tx_power=1e4, jammer=radio.Jammer(position=(jx, jy), tx_power=power)
     )
+
+
+def reference_featurize(uav_position, stations, uav_altitude, k_n,
+                        pad_distance=sinrmap.FAR_STATION):
+    """Scalar, one-station-at-a-time re-implementation of featurize_many's row."""
+    px, py = float(uav_position[0]), float(uav_position[1])
+    with_d = sorted(
+        ((math.hypot(s[0] - px, s[1] - py), s) for s in stations), key=lambda t: t[0]
+    )[:k_n]
+    out = []
+    for d, s in with_d:
+        rx, ry = s[0] - px, s[1] - py
+        elev = math.pi / 2.0 if d == 0.0 else math.atan2(uav_altitude - s[2], d)
+        azim = 0.0 if d == 0.0 else math.atan2(ry, rx)
+        out.extend((rx, ry, d, elev, azim))
+    for _ in range(k_n - len(with_d)):
+        out.extend((0.0, 0.0, pad_distance, 0.0, 0.0))
+    return np.array(out)
+
+
+def featurize(uav_position, stations, uav_altitude, k_n):
+    """featurize_many's row for one position."""
+    return featurize_many(np.array([uav_position], dtype=float), stations, uav_altitude, k_n)[0]
 
 
 class TestFeaturize:
@@ -66,13 +88,16 @@ class TestFeaturize:
         stations = [tuple(rng.uniform(-50, 50, 2)) + (float(rng.uniform(20, 40)),)
                     for _ in range(7)]
         pts = rng.uniform(-60, 60, (25, 2))
-        many = featurize_many(pts, stations, 50.0, k_n=5)
-        for i, p in enumerate(pts):
-            assert np.allclose(many[i], featurize(tuple(p), stations, 50.0, k_n=5), atol=1e-9)
+        pts[0] = stations[2][:2]  # a station directly below
+        for k_n in (5, 9):  # nearest subset, and padding past the station count
+            many = featurize_many(pts, stations, 50.0, k_n=k_n)
+            for i, p in enumerate(pts):
+                ref = reference_featurize(tuple(p), stations, 50.0, k_n=k_n)
+                assert np.allclose(many[i], ref, rtol=0.0, atol=1e-9)
 
     def test_rejects_empty_stations(self):
-        with pytest.raises(ValueError):
-            featurize((0, 0), [], 50.0, 3)
+        with pytest.raises(ValueError, match="no stations"):
+            featurize_many(np.zeros((3, 2)), [], 50.0, 3)
 
 
 class TestMeasurementCloud:
@@ -184,7 +209,7 @@ class TestRetrain:
         for m in sample_measurements(env, 5000, rng, (-40, -40, 40, 40), k_n=1):
             cloud.record(m)
         model = init_map_model(1, rng, hidden=(16, 8))
-        cfg = MapTrainConfig(epochs=40, hidden=(16, 8))
+        cfg = MapTrainConfig(epochs=40)
         model, curve = retrain(model, cloud, cfg, rng)
         assert curve[-1] >= 0.9
 
@@ -197,7 +222,7 @@ class TestRetrain:
             for m in sample_measurements(env, 800, rng, (-40, -40, 40, 40), k_n=1):
                 cloud.record(m)
             model = init_map_model(1, rng, hidden=(8,))
-            model, curve = retrain(model, cloud, MapTrainConfig(epochs=5, hidden=(8,)), rng)
+            model, curve = retrain(model, cloud, MapTrainConfig(epochs=5), rng)
             import json
 
             results.append((json.dumps(neuro.to_dict(model.network), sort_keys=True),
@@ -237,7 +262,7 @@ class TestRetrain:
         for m in sample_measurements(env, 600, np.random.default_rng(8), (-40, -40, 40, 40),
                                      k_n=2):
             cloud.record(m)
-        cfg = MapTrainConfig(epochs=5, batch_size=64, hidden=(16, 8))
+        cfg = MapTrainConfig(epochs=5, batch_size=64)
         model = init_map_model(2, np.random.default_rng(9), hidden=(16, 8))
         rng_a, rng_b = np.random.default_rng(10), np.random.default_rng(10)
         got, got_curve = retrain(model, cloud, cfg, rng_a)
@@ -254,7 +279,7 @@ class TestRetrain:
         for m in sample_measurements(old_env, 3000, rng, (-40, -40, 40, 40), k_n=1):
             cloud.record(m)
         model = init_map_model(1, rng, hidden=(16, 8))
-        cfg = MapTrainConfig(epochs=30, hidden=(16, 8))
+        cfg = MapTrainConfig(epochs=30)
         model, _ = retrain(model, cloud, cfg, rng)
         fresh = sample_measurements(new_env, 3000, rng, (-40, -40, 40, 40), k_n=1,
                                     timestamp_start=3000)
@@ -274,8 +299,7 @@ class TestRetrain:
         for m in sample_measurements(env, 50, rng, (-30, -30, 30, 30), k_n=1):
             cloud.record(m)
         model = init_map_model(1, rng, hidden=(4,))
-        model, curve = retrain(model, cloud, MapTrainConfig(epochs=2, batch_size=200,
-                                                            hidden=(4,)), rng)
+        model, curve = retrain(model, cloud, MapTrainConfig(epochs=2, batch_size=200), rng)
         assert len(curve) == 2
 
     def test_empty_cloud_rejected(self, rng):

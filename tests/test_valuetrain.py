@@ -123,8 +123,8 @@ def reference_lookahead(value_net, self_state, neighbors, space, oracle, gamma, 
             )
             coll = min(coll, world.reward_collision(d, self_state.radius, ob[4]))
         reward = conn + coll + (2.0 if nxt.arrived else 0.0) + cfg.movement_penalty
-        js = world.to_agent_frame(nxt, moved, level, j_n)
-        value = neuro.forward(value_net, js.vector())[0][0]
+        frame = world.to_agent_frame(nxt, moved, level, j_n)
+        value = neuro.forward_batch(value_net, frame)[0][0]
         score = scale * reward + gamma * value
         if score > best_score:
             best_score, best_action = score, a

@@ -43,9 +43,8 @@ def two_agent_config(starts, dests, vmax=6.0, **kw):
 
 class TestAgentFrame:
     def test_no_neighbors_padding(self):
-        js = to_agent_frame(make_state(), [], sinr_level=2, j_n=3)
-        vec = js.vector()
-        assert len(vec) == 9 + 18 + 1
+        vec = to_agent_frame(make_state(), [], sinr_level=2, j_n=3)
+        assert len(vec) == 9 + 18 + 1 == world.frame_length(3)
         for k in range(3):
             block = vec[9 + 6 * k : 9 + 6 * (k + 1)]
             assert block[4] == world.FAR_NEIGHBOR
@@ -54,8 +53,7 @@ class TestAgentFrame:
 
     def test_destination_north_rotates_onto_x_axis(self):
         st = make_state(pos=(3, 4), dest=(3, 24), orientation=math.pi / 2)
-        js = to_agent_frame(st, [], 1, 1)
-        v = js.self_features
+        v = to_agent_frame(st, [], 1, 1)[:9]
         assert v[2] == pytest.approx(20.0)  # destination on +x
         assert v[3] == pytest.approx(0.0)
         assert v[4] == pytest.approx(20.0)  # d_d
@@ -66,8 +64,7 @@ class TestAgentFrame:
         # Destination due north: frame rotation is -90 degrees.
         st = make_state(pos=(0, 0), dest=(0, 10))
         nb = (3.0, 4.0, 1.0, 0.0, 0.4)  # position (3,4), velocity (1,0)
-        js = to_agent_frame(st, [nb], 0, 1)
-        b = js.neighbor_features
+        b = to_agent_frame(st, [nb], 0, 1)[9:15]
         rot = np.array([[0.0, 1.0], [-1.0, 0.0]])  # rotation by -90 deg
         exp_pos = rot @ np.array([3.0, 4.0])
         exp_vel = rot @ np.array([1.0, 0.0])
@@ -82,8 +79,8 @@ class TestAgentFrame:
         st = make_state()
         far = (40.0, 0.0, 0.0, 0.0, 0.5)
         near = (1.0, 1.0, 0.0, 0.0, 0.5)
-        js = to_agent_frame(st, [far, near], 2, 1)
-        assert js.neighbor_features[4] == pytest.approx(math.sqrt(2))
+        frame = to_agent_frame(st, [far, near], 2, 1)
+        assert frame[9 + 4] == pytest.approx(math.sqrt(2))
 
     def test_global_frame_invariance(self, rng):
         for _ in range(50):
@@ -112,7 +109,7 @@ class TestAgentFrame:
             b = to_agent_frame(
                 make_state(xf(pos), xfv(vel), xf(dest), orientation=ori + theta), nbs_t, 1, 4
             )
-            assert np.allclose(a.vector(), b.vector(), atol=1e-9)
+            assert np.allclose(a, b, atol=1e-9)
 
 
 class TestActionSpace:

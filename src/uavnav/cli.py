@@ -89,7 +89,9 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
     if resume:
         if not state_path.exists():
             raise ConfigError(f"{state_path}: no checkpoint to resume from")
-        state = _read(lambda p: json.loads(p.read_text()), state_path)
+        state = cfgmod.train_state(
+            _read(lambda p: json.loads(p.read_text()), state_path), str(state_path)
+        )
         start_episode = state["episode"]
         value_net = _read(neuro.load_model, model_path)
         data = _read_npz(replay_path, ("features", "targets"))
@@ -103,12 +105,7 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
         adam = neuro.AdamState(
             **{k: [opt[f"{k}{i}"] for i in range(n)] for k in ADAM_MOMENTS}, step=int(opt["step"])
         )
-        rng_states = {k: state["rng"][k] for k in ("jammer", "scenario", "episode")}
-        if state.get("jammer") is not None:
-            j = state["jammer"]
-            initial_jammer = radio.Jammer(
-                position=tuple(j["position"]), height=j["height"], tx_power=j["tx_power"]
-            )
+        rng_states, initial_jammer = state["rng"], state["jammer"]
         curve_prefix = [
             p for p in _read(valuetrain.read_curve_csv, curve_path) if p.episode < start_episode
         ]

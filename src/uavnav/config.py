@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from . import radio, sinrmap, valuetrain
 
@@ -206,45 +208,25 @@ class RunConfig:
 
     def scenario_kwargs(self, eval_mode: bool = False) -> dict:
         w = self.world
+        same = ("position_bound", "min_travel", "min_separation", "dt", "n_t",
+                "turn_rate_limit", "arrival_tolerance", "movement_penalty")
         return {
+            **{k: w[k] for k in same},
             "n_agents": w["agents"],
-            "position_bound": w["position_bound"],
-            "min_travel": w["min_travel"],
-            "min_separation": w["min_separation"],
             "radius": w["agent_radius"],
             "speed_range": tuple(w["speed_range"]),
-            "dt": w["dt"],
-            "n_t": w["n_t"],
-            "turn_rate_limit": w["turn_rate_limit"],
             "max_episode_steps": (
                 self.evaluation["max_episode_steps"] if eval_mode else w["max_episode_steps"]
             ),
-            "arrival_tolerance": w["arrival_tolerance"],
-            "movement_penalty": w["movement_penalty"],
         }
 
     def train_run_config(self) -> valuetrain.TrainRunConfig:
-        t, w = self.training, self.world
-        return valuetrain.TrainRunConfig(
-            total_episodes=t["total_episodes"],
-            gamma=t["gamma"],
-            epsilon_start=t["epsilon_start"],
-            epsilon_end=t["epsilon_end"],
-            epsilon_decay_fraction=t["epsilon_decay_fraction"],
-            agents=w["agents"],
-            j_n=w["j_n"],
-            n_speeds=w["n_speeds"],
-            n_headings=w["n_headings"],
-            replay_capacity=t["replay_capacity"],
-            batch_size=t["batch_size"],
-            learning_rate=t["learning_rate"],
-            l2=t["l2"],
-            updates_per_episode=t["updates_per_episode"],
-            pretrain_epochs=t["pretrain_epochs"],
-            value_hidden=tuple(t["value_hidden"]),
-            checkpoint_every=t["checkpoint_every"],
-            seed=self.seed,
-        )
+        """Every TrainRunConfig field from the world and training blocks of the same name."""
+        blocks = {**self.world, **self.training, "seed": self.seed}
+        names = [f.name for f in fields(valuetrain.TrainRunConfig)]
+        return valuetrain.TrainRunConfig(**{
+            k: tuple(blocks[k]) if k == "value_hidden" else blocks[k] for k in names
+        })
 
     def jammer_schedule(self) -> valuetrain.JammerSchedule:
         t = self.training
@@ -258,14 +240,8 @@ class RunConfig:
         )
 
     def map_train_config(self) -> sinrmap.MapTrainConfig:
-        m = self.mapping
-        return sinrmap.MapTrainConfig(
-            learning_rate=m["learning_rate"],
-            batch_size=m["batch_size"],
-            l2=m["l2"],
-            epochs=m["epochs"],
-            holdout_fraction=m["holdout_fraction"],
-        )
+        names = [f.name for f in fields(sinrmap.MapTrainConfig)]
+        return sinrmap.MapTrainConfig(**{k: self.mapping[k] for k in names})
 
     def arena_bounds(self) -> tuple[float, float, float, float]:
         h = self.world["arena_half_extent"]
@@ -459,6 +435,32 @@ def validate(raw: dict) -> RunConfig:
         evaluation=_validate_evaluation(raw["evaluation"]),
         raw=raw,
     )
+
+
+def train_state(raw, path: str) -> dict:
+    """A train-state.json's episode, buffer_digest, rng (three PCG64 states) and
+    jammer (None or a radio.Jammer), for resuming; a bad field is a ConfigError naming it."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object")
+    episode = _int(raw, "episode", path, lo=0)
+    if not isinstance(raw.get("buffer_digest"), str):
+        raise ConfigError(f"{path}.buffer_digest: expected a string")
+    rng = {}
+    for key in ("jammer", "scenario", "episode"):
+        try:
+            rng[key] = raw["rng"][key]
+            np.random.PCG64(0).state = rng[key]
+        except (TypeError, KeyError, ValueError):
+            raise ConfigError(f"{path}.rng.{key}: expected a saved PCG64 state") from None
+    if "jammer" not in raw:
+        raise ConfigError(f"{path}.jammer: missing")
+    jam, jpath = raw["jammer"], f"{path}.jammer"
+    if jam is not None:
+        _require_keys(jam, {"position", "height", "tx_power"}, jpath)
+        jam = radio.Jammer(position=_point(jam.get("position"), f"{jpath}.position"),
+                           height=_num(jam, "height", jpath),
+                           tx_power=_num(jam, "tx_power", jpath, lo=0))
+    return {"episode": episode, "buffer_digest": raw["buffer_digest"], "rng": rng, "jammer": jam}
 
 
 def apply_preset(raw: dict, preset: str) -> dict:

@@ -31,6 +31,7 @@ class NavPolicy:
     # What every forward pass reads: value_net without subnormal weights, which
     # gives the same outputs at full speed (see neuro.without_subnormals).
     inference_net: neuro.NetworkParams = field(init=False, repr=False, compare=False)
+    _oracle: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -56,25 +57,28 @@ class NavPolicy:
         return NavPolicy(value_net=value_net, mode="outdated", snapshot=snapshot)
 
     def sinr_oracle(self, env_truth: radio.RadioEnvironment):
-        if self.mode == "perfect":
-            return valuetrain.ground_truth_oracle(env_truth)
-        if self.mode == "outdated":
-            return valuetrain.ground_truth_oracle(self.snapshot)
-        return sinrmap.learned_oracle(
-            self.map_model, env_truth.stations, env_truth.uav_altitude
-        )
+        """The level map this policy reads in env_truth, built once per environment."""
+        if self._oracle[0] is not env_truth:
+            if self.mode == "proposed":
+                oracle = sinrmap.learned_oracle(
+                    self.map_model, env_truth.stations, env_truth.uav_altitude
+                )
+            else:
+                truth = env_truth if self.mode == "perfect" else self.snapshot
+                oracle = valuetrain.ground_truth_oracle(truth)
+            object.__setattr__(self, "_oracle", (env_truth, oracle))
+        return self._oracle[1]
 
-    def choose_action(self, self_state, neighbors, env_truth, t, scenario, gamma,
-                      j_n=4, n_speeds=3, n_headings=5) -> Action:
+    def choose_actions(self, states, neighbors, env_truth, t, scenario, gamma,
+                       j_n=4, n_speeds=3, n_headings=5) -> list[Action]:
         return navigate_step(
-            self, self_state, neighbors, env_truth, t, scenario, gamma,
-            j_n, n_speeds, n_headings,
+            self, states, neighbors, env_truth, t, scenario, gamma, j_n, n_speeds, n_headings,
         )
 
 
 def navigate_step(
     policy: NavPolicy,
-    self_state: world.UavState,
+    states,
     neighbors,
     env_truth: radio.RadioEnvironment,
     t: int,
@@ -83,16 +87,25 @@ def navigate_step(
     j_n: int = 4,
     n_speeds: int = 3,
     n_headings: int = 5,
-) -> Action:
-    """Greedy one-step-lookahead action using the policy's map source (no exploration)."""
-    if self_state.arrived:
+):
+    """Greedy one-step-lookahead Actions of a step's active agents (states, with
+    neighbors[a] seen by states[a]) from one valuetrain.lookahead_index call,
+    using the policy's map source; a single UavState gets its single Action.
+    """
+    single = isinstance(states, world.UavState)
+    if single:
+        states, neighbors = [states], [neighbors]
+    if any(s.arrived for s in states):
         raise ValueError("agent already arrived")
-    speeds, headings = world.action_grid(self_state, scenario, n_speeds, n_headings)
-    k = valuetrain.lookahead_index(
-        policy.inference_net, self_state, neighbors, speeds, headings,
+    grids = [world.action_grid(s, scenario, n_speeds, n_headings) for s in states]
+    speeds, headings = (np.array(axis) for axis in zip(*grids))
+    ks = valuetrain.lookahead_index(
+        policy.inference_net, states, neighbors, speeds, headings,
         policy.sinr_oracle(env_truth), gamma, t, scenario, j_n=j_n,
     )
-    return Action(speed=float(speeds[k]), heading=float(headings[k]))
+    actions = [Action(speed=float(s[k]), heading=float(h[k]))
+               for s, h, k in zip(speeds, headings, ks)]
+    return actions[0] if single else actions
 
 
 @dataclass
@@ -151,13 +164,15 @@ def run_trial(
 ) -> TrialLog:
     """Roll out one scenario to arrival, collision, or the step cap.
 
-    policy needs a choose_action(state, neighbors, env, t, scenario, gamma,
-    j_n, n_speeds, n_headings) method; NavPolicy provides the lookahead one.
+    policy needs a choose_actions(states, neighbors, env, t, scenario, gamma,
+    j_n, n_speeds, n_headings) method that returns one action per active
+    agent of a step; NavPolicy provides the lookahead one.
     """
 
-    def choose(i, uav, neighbors, t):
-        return policy.choose_action(
-            uav, neighbors, env_truth, t, scenario, gamma, j_n, n_speeds, n_headings
+    def choose(ep, active, neighbors):
+        return policy.choose_actions(
+            [ep.uavs[i] for i in active], neighbors, env_truth, ep.t, scenario, gamma,
+            j_n, n_speeds, n_headings,
         )
 
     def record(ep: EpisodeState, flags):

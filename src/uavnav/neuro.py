@@ -176,19 +176,26 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def forward_batch(params: NetworkParams, x: np.ndarray):
-    """Batched forward pass; returns (outputs (B, out), cache for backward)."""
+    """Batched forward pass of (B, in) or stacked (S, B, in) input.
+
+    Returns (outputs (B, out) or (S, B, out), cache for backward).
+    """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.shape[1] != params.input_size:
-        raise ValueError(f"input length {x.shape[1]}, expected {params.input_size}")
+    if x.shape[-1] != params.input_size:
+        raise ValueError(f"input length {x.shape[-1]}, expected {params.input_size}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     a = params.standardizer.apply(x)
     activations = [a]
     pre = []
     for spec, w, b in zip(params.specs, params.weights, params.biases):
+        # A stacked matmul makes one GEMM per B-row slice.  BLAS kernels round
+        # a row differently depending on where it falls in their row blocks,
+        # so a slice gives the same bits as a (B, in) call on its own, while
+        # one flat (S*B, in) product would not.
         z = a @ w + b
         pre.append(z)
         a = _activate(z, spec.activation)

@@ -245,10 +245,13 @@ def run_orca_episode(
     """
     cfg = config or OrcaConfig()
 
-    def choose(i, uav, neighbors, t):
-        pref = preferred_velocity(uav, scenario.dt, tiebreak_rotation=1e-3 * (i + 1))
-        vel = orca_velocity(uav, neighbors, pref, cfg, scenario.dt)
-        return Action(speed=math.hypot(*vel), heading=math.atan2(vel[1], vel[0]))
+    def choose(ep, active, neighbors):
+        actions = []
+        for i, nbs in zip(active, neighbors):
+            pref = preferred_velocity(ep.uavs[i], scenario.dt, tiebreak_rotation=1e-3 * (i + 1))
+            vel = orca_velocity(ep.uavs[i], nbs, pref, cfg, scenario.dt)
+            actions.append(Action(speed=math.hypot(*vel), heading=math.atan2(vel[1], vel[0])))
+        return actions
 
     return world.rollout(scenario, env, choose, j_n=j_n if record_states else None)
 

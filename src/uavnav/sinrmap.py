@@ -8,6 +8,7 @@ drop on fresh measurements, which triggers a purge and retrain.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -122,16 +123,18 @@ def init_map_model(k_n: int, rng: np.random.Generator,
 
 def predict_levels(model: MapModel, features: np.ndarray) -> np.ndarray:
     out, _ = neuro.forward_batch(model.network, features)
-    return np.clip(np.rint(out[:, 0]), 0, 2).astype(int)
+    return np.clip(np.rint(out[..., 0]), 0, 2).astype(int)
 
 
 def learned_oracle(model: MapModel, stations, uav_altitude: float):
-    """Position -> level map backed by the regressor and observed GBS geometry."""
+    """Level map of an (..., 2) array of positions, backed by the regressor and
+    observed GBS geometry; (A, M, 2) positions run one stacked forward pass."""
     triples = [(s.position[0], s.position[1], s.height) for s in stations]
 
     def oracle(positions: np.ndarray) -> np.ndarray:
-        feats = featurize_many(positions, triples, uav_altitude, model.k_n)
-        return predict_levels(model, feats)
+        pos = np.asarray(positions, dtype=float)
+        feats = featurize_many(pos.reshape(-1, 2), triples, uav_altitude, model.k_n)
+        return predict_levels(model, feats.reshape(*pos.shape[:-1], -1))
 
     return oracle
 
@@ -238,8 +241,6 @@ MAP_FORMAT = "sinrmap-v1"
 
 
 def save_map_model(model: MapModel, path) -> None:
-    import json
-
     data = {"format": MAP_FORMAT, "k_n": model.k_n, "network": neuro.to_dict(model.network)}
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(data, f, sort_keys=True, separators=(",", ":"))
@@ -247,8 +248,6 @@ def save_map_model(model: MapModel, path) -> None:
 
 
 def load_map_model(path) -> MapModel:
-    import json
-
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
     if data.get("format") != MAP_FORMAT:

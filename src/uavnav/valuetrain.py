@@ -171,19 +171,19 @@ def lookahead_select(
     j_n: int = 4,
     reward_scale: float = TARGET_SCALE,
 ) -> Action:
-    """lookahead_index over a list of Actions; returns the chosen element itself."""
-    speeds = np.array([a.speed for a in action_space])
-    headings = np.array([a.heading for a in action_space])
+    """lookahead_index of one agent over a list of Actions; returns the chosen element itself."""
+    speeds = np.array([[a.speed for a in action_space]])
+    headings = np.array([[a.heading for a in action_space]])
     k = lookahead_index(
-        value_net, self_state, neighbors, speeds, headings, sinr_oracle, gamma, t, config,
+        value_net, [self_state], [neighbors], speeds, headings, sinr_oracle, gamma, t, config,
         j_n, reward_scale,
     )
-    return action_space[k]
+    return action_space[int(k[0])]
 
 
 def lookahead_index(
     value_net: neuro.NetworkParams,
-    self_state: UavState,
+    states,
     neighbors,
     speeds: np.ndarray,
     headings: np.ndarray,
@@ -193,64 +193,69 @@ def lookahead_index(
     config: ScenarioConfig,
     j_n: int = 4,
     reward_scale: float = TARGET_SCALE,
-) -> int:
-    """Argmax over actions of scaled estimated reward + gamma * V(next state).
+) -> np.ndarray:
+    """Per agent, the argmax over actions of scaled estimated reward + gamma * V(next state).
 
-    Actions are given as parallel speed and heading arrays (see
+    A agents (states), each with its neighbors' observables (the same count
+    for all) and a row of the (A, M) speed and heading arrays (see
     world.action_grid).  Neighbors travel one step at their observed
-    (filtered) velocities; the SINR oracle is queried at each candidate next
-    position.  Ties go to the first action in the given order.
+    (filtered) velocities.  One oracle query at the (A, M, 2) next positions
+    and one stacked forward pass give each agent the index a call with it
+    alone gives, bit for bit; ties go to the first action.
     """
-    if len(speeds) == 0:
+    if speeds.shape[-1] == 0:
         raise ValueError("empty action space")
     dt = config.dt
-    px, py = self_state.position
-    dest = self_state.destination
-    vel = np.column_stack([speeds * np.cos(headings), speeds * np.sin(headings)])
-    raw_pos = np.column_stack([px + vel[:, 0] * dt, py + vel[:, 1] * dt])
+    start = np.array([s.position for s in states])
+    dest = np.array([s.destination for s in states])
+    radii = np.array([s.radius for s in states])
+    px, py = start[:, 0:1], start[:, 1:2]
+    vel = np.stack([speeds * np.cos(headings), speeds * np.sin(headings)], axis=-1)
+    raw_pos = np.stack([px + vel[..., 0] * dt, py + vel[..., 1] * dt], axis=-1)
 
     # Arrival snap: distance from the destination to each step segment.
     seg = vel * dt
-    seg_len_sq = (seg * seg).sum(axis=1)
-    to_dest = np.array([dest[0] - px, dest[1] - py])
+    seg_len_sq = (seg * seg).sum(axis=-1)
+    to_dest = dest - start
+    along = (seg @ to_dest[:, :, None])[..., 0]
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(
-            seg_len_sq > 0.0, (seg @ to_dest) / np.where(seg_len_sq > 0, seg_len_sq, 1.0), 0.0
+            seg_len_sq > 0.0, along / np.where(seg_len_sq > 0, seg_len_sq, 1.0), 0.0
         )
     frac = np.clip(frac, 0.0, 1.0)
-    closest = np.column_stack([px + frac * seg[:, 0], py + frac * seg[:, 1]])
-    arrived = np.hypot(closest[:, 0] - dest[0], closest[:, 1] - dest[1]) <= config.arrival_tolerance
-    positions = np.where(arrived[:, None], np.array(dest)[None, :], raw_pos)
-    state_vel = np.where(arrived[:, None], 0.0, vel)
+    closest_x, closest_y = px + frac * seg[..., 0], py + frac * seg[..., 1]
+    miss = np.hypot(closest_x - dest[:, 0:1], closest_y - dest[:, 1:2])
+    arrived = miss <= config.arrival_tolerance
+    positions = np.where(arrived[..., None], dest[:, None, :], raw_pos)
+    state_vel = np.where(arrived[..., None], 0.0, vel)
 
     levels = np.asarray(sinr_oracle(positions), dtype=int)
     gated = t % config.n_t == 0
-    conn = world.CONNECTIVITY_BANDS[levels] if gated else np.zeros(len(levels))
+    conn = world.CONNECTIVITY_BANDS[levels] if gated else np.zeros(levels.shape)
 
-    # Closest approach to each neighbor (rows) under each action (columns).
-    coll = np.zeros(len(speeds))
-    if neighbors:
-        obs = np.array([ob[:5] for ob in neighbors], dtype=float)
-        rx, ry = px - obs[:, 0:1], py - obs[:, 1:2]
-        wx, wy = vel[None, :, 0] - obs[:, 2:3], vel[None, :, 1] - obs[:, 3:4]
+    # Closest approach to each neighbor (axis 1) under each action (axis 2).
+    obs = np.asarray(neighbors, dtype=float).reshape(len(states), len(neighbors[0]), 5)
+    coll = np.zeros(speeds.shape)
+    if obs.shape[1]:
+        rx, ry = start[:, None, 0:1] - obs[..., 0:1], start[:, None, 1:2] - obs[..., 1:2]
+        wx = vel[:, None, :, 0] - obs[..., 2:3]
+        wy = vel[:, None, :, 1] - obs[..., 3:4]
         w_sq = wx * wx + wy * wy
         t_cl = np.where(w_sq > 0.0, -(rx * wx + ry * wy) / np.where(w_sq > 0, w_sq, 1.0), 0.0)
         t_cl = np.clip(t_cl, 0.0, dt)
         d_min = np.hypot(rx + t_cl * wx, ry + t_cl * wy)
-        gap = d_min - self_state.radius - obs[:, 4:5]
-        coll = np.minimum(coll, world.collision_ramp(gap).min(axis=0))
+        gap = d_min - radii[:, None, None] - obs[..., 4:5]
+        coll = np.minimum(coll, world.collision_ramp(gap).min(axis=1))
 
     rewards = conn + coll + 2.0 * arrived + config.movement_penalty
-    moved = [
-        (ob[0] + ob[2] * dt, ob[1] + ob[3] * dt, ob[2], ob[3], ob[4]) for ob in neighbors
-    ]
+    moved = np.concatenate([obs[..., 0:2] + obs[..., 2:4] * dt, obs[..., 2:5]], axis=-1)
     feature_rows = world.agent_frame_rows(
-        positions, state_vel, headings, dest, self_state.radius, self_state.max_speed,
+        positions, state_vel, headings, dest, radii, [s.max_speed for s in states],
         moved, levels, j_n,
     )
     values, _ = neuro.forward_batch(value_net, feature_rows)
-    scores = reward_scale * rewards + gamma * values[:, 0]
-    return int(np.argmax(scores))
+    scores = reward_scale * rewards + gamma * values[..., 0]
+    return np.argmax(scores, axis=-1)
 
 
 def coverage_predicate(env: radio.RadioEnvironment, neighborhood: float = 5.0):
@@ -355,16 +360,21 @@ def run_episode(
     """One epsilon-greedy episode; visited states get scaled return-to-go targets."""
     oracle = sinr_oracle if sinr_oracle is not None else ground_truth_oracle(env)
 
-    def choose(i, uav, neighbors, t):
-        speeds, headings = world.action_grid(uav, scenario, n_speeds, n_headings)
-        if rng.random() <= eps:
-            k = int(rng.integers(len(speeds)))
-        else:
-            k = lookahead_index(
-                value_net, uav, neighbors, speeds, headings, oracle, gamma, t,
-                scenario, j_n=j_n, reward_scale=target_scale,
+    def choose(ep, active, neighbors):
+        # The exploration coins are drawn in agent order first; the greedy
+        # agents then share one lookahead, which draws nothing.
+        grids = [world.action_grid(ep.uavs[i], scenario, n_speeds, n_headings) for i in active]
+        picks = [int(rng.integers(len(g[0]))) if rng.random() <= eps else None for g in grids]
+        greedy = [a for a, k in enumerate(picks) if k is None]
+        if greedy:
+            ks = lookahead_index(
+                value_net, [ep.uavs[active[a]] for a in greedy], [neighbors[a] for a in greedy],
+                np.stack([grids[a][0] for a in greedy]), np.stack([grids[a][1] for a in greedy]),
+                oracle, gamma, ep.t, scenario, j_n=j_n, reward_scale=target_scale,
             )
-        return Action(speed=float(speeds[k]), heading=float(headings[k]))
+            for a, k in zip(greedy, ks):
+                picks[a] = int(k)
+        return [Action(speed=float(s[k]), heading=float(h[k])) for (s, h), k in zip(grids, picks)]
 
     run = world.rollout(
         scenario, env, choose, j_n=None if buffer is None else j_n, level_oracle=oracle
@@ -444,14 +454,11 @@ def train(
     if not bootstrap_pairs and value_net is None:
         raise ValueError("bootstrap set must be non-empty")
     seeds = np.random.SeedSequence(config.seed).spawn(4)
-    rng_init = np.random.default_rng(seeds[0])
-    rng_jam = np.random.default_rng(seeds[1])
-    rng_scn = np.random.default_rng(seeds[2])
-    rng_ep = np.random.default_rng(seeds[3])
-    if rng_states is not None:
-        rng_jam.bit_generator.state = rng_states["jammer"]
-        rng_scn.bit_generator.state = rng_states["scenario"]
-        rng_ep.bit_generator.state = rng_states["episode"]
+    rng_init, rng_jam, rng_scn, rng_ep = (np.random.default_rng(s) for s in seeds)
+    rngs = {"jammer": rng_jam, "scenario": rng_scn, "episode": rng_ep}
+    for key, rng in rngs.items():
+        if rng_states is not None:
+            rng.bit_generator.state = rng_states[key]
 
     if value_net is None:
         value_net = pretrain_value_net(bootstrap_pairs, config, rng_init)
@@ -504,13 +511,7 @@ def train(
         ):
             on_checkpoint(
                 episode + 1, value_net, buffer, curve,
-                {
-                    "jammer": rng_jam.bit_generator.state,
-                    "scenario": rng_scn.bit_generator.state,
-                    "episode": rng_ep.bit_generator.state,
-                },
-                jammer,
-                adam,
+                {key: rng.bit_generator.state for key, rng in rngs.items()}, jammer, adam,
             )
     return TrainResult(
         value_net=value_net, curve=curve, buffer=buffer,

@@ -210,62 +210,65 @@ def agent_frame_rows(
     positions: np.ndarray,
     velocities: np.ndarray,
     orientations: np.ndarray,
-    destination,
-    radius: float,
-    max_speed: float,
-    neighbor_obs,
+    destinations: np.ndarray,
+    radii: np.ndarray,
+    max_speeds: np.ndarray,
+    neighbor_obs: np.ndarray,
     levels: np.ndarray,
     j_n: int,
     pad_distance: float = FAR_NEIGHBOR,
 ) -> np.ndarray:
-    """Batched to_agent_frame over candidate states of one agent.
+    """Batched to_agent_frame over M candidate states of each of A agents.
 
-    positions/velocities are (A, 2), orientations and levels (A,); neighbor_obs
-    is a list of observable tuples shared by all candidates.  Row i equals
-    to_agent_frame(state_i, neighbor_obs, levels[i], j_n).
+    positions/velocities are (A, M, 2), orientations and levels (A, M);
+    destinations are (A, 2), radii and max_speeds (A,), and neighbor_obs is
+    (A, N, 5): agent a's neighbor observables, shared by its candidates.
+    rows[a, m] equals to_agent_frame(state_am, neighbor_obs[a], levels[a, m], j_n).
     """
     pos = np.asarray(positions, dtype=float)
     vel = np.asarray(velocities, dtype=float)
-    a = len(pos)
-    dx = destination[0] - pos[:, 0]
-    dy = destination[1] - pos[:, 1]
+    dest = np.asarray(destinations, dtype=float)
+    dx = dest[:, 0:1] - pos[..., 0]
+    dy = dest[:, 1:2] - pos[..., 1]
     d_d = np.hypot(dx, dy)
     rot = np.where(d_d > 0.0, np.arctan2(dy, dx), 0.0)
     cos_r, sin_r = np.cos(-rot), np.sin(-rot)
 
-    rows = np.zeros((a, frame_length(j_n)))
-    rows[:, 0] = vel[:, 0] * cos_r - vel[:, 1] * sin_r
-    rows[:, 1] = vel[:, 0] * sin_r + vel[:, 1] * cos_r
-    rows[:, 2] = d_d
-    rows[:, 4] = d_d
-    rows[:, 6] = radius
-    rows[:, 7] = max_speed
-    rows[:, 8] = wrap_angles(np.asarray(orientations, dtype=float) - rot)
+    rows = np.zeros(pos.shape[:2] + (frame_length(j_n),))
+    rows[..., 0] = vel[..., 0] * cos_r - vel[..., 1] * sin_r
+    rows[..., 1] = vel[..., 0] * sin_r + vel[..., 1] * cos_r
+    rows[..., 2] = d_d
+    rows[..., 4] = d_d
+    rows[..., 6] = np.asarray(radii, dtype=float)[:, None]
+    rows[..., 7] = np.asarray(max_speeds, dtype=float)[:, None]
+    rows[..., 8] = wrap_angles(np.asarray(orientations, dtype=float) - rot)
 
-    n_obs = min(len(neighbor_obs), j_n) if neighbor_obs else 0
+    ob = np.asarray(neighbor_obs, dtype=float)
+    n_obs = min(ob.shape[1], j_n)
     if n_obs:
-        ob = np.asarray([o[:5] for o in neighbor_obs], dtype=float)
-        off_x = ob[None, :, 0] - pos[:, 0:1]
-        off_y = ob[None, :, 1] - pos[:, 1:2]
+        # (A, M, N): offsets from each candidate to each of its agent's neighbors.
+        off_x = ob[:, None, :, 0] - pos[..., 0:1]
+        off_y = ob[:, None, :, 1] - pos[..., 1:2]
         d_j = np.hypot(off_x, off_y)
-        order = np.argsort(d_j, axis=1, kind="stable")[:, :j_n]
-        take = np.arange(a)[:, None]
-        off_x, off_y, d_j = off_x[take, order], off_y[take, order], d_j[take, order]
-        nvx, nvy = ob[order, 2], ob[order, 3]
-        c, s = cos_r[:, None], sin_r[:, None]
+        order = np.argsort(d_j, axis=-1, kind="stable")[..., :j_n]
+        agent = np.arange(len(pos))[:, None, None]
+        take = (agent, np.arange(pos.shape[1])[None, :, None], order)
+        off_x, off_y, d_j = off_x[take], off_y[take], d_j[take]
+        nvx, nvy = ob[agent, order, 2], ob[agent, order, 3]
+        c, s = cos_r[..., None], sin_r[..., None]
         rx = off_x * c - off_y * s
         ry = off_x * s + off_y * c
         for k in range(n_obs):
             base = 9 + 6 * k
-            rows[:, base + 0] = rx[:, k]
-            rows[:, base + 1] = ry[:, k]
-            rows[:, base + 2] = nvx[:, k] * cos_r - nvy[:, k] * sin_r
-            rows[:, base + 3] = nvx[:, k] * sin_r + nvy[:, k] * cos_r
-            rows[:, base + 4] = d_j[:, k]
-            rows[:, base + 5] = np.arctan2(ry[:, k], rx[:, k])
+            rows[..., base + 0] = rx[..., k]
+            rows[..., base + 1] = ry[..., k]
+            rows[..., base + 2] = nvx[..., k] * cos_r - nvy[..., k] * sin_r
+            rows[..., base + 3] = nvx[..., k] * sin_r + nvy[..., k] * cos_r
+            rows[..., base + 4] = d_j[..., k]
+            rows[..., base + 5] = np.arctan2(ry[..., k], rx[..., k])
     for k in range(n_obs, j_n):
-        rows[:, 9 + 6 * k + 4] = pad_distance
-    rows[:, 9 + 6 * j_n] = np.asarray(levels, dtype=float)
+        rows[..., 9 + 6 * k + 4] = pad_distance
+    rows[..., 9 + 6 * j_n] = np.asarray(levels, dtype=float)
     return rows
 
 
@@ -554,10 +557,11 @@ class Outcome:
 
 
 def ground_truth_oracle(env: radio.RadioEnvironment):
-    """Quantized-SINR query of env at an (N, 2) array of positions."""
+    """Quantized-SINR query of env at an (..., 2) array of positions."""
 
     def oracle(positions: np.ndarray) -> np.ndarray:
-        return radio.quantize_many(radio.sinr_many(env, positions), env)
+        levels = radio.quantize_many(radio.sinr_many(env, np.reshape(positions, (-1, 2))), env)
+        return levels.reshape(np.shape(positions)[:-1])
 
     return oracle
 
@@ -581,14 +585,16 @@ def rollout(
 ) -> Rollout:
     """The episode loop of bootstrap, training and evaluation.
 
-    Every step, choose(i, uav, neighbors, t) gives the action of each active
-    agent, in agent order, and step_all advances them together.  The episode
-    ends when all agents have arrived, at the step cap, or right after the
-    first collision.  With j_n given, each active agent's frame is recorded
-    before it acts, and after a collision-free episode so is the terminal
-    frame of each arrived agent; their SINR levels come from level_oracle,
-    by default ground_truth_oracle(env).  observe(ep, flags), if given, sees
-    the initial state (flags None) and the state after every step.
+    Every step, choose(ep, active, neighbors) returns one action per index
+    of the active agents in `active` (agent order), neighbors[a] being the
+    other active agents' observables, and step_all advances them together.
+    The episode ends when all agents have arrived, at the step cap, or right
+    after the first collision.  With j_n given, each active agent's frame is
+    recorded before it acts, and after a collision-free episode so is the
+    terminal frame of each arrived agent; their SINR levels come from
+    level_oracle, by default ground_truth_oracle(env).  observe(ep, flags),
+    if given, sees the initial state (flags None) and the state after every
+    step.
     """
     level_oracle = level_oracle or ground_truth_oracle(env)
     n = scenario.num_agents
@@ -598,17 +604,15 @@ def rollout(
     if observe is not None:
         observe(ep, None)
     while not ep.all_arrived and ep.t < scenario.max_episode_steps:
+        active = [i for i, u in enumerate(ep.uavs) if not u.arrived]
+        neighbors = [ep.neighbors_of(i) for i in active]
         if j_n is not None:
             levels = level_oracle(np.array([u.position for u in ep.uavs]))
-        actions: list[Action | None] = []
-        for i, uav in enumerate(ep.uavs):
-            if uav.arrived:
-                actions.append(None)
-                continue
-            neighbors = ep.neighbors_of(i)
-            if j_n is not None:
-                frames[i].append(to_agent_frame(uav, neighbors, int(levels[i]), j_n))
-            actions.append(choose(i, uav, neighbors, ep.t))
+            for i, nbs in zip(active, neighbors):
+                frames[i].append(to_agent_frame(ep.uavs[i], nbs, int(levels[i]), j_n))
+        actions: list[Action | None] = [None] * n
+        for i, act in zip(active, choose(ep, active, neighbors), strict=True):
+            actions[i] = act
         ep, step_rewards, flags = step_all(ep, actions, env, scenario)
         for i, act in enumerate(actions):
             if act is not None:

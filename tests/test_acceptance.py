@@ -86,16 +86,19 @@ class _RecordingPolicy:
         self._oracle = oracle
         self._log = log
 
-    def choose_action(self, state, neighbors, env, t, scenario, gamma,
-                      j_n=4, n_speeds=3, n_headings=5):
+    def choose_actions(self, states, neighbors, env, t, scenario, gamma,
+                       j_n=4, n_speeds=3, n_headings=5):
         def recording(positions):
-            self._log.append(np.asarray(positions, dtype=float))
+            self._log.append(np.asarray(positions, dtype=float).reshape(-1, 2))
             return self._oracle(positions)
 
-        space = world.sample_action_space(state, scenario, n_speeds, n_headings)
-        return valuetrain.lookahead_select(
-            self.value_net, state, neighbors, space, recording, gamma, t, scenario, j_n=j_n
-        )
+        actions = []
+        for state, nbs in zip(states, neighbors):
+            space = world.sample_action_space(state, scenario, n_speeds, n_headings)
+            actions.append(valuetrain.lookahead_select(
+                self.value_net, state, nbs, space, recording, gamma, t, scenario, j_n=j_n
+            ))
+        return actions
 
 
 def perfect_fit_map(model, value_net, env, trials, seed, gamma, scenario_kwargs,

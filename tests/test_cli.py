@@ -280,6 +280,33 @@ class TestTrainCommand:
         np.savez(out_dir / "replay.npz", features=feats, targets=targets)
         assert main(resume) == 2
 
+    @pytest.mark.parametrize("key, edit", [
+        ("episode", lambda s: s.pop("episode")),
+        ("episode", lambda s: s.update(episode="3")),
+        ("episode", lambda s: s.update(episode=-1)),
+        ("buffer_digest", lambda s: s.pop("buffer_digest")),
+        ("buffer_digest", lambda s: s.update(buffer_digest=7)),
+        ("rng.jammer", lambda s: s["rng"].pop("jammer")),
+        ("rng.scenario", lambda s: s["rng"].update(scenario="seed")),
+        ("rng.episode", lambda s: s["rng"]["episode"].update(bit_generator="MT19937")),
+        ("rng.jammer", lambda s: s.pop("rng")),
+        ("jammer", lambda s: s.pop("jammer")),
+        ("jammer", lambda s: s.update(jammer=[0.0, 0.0])),
+        ("jammer.position", lambda s: s["jammer"].update(position=[1.0])),
+        ("jammer.height", lambda s: s["jammer"].update(height="18")),
+        ("jammer.tx_power", lambda s: s["jammer"].pop("tx_power")),
+    ])
+    def test_resume_with_bad_state_field_names_it(self, tmp_path, capsys, key, edit):
+        out_dir, resume = self._interrupted_run(tmp_path)
+        state_path = out_dir / "train-state.json"
+        state = json.loads(state_path.read_text())
+        assert state["jammer"] is not None
+        edit(state)
+        state_path.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert main(resume) == 2
+        assert f"train-state.json.{key}:" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
         boot = self._bootstrap(tmp_path, cfg_path)

@@ -36,9 +36,9 @@ def trained_constant_map(env, rng, k_n=2, samples=2000, epochs=30):
 class StraightPolicy:
     """Always full speed at the current heading; ignores everything else."""
 
-    def choose_action(self, state, neighbors, env, t, scenario, gamma,
-                      j_n=4, n_speeds=3, n_headings=5):
-        return Action(speed=state.max_speed, heading=state.orientation)
+    def choose_actions(self, states, neighbors, env, t, scenario, gamma,
+                       j_n=4, n_speeds=3, n_headings=5):
+        return [Action(speed=state.max_speed, heading=state.orientation) for state in states]
 
 
 class TestNavPolicy:

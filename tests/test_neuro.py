@@ -4,7 +4,7 @@ import math
 import hypothesis.strategies as hst
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from uavnav import neuro
 from uavnav.neuro import (
@@ -135,6 +135,20 @@ class TestForward:
         params = init_network(VALUE_SPECS, rng)
         out, _ = forward_batch(params, rng.normal(size=(100, 34)) * 50)
         assert (np.abs(out) < 1.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=hst.integers(1, 6), b=hst.integers(1, 40), seed=hst.integers(0, 2**32 - 1))
+    @example(s=4, b=15, seed=0)
+    def test_stacked_equals_one_call_per_slice(self, s, b, seed):
+        # Bit for bit: the stacked input must not be flattened into one
+        # (S*B, in) product, whose rows BLAS may round differently.
+        rng = np.random.default_rng(seed)
+        params = init_network(VALUE_SPECS, rng, fit_standardizer(rng.normal(size=(50, 34))))
+        x = rng.normal(size=(s, b, 34)) * 5
+        stacked, _ = forward_batch(params, x)
+        assert stacked.shape == (s, b, 1)
+        per_slice = np.stack([forward_batch(params, x_s)[0] for x_s in x])
+        assert stacked.tobytes() == per_slice.tobytes()
 
 
 class TestBackward:

@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from uavnav import neuro, radio, valuetrain, world
+from uavnav import neuro, radio, sinrmap, valuetrain, world
 from uavnav.valuetrain import (
     JammerSchedule,
     ReplayBuffer,
@@ -213,7 +216,100 @@ class TestLookaheadSelect:
             assert fast.heading == pytest.approx(slow.heading)
 
 
+class TestStackedLookahead:
+    @settings(max_examples=80, deadline=None)
+    @given(a=hst.integers(1, 4), n=hst.integers(0, 3), t=hst.integers(0, 7),
+           learned=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+    def test_stacked_equals_one_agent_calls(self, a, n, t, learned, seed):
+        rng = np.random.default_rng(seed)
+        env = single_station_env(jammer=radio.Jammer(position=(10.0, 0.0), tx_power=0.8))
+        if learned:
+            model = sinrmap.init_map_model(2, rng, hidden=(8,))
+            inner = sinrmap.learned_oracle(model, env.stations, env.uav_altitude)
+        else:
+            inner = ground_truth_oracle(env)
+        queries = []
+
+        def oracle(positions):
+            queries.append(np.array(positions))
+            return inner(positions)
+
+        net = neuro.init_network(neuro.dense_specs(34, (16, 8), 1, "relu", "tanh"), rng)
+        cfg = simple_scenario()
+        states = []
+        for _ in range(a):
+            dest = rng.uniform(-30, 30, 2)
+            vmax = float(rng.uniform(2, 8))
+            if rng.random() < 0.5:  # within one step: some actions snap onto the destination
+                start = dest + rng.uniform(-1, 1, 2) * vmax * cfg.dt / 2
+            else:
+                start = rng.uniform(-30, 30, 2)
+            states.append(UavState(
+                position=tuple(start), velocity=(0.0, 0.0), radius=float(rng.uniform(0.3, 1.0)),
+                destination=tuple(dest), max_speed=vmax,
+                orientation=float(rng.uniform(-math.pi, math.pi)),
+            ))
+        nbs = [[tuple(rng.uniform(-30, 30, 2)) + tuple(rng.uniform(-4, 4, 2))
+                + (float(rng.uniform(0.3, 1.0)),) for _ in range(n)] for _ in range(a)]
+        grids = [world.action_grid(s, cfg, 3, 5) for s in states]
+        speeds = np.stack([g[0] for g in grids])
+        headings = np.stack([g[1] for g in grids])
+
+        values = []  # the value net's outputs of each lookahead
+
+        def forward(params, x):
+            out = real_forward(params, x)
+            if params is net:
+                values.append(out[0])
+            return out
+
+        real_forward = neuro.forward_batch
+        with mock.patch.object(neuro, "forward_batch", forward):
+            stacked = valuetrain.lookahead_index(net, states, nbs, speeds, headings, oracle,
+                                                 0.95, t, cfg)
+            assert len(queries) == 1 and queries[0].shape == (a, 15, 2)
+            for i in range(a):
+                one = valuetrain.lookahead_index(net, [states[i]], [nbs[i]], speeds[i:i + 1],
+                                                 headings[i:i + 1], oracle, 0.95, t, cfg)
+                assert one[0] == stacked[i]
+                assert queries[-1].tobytes() == queries[0][i:i + 1].tobytes()
+        assert np.concatenate(values[1:]).tobytes() == values[0].tobytes()
+
+
 class TestRunEpisode:
+    def test_coins_are_drawn_before_one_lookahead_per_step(self, strong_env, monkeypatch):
+        # Three agents far from their destinations stay active for all three steps.
+        cfg = ScenarioConfig(
+            starts=((-40.0, -20.0), (-40.0, 0.0), (-40.0, 20.0)),
+            destinations=((40.0, -20.0), (40.0, 0.0), (40.0, 20.0)),
+            radii=(0.5,) * 3, max_speeds=(4.0,) * 3, max_episode_steps=3,
+        )
+        rng = np.random.default_rng(9)
+        calls = []
+        real = valuetrain.lookahead_index
+
+        def spy(value_net, states, *args, **kwargs):
+            calls.append((len(states), rng.bit_generator.state))
+            return real(value_net, states, *args, **kwargs)
+
+        monkeypatch.setattr(valuetrain, "lookahead_index", spy)
+        run_episode(zero_value_net(), strong_env, cfg, 0.5, None, rng, 0.95)
+        # Replay the stream: per step, each agent's coin in agent order, then
+        # one lookahead over the agents whose coin came up greedy.
+        replay = np.random.default_rng(9)
+        expected = []
+        for _ in range(3):
+            greedy = 0
+            for _ in range(3):
+                if replay.random() <= 0.5:
+                    replay.integers(15)
+                else:
+                    greedy += 1
+            if greedy:
+                expected.append((greedy, replay.bit_generator.state))
+        assert any(g < 3 for g, _ in expected)  # the seed mixes explored and greedy agents
+        assert calls == expected
+
     def test_full_exploration_reproduces_seeded_stream(self, strong_env):
         cfg = sample_scenario(np.random.default_rng(3), n_agents=3)
         logs = []

@@ -41,6 +41,37 @@ def two_agent_config(starts, dests, vmax=6.0, **kw):
     )
 
 
+class TestAgentFrameRows:
+    @settings(max_examples=100, deadline=None)
+    @given(a=hst.integers(1, 4), m=hst.integers(1, 15), n=hst.integers(0, 5),
+           j_n=hst.integers(1, 4), seed=hst.integers(0, 2**32 - 1))
+    def test_stacked_rows_equal_per_agent_rows(self, a, m, n, j_n, seed):
+        rng = np.random.default_rng(seed)
+        dest = rng.uniform(-40, 40, (a, 2))
+        pos = rng.uniform(-40, 40, (a, m, 2))
+        pos[:, 0] = dest  # a candidate snapped onto its destination
+        vel = rng.uniform(-8, 8, (a, m, 2))
+        ori = rng.uniform(-4, 4, (a, m))
+        radii = rng.uniform(0.3, 1.0, a)
+        vmax = rng.uniform(12, 20, a)
+        obs = np.concatenate([rng.uniform(-40, 40, (a, n, 2)), rng.uniform(-8, 8, (a, n, 2)),
+                              rng.uniform(0.3, 1.0, (a, n, 1))], axis=-1)
+        levels = rng.integers(0, 3, (a, m))
+        rows = world.agent_frame_rows(pos, vel, ori, dest, radii, vmax, obs, levels, j_n)
+        assert rows.shape == (a, m, world.frame_length(j_n))
+        for i in range(a):
+            one = world.agent_frame_rows(pos[i:i + 1], vel[i:i + 1], ori[i:i + 1], dest[i:i + 1],
+                                         radii[i:i + 1], vmax[i:i + 1], obs[i:i + 1],
+                                         levels[i:i + 1], j_n)
+            assert rows[i:i + 1].tobytes() == one.tobytes()
+            for k in range(m):
+                state = UavState(position=tuple(pos[i, k]), velocity=tuple(vel[i, k]),
+                                 radius=radii[i], destination=tuple(dest[i]),
+                                 max_speed=vmax[i], orientation=ori[i, k])
+                frame = to_agent_frame(state, [tuple(o) for o in obs[i]], levels[i, k], j_n)
+                assert np.allclose(rows[i, k], frame, atol=1e-9)
+
+
 class TestAgentFrame:
     def test_no_neighbors_padding(self):
         vec = to_agent_frame(make_state(), [], sinr_level=2, j_n=3)

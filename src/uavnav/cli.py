@@ -96,8 +96,7 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
         value_net = _read(neuro.load_model, model_path)
         data = _read_npz(replay_path, ("features", "targets"))
         buffer = valuetrain.ReplayBuffer(run_cfg.replay_capacity)
-        for vec, target in zip(data["features"], data["targets"]):
-            buffer.push(vec, float(target))
+        _read(lambda p: buffer.extend(data["features"], data["targets"]), replay_path)
         if buffer.digest() != state["buffer_digest"]:
             raise ConfigError(f"{replay_path}: replay buffer does not match {state_path}")
         n = len(value_net.weights)
@@ -111,13 +110,13 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
         ]
 
     def on_checkpoint(episode, net, buf, curve, rngs, jammer, opt):
-        feats, targets = buf.as_arrays()
+        feats, targets = buf.arrays()
         _replace_files([
             (model_path, lambda p: neuro.save_model(net, p, digest=cfg.digest)),
             (curve_path, lambda p: valuetrain.write_curve_csv(
                 curve_prefix + curve, p, extra_comments=(f"digest={cfg.digest}",))),
-            (replay_path, lambda p: _save_npz(p, features=feats, targets=targets)),
-            (adam_path, lambda p: _save_npz(p, step=opt.step, **{
+            (replay_path, lambda p: np.savez(p, features=feats, targets=targets)),
+            (adam_path, lambda p: np.savez(p, step=opt.step, **{
                 f"{k}{i}": a for k in ADAM_MOMENTS for i, a in enumerate(getattr(opt, k))
             })),
         ])
@@ -159,11 +158,12 @@ ADAM_MOMENTS = ("m_w", "v_w", "m_b", "v_b")
 def _replace_files(writes) -> None:
     """Write each (path, write) pair's file via write(temp path), then move them all into place.
 
-    The temp files sit beside their targets and are moved with os.replace
-    only after every write succeeded, so a failed write leaves every target
-    as it was.
+    The temp files sit beside their targets, named <stem>.tmp<suffix> (so
+    np.savez, which appends ".npz" to a path without it, keeps the name), and
+    are moved with os.replace only after every write succeeded, so a failed
+    write leaves every target as it was.
     """
-    temps = [path.with_name(path.name + ".tmp") for path, _ in writes]
+    temps = [path.with_name(f"{path.stem}.tmp{path.suffix}") for path, _ in writes]
     try:
         for (_, write), temp in zip(writes, temps):
             write(temp)
@@ -172,11 +172,6 @@ def _replace_files(writes) -> None:
     finally:
         for temp in temps:
             temp.unlink(missing_ok=True)
-
-
-def _save_npz(path: Path, **arrays) -> None:
-    with open(path, "wb") as f:  # np.savez appends ".npz" to a path without it
-        np.savez(f, **arrays)
 
 
 def _read_npz(path: Path, names) -> dict[str, np.ndarray]:
@@ -196,20 +191,19 @@ def cmd_trainmap(cfg: cfgmod.RunConfig, measurements_path: str | None, out_path:
     cloud = sinrmap.MeasurementCloud(m["cloud_capacity"])
     if measurements_path is not None:
         measurements = _read(sinrmap.read_measurement_csv, measurements_path)
-        if not measurements:
+        if not len(measurements):
             raise ConfigError(f"{measurements_path}: empty measurement source")
         expected = sinrmap.FEATURES_PER_STATION * m["k_n"]
-        if len(measurements[0].features) != expected:
+        if measurements.features.shape[1] != expected:
             raise ConfigError(
-                f"{measurements_path}: feature length {len(measurements[0].features)} "
+                f"{measurements_path}: feature length {measurements.features.shape[1]} "
                 f"does not match 5 * k_n = {expected}"
             )
     else:
         measurements = sinrmap.sample_measurements(
             cfg.env, m["synthetic_measurements"], rng, cfg.arena_bounds(), m["k_n"]
         )
-    for meas in measurements:
-        cloud.record(meas)
+    cloud.record(measurements)
     model = sinrmap.init_map_model(m["k_n"], rng, tuple(m["hidden"]))
     model, curve = sinrmap.retrain(model, cloud, cfg.map_train_config(), rng)
     sinrmap.save_map_model(model, out_path)

@@ -1,4 +1,5 @@
-"""Small dense feedforward stack with manual backprop, Adam, and standardization.
+"""Small dense feedforward stack with manual backprop, Adam, standardization,
+and the ring the training sets are kept in.
 
 Shared by the state-value network (ReLU hidden, tanh scalar output) and the
 SINR-map regressor (ReLU hidden, linear output).  Everything is plain numpy;
@@ -7,6 +8,7 @@ weights are (fan_in, fan_out) matrices so a batch forward is X @ W + b.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,11 +58,16 @@ def _pack(weights, biases):
     """
     parts = [np.asarray(a, dtype=float) for w, b in zip(weights, biases) for a in (w, b)]
     flat = np.concatenate([a.ravel() for a in parts])
+    return (flat, *_views(flat, parts[0::2], parts[1::2]))
+
+
+def _views(flat, weights, biases):
+    """Views of flat in the layout _pack gives these weights and biases: (weights, biases)."""
     views, at = [], 0
-    for a in parts:
+    for a in (a for w, b in zip(weights, biases) for a in (w, b)):
         views.append(flat[at:at + a.size].reshape(a.shape))
         at += a.size
-    return flat, tuple(views[0::2]), tuple(views[1::2])
+    return tuple(views[0::2]), tuple(views[1::2])
 
 
 @dataclass
@@ -158,21 +165,66 @@ def init_network(specs, rng: np.random.Generator,
                          standardizer=standardizer)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return z > 0.0  # a float times the mask gives the same bits as times 1.0/0.0
-    if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
+def _check_input(params: NetworkParams, x: np.ndarray) -> None:
+    if x.shape[-1] != params.input_size:
+        raise ValueError(f"input length {x.shape[-1]}, expected {params.input_size}")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite input")
+
+
+def _out(bufs, name: str, i: int):
+    """Layer i's buffer `name` from a MinibatchStep's buffers, or None (allocate)."""
+    return None if bufs is None else bufs[name][i]
+
+
+def _forward(params: NetworkParams, a: np.ndarray, bufs=None):
+    """The layers on standardized input a; returns (activations, pre-activations).
+
+    The one forward implementation: forward_batch passes no buffers and gets
+    fresh arrays, a MinibatchStep passes its own and gets the same bits.
+    """
+    activations, pre = [a], []
+    for i, (spec, w, b) in enumerate(zip(params.specs, params.weights, params.biases)):
+        # A stacked matmul makes one GEMM per B-row slice.  BLAS kernels round
+        # a row differently depending on where it falls in their row blocks,
+        # so a slice gives the same bits as a (B, in) call on its own, while
+        # one flat (S*B, in) product would not.
+        z = np.matmul(a, w, out=_out(bufs, "z", i))
+        z += b
+        a = _activate(z, spec.activation, _out(bufs, "a", i))
+        pre.append(z)
+        activations.append(a)
+    return activations, pre
+
+
+def _backward(params: NetworkParams, activations, pre, dout, l2, grads_w, grads_b, decay,
+              bufs=None) -> None:
+    """Exact gradients of (loss + l2/2 * ||W||^2) given dLoss/doutput, written into
+    grads_w and grads_b; decay holds l2 * W.  Biases are unregularized."""
+    da = dout
+    for i in range(len(params.specs) - 1, -1, -1):
+        kind = params.specs[i].activation
+        if kind == "relu":  # a float times the mask gives the same bits as times 1.0/0.0
+            mask = np.greater(pre[i], 0.0, out=_out(bufs, "g", i))
+            dz = np.multiply(da, mask, out=_out(bufs, "dz", i))
+        elif kind == "tanh":  # activations[i + 1] is tanh(pre[i])
+            g = np.multiply(activations[i + 1], activations[i + 1], out=_out(bufs, "g", i))
+            dz = np.multiply(da, np.subtract(1.0, g, out=g), out=_out(bufs, "dz", i))
+        else:
+            dz = da  # times a derivative of 1.0, which keeps every bit
+        gw = np.matmul(activations[i].T, dz, out=grads_w[i])
+        gw += np.multiply(l2, params.weights[i], out=decay[i])
+        np.add.reduce(dz, axis=0, out=grads_b[i])  # dz.sum(axis=0)
+        if i > 0:
+            da = np.matmul(dz, params.weights[i].T, out=_out(bufs, "da", i))
 
 
 def forward_batch(params: NetworkParams, x: np.ndarray):
@@ -184,28 +236,18 @@ def forward_batch(params: NetworkParams, x: np.ndarray):
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.shape[-1] != params.input_size:
-        raise ValueError(f"input length {x.shape[-1]}, expected {params.input_size}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite input")
-    a = params.standardizer.apply(x)
-    activations = [a]
-    pre = []
-    for spec, w, b in zip(params.specs, params.weights, params.biases):
-        # A stacked matmul makes one GEMM per B-row slice.  BLAS kernels round
-        # a row differently depending on where it falls in their row blocks,
-        # so a slice gives the same bits as a (B, in) call on its own, while
-        # one flat (S*B, in) product would not.
-        z = a @ w + b
-        pre.append(z)
-        a = _activate(z, spec.activation)
-        activations.append(a)
-    cache = (activations, pre)
+    _check_input(params, x)
+    cache = _forward(params, params.standardizer.apply(x))
+    a = cache[0][-1]
     return (a[0] if squeeze else a), cache
 
 
 def backward_batch(params: NetworkParams, cache, output_gradient: np.ndarray, l2: float = 0.0):
-    """Exact gradients of (loss + l2/2 * ||W||^2) given dLoss/doutput; biases unregularized."""
+    """Exact gradients of (loss + l2/2 * ||W||^2) given dLoss/doutput; biases unregularized.
+
+    Returns (weight gradients, bias gradients), views into one flat vector
+    laid out like params.flat.
+    """
     activations, pre = cache
     dout = np.asarray(output_gradient, dtype=float)
     if dout.ndim == 1:
@@ -213,15 +255,9 @@ def backward_batch(params: NetworkParams, cache, output_gradient: np.ndarray, l2
     if dout.shape != pre[-1].shape:
         raise ValueError(f"output gradient shape {dout.shape} does not match cache "
                          f"{pre[-1].shape}")
-    grads_w = [None] * len(params.specs)
-    grads_b = [None] * len(params.specs)
-    da = dout
-    for i in range(len(params.specs) - 1, -1, -1):
-        dz = da * _activate_grad(pre[i], params.specs[i].activation)
-        grads_w[i] = activations[i].T @ dz + l2 * params.weights[i]
-        grads_b[i] = dz.sum(axis=0)
-        if i > 0:
-            da = dz @ params.weights[i].T
+    grads_w, grads_b = _views(np.empty_like(params.flat), params.weights, params.biases)
+    decay, _ = _views(np.empty_like(params.flat), params.weights, params.biases)
+    _backward(params, activations, pre, dout, l2, grads_w, grads_b, decay)
     return grads_w, grads_b
 
 
@@ -254,15 +290,15 @@ class AdamState:
                          beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(params: NetworkParams, grads, state: AdamState, lr: float) -> NetworkParams:
-    """Standard bias-corrected Adam update, in place on params and state.
+def _adam(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
+          t1: np.ndarray | None = None, t2: np.ndarray | None = None) -> None:
+    """Bias-corrected Adam, in place on the flat vectors value, state.m and state.v.
 
-    One pass over the flat vectors: each operation is elementwise, so every
-    parameter gets the same bits as a layer-by-layer update.
+    The elementwise operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
+    and value -= lr * (m/corr1) / (sqrt(v/corr2) + eps), in that order, with
+    the temporaries in the scratch vectors t1 and t2 when given.
     """
-    grads_w, grads_b = grads
-    grad = np.concatenate([g.ravel() for gw, gb in zip(grads_w, grads_b) for g in (gw, gb)])
-    m, v, value = state.m, state.v, params.flat
+    m, v = state.m, state.v
     if not grad.shape == m.shape == v.shape == value.shape:
         raise ValueError(f"gradient {grad.shape} or Adam state {m.shape}/{v.shape} does not "
                          f"match parameters {value.shape}")
@@ -272,11 +308,81 @@ def adam_step(params: NetworkParams, grads, state: AdamState, lr: float) -> Netw
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
     m *= b1
-    m += (1.0 - b1) * grad
+    t1 = np.multiply(1.0 - b1, grad, out=t1)
+    m += t1
     v *= b2
-    v += (1.0 - b2) * grad * grad
-    value -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+    np.multiply(1.0 - b2, grad, out=t1)
+    t1 *= grad
+    v += t1
+    np.divide(m, corr1, out=t1)
+    t1 *= lr
+    t2 = np.divide(v, corr2, out=t2)
+    np.sqrt(t2, out=t2)
+    t2 += state.eps
+    t1 /= t2
+    value -= t1
+
+
+def adam_step(params: NetworkParams, grads, state: AdamState, lr: float) -> NetworkParams:
+    """Standard bias-corrected Adam update, in place on params and state."""
+    grads_w, grads_b = grads
+    grad = np.concatenate([g.ravel() for gw, gb in zip(grads_w, grads_b) for g in (gw, gb)])
+    _adam(params.flat, grad, state, lr)
     return params
+
+
+class MinibatchStep:
+    """Minibatch Adam steps on mean squared error for one network.
+
+    Runs the operations of forward_batch, backward_batch and adam_step in
+    their order, so it gives their bits, but into buffers kept per batch size
+    (every layer's intermediates, the flat gradient, Adam's scratch vectors),
+    so a step allocates almost nothing.  The caller checks and standardizes
+    the input.
+    """
+
+    def __init__(self, params: NetworkParams, adam: AdamState):
+        self.params, self.adam = params, adam
+        grad = np.empty_like(params.flat)
+        self._grad, self._scratch = grad, (np.empty_like(grad), np.empty_like(grad))
+        self._grads = _views(grad, params.weights, params.biases)
+        self._decay, _ = _views(self._scratch[0], params.weights, params.biases)
+        self._buffers: dict[int, dict] = {}
+
+    def buffers(self, rows: int) -> dict:
+        """The buffers for a batch of `rows` rows; "x" can take the caller's minibatch."""
+        if rows not in self._buffers:
+            def new(width, dtype=float):
+                return np.empty((rows, width), dtype=dtype)
+
+            specs = self.params.specs
+            self._buffers[rows] = {
+                "x": new(self.params.input_size), "err": new(self.params.output_size),
+                "z": [new(s.output_size) for s in specs],
+                "a": [None if s.activation == "identity" else new(s.output_size) for s in specs],
+                "g": [new(s.output_size, bool if s.activation == "relu" else float)
+                      for s in specs],
+                "dz": [new(s.output_size) for s in specs],
+                "da": [new(s.input_size) for s in specs],
+            }
+        return self._buffers[rows]
+
+    def __call__(self, x: np.ndarray, y: np.ndarray, l2: float, lr: float) -> float:
+        """One Adam step on standardized rows x (B, in) and targets y (B, out); returns the loss.
+
+        A non-finite loss raises ArithmeticError before any parameter changes.
+        """
+        n = len(x)
+        bufs = self.buffers(n)
+        activations, pre = _forward(self.params, x, bufs)
+        err = np.subtract(activations[-1], y, out=bufs["err"])
+        loss = 0.5 * float((err * err).sum()) / n
+        if not math.isfinite(loss):
+            raise ArithmeticError(f"non-finite training loss {loss}")
+        err /= n
+        _backward(self.params, activations, pre, err, l2, *self._grads, self._decay, bufs)
+        _adam(self.params.flat, self._grad, self.adam, lr, *self._scratch)
+        return loss
 
 
 def fit_standardizer(dataset) -> Standardizer:
@@ -307,7 +413,9 @@ def train_epochs(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
                  after_epoch: Callable[[], None] | None = None):
     """Minibatch Adam on mean squared error; returns (params, per-epoch mean loss).
 
-    after_epoch, if given, is called once at the end of every epoch.
+    The inputs are checked and standardized once; each minibatch is one
+    MinibatchStep.  after_epoch, if given, is called once at the end of every
+    epoch.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -315,27 +423,115 @@ def train_epochs(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
         y = y[:, None]
     if len(x) == 0:
         raise ValueError("empty dataset")
+    if x.ndim != 2 or len(y) != len(x):
+        raise ValueError(f"inputs {x.shape} and targets {y.shape} do not pair up row by row")
+    _check_input(params, x)
+    x = params.standardizer.apply(x)
     if adam is None:
         adam = AdamState.for_params(params)
+    step = MinibatchStep(params, adam)
     history = []
-    n = len(x)
     for _ in range(config.epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(len(x))
         losses = []
-        for start in range(0, n, config.batch_size):
+        for start in range(0, len(x), config.batch_size):
             idx = order[start:start + config.batch_size]
-            out, cache = forward_batch(params, x[idx])
-            err = out - y[idx]
-            loss = 0.5 * float((err * err).sum()) / len(idx)
-            if not math.isfinite(loss):
-                raise ArithmeticError(f"non-finite training loss {loss}")
-            grads = backward_batch(params, cache, err / len(idx), config.l2_coefficient)
-            adam_step(params, grads, adam, config.learning_rate)
-            losses.append(loss)
+            # "clip" never clips a permutation's indices; it lets take write into out unbuffered.
+            xb = x.take(idx, axis=0, out=step.buffers(len(idx))["x"], mode="clip")
+            losses.append(step(xb, y[idx], config.l2_coefficient, config.learning_rate))
         history.append(float(np.mean(losses)))
         if after_epoch is not None:
             after_epoch()
     return params, history
+
+
+class RowRing:
+    """FIFO ring of entries, each a float row plus `columns` scalars; at capacity
+    a new entry drops the oldest.
+
+    An entry is stored as one float64 row, its features then its scalars, and
+    the digest hashes those bytes.  Storage starts at the first batch's size
+    and doubles up to capacity.  Reads are oldest first.  Each extend checks
+    its batch once: one row width throughout and every value finite.
+    """
+
+    def __init__(self, capacity: int, columns: int):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity, self.columns = capacity, columns
+        self._store = np.empty((0, columns))
+        self._start = self._len = 0  # the oldest entry's storage index; entries held
+
+    def __len__(self) -> int:
+        return self._len
+
+    def extend(self, rows, *columns) -> None:
+        """Append rows (N, F) and, per column, N scalars; oldest first."""
+        rows = np.asarray(rows, dtype=float)
+        if len(rows) == 0:
+            return
+        entries = np.column_stack((rows, *columns)).astype(float, copy=False)
+        width = rows.shape[-1] + self.columns
+        if rows.ndim != 2 or entries.shape[1] != width or (
+                self._len and width != self._store.shape[1]):
+            raise ValueError(f"rows {rows.shape} with {len(columns)} columns do not fit a "
+                             f"ring of {self.columns} columns and entries {self._store.shape}")
+        if not np.isfinite(entries).all():
+            raise ValueError("non-finite row or column value")
+        entries = entries[-self.capacity:]
+        n = len(entries)
+        size = len(self._reserve(min(self._len + n, self.capacity), width))
+        first = (self._start + self._len) % size
+        fits = min(n, size - first)
+        self._store[first:first + fits] = entries[:fits]
+        self._store[:n - fits] = entries[fits:]  # the rest wraps round to the start
+        dropped = max(self._len + n - size, 0)  # only once storage is at capacity
+        self._start = (self._start + dropped) % size
+        self._len += n - dropped
+
+    def _reserve(self, needed: int, width: int) -> np.ndarray:
+        """Storage for `needed` entries: grown by doubling, the oldest moved to index 0."""
+        size = len(self._store)
+        if needed > size or width != self._store.shape[1]:
+            store = np.empty((max(needed, min(2 * size, self.capacity)), width))
+            if self._len:
+                store[:self._len] = self._store[self._index(np.arange(self._len))]
+            self._store, self._start = store, 0
+        return self._store
+
+    def _index(self, idx) -> np.ndarray:
+        """Storage indices of oldest-first positions."""
+        return (np.asarray(idx) + self._start) % len(self._store)
+
+    def _split(self, entries: np.ndarray):
+        width = entries.shape[1] - self.columns
+        return (entries[:, :width], *entries[:, width:].T)
+
+    def gather(self, idx):
+        """Copies of the entries at oldest-first positions idx: (rows, *columns)."""
+        return self._split(self._store[self._index(idx)])
+
+    def arrays(self):
+        """Every entry, oldest first: (rows, *columns), read-only views unless they wrap."""
+        if self._start + self._len > len(self._store):
+            return self.gather(np.arange(self._len))
+        view = self._store[self._start:self._start + self._len]
+        view.flags.writeable = False
+        return self._split(view)
+
+    def keep(self, mask) -> int:
+        """Keep only the entries where the oldest-first mask is True; returns how many went."""
+        kept = self._store[self._index(np.flatnonzero(mask))]
+        self._store[:len(kept)] = kept
+        removed, self._start, self._len = self._len - len(kept), 0, len(kept)
+        return removed
+
+    def digest(self) -> str:
+        """sha256 of the stored entries' bytes, oldest first."""
+        h = hashlib.sha256()
+        for at in range(0, self._len, 4096):
+            h.update(self._store[self._index(np.arange(at, min(at + 4096, self._len)))])
+        return h.hexdigest()
 
 
 MODEL_FORMAT = "densenet-v1"

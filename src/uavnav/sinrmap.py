@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,44 +59,84 @@ def featurize_many(positions: np.ndarray, stations, uav_altitude: float, k_n: in
     return feats
 
 
-@dataclass(frozen=True)
-class Measurement:
+def _first_bad_row(features: np.ndarray, levels: np.ndarray) -> int | None:
+    """Index of the first row with a level outside {0, 1, 2} or a non-finite feature."""
+    bad = (levels != 0) & (levels != 1) & (levels != 2) | ~np.isfinite(features).all(axis=1)
+    return int(bad.argmax()) if bad.any() else None
+
+
+class Measurement(NamedTuple):
+    """One labeled measurement, a row of a Measurements batch; checked when it joins one."""
+
     features: np.ndarray
     level: int
     timestamp: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if self.level not in (0, 1, 2):
-            raise ValueError(f"level must be in {{0,1,2}}, got {self.level}")
-        if not np.isfinite(self.features).all():
-            raise ValueError("non-finite features")
+
+class Measurements:
+    """Labeled measurements as arrays: features (N, F), levels (N,), timestamps (N,).
+
+    Checked once per batch.  An int index gives one Measurement, a slice or
+    an index array another Measurements; iteration yields the rows in order.
+    """
+
+    def __init__(self, features, levels, timestamps):
+        self.features = np.asarray(features, dtype=float)
+        levels, stamps = np.asarray(levels), np.asarray(timestamps)
+        if self.features.ndim != 2 or not levels.shape == stamps.shape == (len(self.features),):
+            raise ValueError(f"features {self.features.shape}, levels {levels.shape} and "
+                             f"timestamps {stamps.shape} do not pair up row by row")
+        bad = _first_bad_row(self.features, levels)
+        if bad is not None:
+            raise ValueError(f"row {bad}: level must be in {{0,1,2}} and features finite")
+        self.levels, self.timestamps = levels.astype(int), stamps.astype(int)
+
+    @staticmethod
+    def of(measurements) -> "Measurements":
+        """A Measurements as is; one Measurement or an iterable of them, stacked."""
+        if isinstance(measurements, Measurements):
+            return measurements
+        rows = [measurements] if isinstance(measurements, Measurement) else list(measurements)
+        if not rows:
+            raise ValueError("no measurements")
+        return Measurements(np.stack([m.features for m in rows]), np.array([m.level for m in rows]),
+                            np.array([m.timestamp for m in rows]))
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return Measurement(self.features[i], int(self.levels[i]), int(self.timestamps[i]))
+        return Measurements(self.features[i], self.levels[i], self.timestamps[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
-class MeasurementCloud:
+class MeasurementCloud(neuro.RowRing):
     """Sliding window of the most recent measurements, single-writer."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._window: deque = deque(maxlen=capacity)
+        super().__init__(capacity, columns=2)  # level, timestamp
 
-    def __len__(self) -> int:
-        return len(self._window)
+    def record(self, measurements) -> None:
+        """Append one Measurement, a Measurements batch or an iterable of Measurement."""
+        if isinstance(measurements, Measurement):  # one row, as a stream records them
+            m = measurements
+            if m.level not in (0, 1, 2):
+                raise ValueError(f"level must be in {{0,1,2}}, got {m.level}")
+            self.extend([m.features], [m.level], [m.timestamp])
+        else:
+            batch = Measurements.of(measurements)
+            self.extend(batch.features, batch.levels, batch.timestamps)
 
-    def record(self, measurement: Measurement) -> None:
-        self._window.append(measurement)
-
-    def measurements(self) -> list[Measurement]:
-        return list(self._window)
+    def measurements(self) -> "Measurements":
+        return Measurements(*self.arrays())
 
     def purge_before(self, timestamp: int) -> int:
         """Drop measurements older than timestamp; returns how many were removed."""
-        kept = [m for m in self._window if m.timestamp >= timestamp]
-        removed = len(self._window) - len(kept)
-        self._window = deque(kept, maxlen=self.capacity)
-        return removed
+        return self.keep(self.arrays()[2] >= timestamp)
 
 
 @dataclass
@@ -140,12 +180,11 @@ def learned_oracle(model: MapModel, stations, uav_altitude: float):
 
 
 def evaluate_accuracy(model: MapModel, measurements) -> float:
-    measurements = list(measurements)
-    if not measurements:
+    """Share of measurements (a Measurements or Measurement rows) whose predicted level is right."""
+    batch = Measurements.of(measurements)
+    if not len(batch):
         raise ValueError("cannot evaluate accuracy on an empty slice")
-    feats = np.stack([m.features for m in measurements])
-    labels = np.array([m.level for m in measurements])
-    return _accuracy(model, feats, labels)
+    return _accuracy(model, batch.features, batch.levels)
 
 
 def _accuracy(model: MapModel, feats: np.ndarray, labels: np.ndarray) -> float:
@@ -184,17 +223,15 @@ def retrain(
         cloud.purge_before(purge_before)
         if len(cloud) == 0:
             raise ValueError("purge removed every measurement")
-    data = cloud.measurements()
-    feats = np.stack([m.features for m in data])
-    labels = np.array([float(m.level) for m in data])
+    feats, labels, _ = cloud.arrays()
 
-    order = rng.permutation(len(data))
-    n_hold = int(len(data) * config.holdout_fraction)
+    order = rng.permutation(len(feats))
+    n_hold = int(len(feats) * config.holdout_fraction)
     hold_idx, train_idx = order[:n_hold], order[n_hold:]
     if len(train_idx) == 0:
         train_idx = order
     if n_hold == 0:
-        hold_idx = np.arange(len(data))
+        hold_idx = np.arange(len(feats))
     # Stacked once: every epoch scores the same holdout rows.
     hold_feats, hold_labels = feats[hold_idx], labels[hold_idx]
 
@@ -222,7 +259,7 @@ def sample_measurements(
     bounds: tuple[float, float, float, float],
     k_n: int,
     timestamp_start: int = 0,
-) -> list[Measurement]:
+) -> Measurements:
     """Ground-truth labeled measurements at uniform random positions."""
     xmin, ymin, xmax, ymax = bounds
     pos = np.column_stack(
@@ -231,10 +268,7 @@ def sample_measurements(
     levels = radio.quantize_many(radio.sinr_many(env, pos), env)
     triples = [(s.position[0], s.position[1], s.height) for s in env.stations]
     feats = featurize_many(pos, triples, env.uav_altitude, k_n)
-    return [
-        Measurement(features=feats[i], level=int(levels[i]), timestamp=timestamp_start + i)
-        for i in range(count)
-    ]
+    return Measurements(feats, levels, np.arange(timestamp_start, timestamp_start + count))
 
 
 MAP_FORMAT = "sinrmap-v1"
@@ -256,25 +290,22 @@ def load_map_model(path) -> MapModel:
 
 
 def write_measurement_csv(measurements, path, extra_comments: tuple[str, ...] = ()):
-    measurements = list(measurements)
-    if not measurements:
-        raise ValueError("no measurements to write")
-    n_feat = len(measurements[0].features)
-    lines = [f"# sinr-measurements v1 features={n_feat} count={len(measurements)}"]
+    batch = Measurements.of(measurements)
+    n_feat = batch.features.shape[1]
+    lines = [f"# sinr-measurements v1 features={n_feat} count={len(batch)}"]
     lines.extend(f"# {c}" for c in extra_comments)
     lines.append(
         "timestamp," + ",".join(f"f{i}" for i in range(n_feat)) + ",label"
     )
-    for m in measurements:
-        lines.append(
-            f"{m.timestamp}," + ",".join(repr(float(v)) for v in m.features) + f",{m.level}"
-        )
+    for feats, level, stamp in zip(batch.features.tolist(), batch.levels.tolist(),
+                                   batch.timestamps.tolist()):
+        lines.append(f"{stamp}," + ",".join(repr(v) for v in feats) + f",{level}")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
 
-def read_measurement_csv(path) -> list[Measurement]:
-    out = []
+def read_measurement_csv(path) -> Measurements:
+    feats, levels, stamps, linenos = [], [], [], []
     n_feat = None
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip()
@@ -291,13 +322,14 @@ def read_measurement_csv(path) -> list[Measurement]:
             if n_feat is not None and len(vals) != n_feat + 2:
                 raise ValueError(f"{path}:{lineno}: malformed measurement row")
             try:
-                out.append(
-                    Measurement(
-                        features=np.array([float(v) for v in vals[1:-1]]),
-                        level=int(vals[-1]),
-                        timestamp=int(vals[0]),
-                    )
-                )
+                feats.append([float(v) for v in vals[1:-1]])
+                levels.append(int(vals[-1]))
+                stamps.append(int(vals[0]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+            linenos.append(lineno)
+    feats = np.array(feats).reshape(len(levels), -1) if levels else np.empty((0, n_feat or 0))
+    bad = _first_bad_row(feats, np.array(levels))
+    if bad is not None:
+        raise ValueError(f"{path}:{linenos[bad]}: level must be in {{0,1,2}} and features finite")
+    return Measurements(feats, np.array(levels, dtype=int), np.array(stamps, dtype=int))

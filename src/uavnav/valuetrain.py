@@ -10,9 +10,7 @@ argmax unchanged.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,41 +32,14 @@ def discounted_returns(rewards, gamma: float):
     return out
 
 
-class ReplayBuffer:
+class ReplayBuffer(neuro.RowRing):
     """FIFO ring of (feature vector, scaled value target) pairs."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: deque = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def push(self, features: np.ndarray, target: float) -> None:
-        self._entries.append((np.asarray(features, dtype=float), float(target)))
+        super().__init__(capacity, columns=1)
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        idx = rng.integers(0, len(self._entries), size=min(batch_size, len(self._entries)))
-        feats = np.stack([self._entries[i][0] for i in idx])
-        targets = np.array([self._entries[i][1] for i in idx])
-        return feats, targets
-
-    def as_arrays(self):
-        feats = np.stack([e[0] for e in self._entries])
-        targets = np.array([e[1] for e in self._entries])
-        return feats, targets
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for vec, target in self._entries:
-            h.update(vec.tobytes())
-            h.update(np.float64(target).tobytes())
-        return h.hexdigest()
-
-    def entries(self):
-        return iter(self._entries)
+        return self.gather(rng.integers(0, len(self), size=min(batch_size, len(self))))
 
 
 @dataclass(frozen=True)
@@ -380,12 +351,17 @@ def run_episode(
         scenario, env, choose, j_n=None if buffer is None else j_n, level_oracle=oracle
     )
     if buffer is not None:
+        # Agent by agent: its visited states, then its terminal state.
         terminals = dict(run.terminals)
+        rows, targets = [], []
         for i, (frames, rewards) in enumerate(zip(run.frames, run.rewards)):
             for vec, target in zip(frames, discounted_returns(rewards, gamma)):
-                buffer.push(vec, target_scale * target)
+                rows.append(vec)
+                targets.append(target_scale * target)
             if i in terminals:
-                buffer.push(terminals[i], 0.0)
+                rows.append(terminals[i])
+                targets.append(0.0)
+        buffer.extend(rows, targets)
     return EpisodeLog.of(run.final, reward_sums=[float(sum(r)) for r in run.rewards])
 
 
@@ -464,10 +440,11 @@ def train(
         value_net = pretrain_value_net(bootstrap_pairs, config, rng_init)
     if buffer is None:
         buffer = ReplayBuffer(config.replay_capacity)
-        for vec, value in bootstrap_pairs:
-            buffer.push(vec, TARGET_SCALE * value)
+        buffer.extend([vec for vec, _ in bootstrap_pairs],
+                      [TARGET_SCALE * value for _, value in bootstrap_pairs])
 
     adam = adam or neuro.AdamState.for_params(value_net)
+    update = neuro.MinibatchStep(value_net, adam)
     curve: list[CurvePoint] = []
     jammer: radio.Jammer | None = initial_jammer
     scn_kwargs = dict(scenario_kwargs or {})
@@ -488,13 +465,8 @@ def train(
         )
         for _ in range(config.updates_per_episode):
             feats, targets = buffer.sample(config.batch_size, rng_ep)
-            out, cache = neuro.forward_batch(value_net, feats)
-            err = out[:, 0] - targets
-            loss = 0.5 * float(err @ err) / len(err)
-            if not math.isfinite(loss):
-                raise ArithmeticError(f"non-finite loss at episode {episode}")
-            grads = neuro.backward_batch(value_net, cache, (err / len(err))[:, None], config.l2)
-            neuro.adam_step(value_net, grads, adam, config.learning_rate)
+            update(value_net.standardizer.apply(feats), targets[:, None], config.l2,
+                   config.learning_rate)
         curve.append(
             CurvePoint(
                 episode=episode,

@@ -92,13 +92,14 @@ class _RecordingPolicy:
             self._log.append(np.asarray(positions, dtype=float).reshape(-1, 2))
             return self._oracle(positions)
 
-        actions = []
-        for state, nbs in zip(states, neighbors):
-            space = world.sample_action_space(state, scenario, n_speeds, n_headings)
-            actions.append(valuetrain.lookahead_select(
-                self.value_net, state, nbs, space, recording, gamma, t, scenario, j_n=j_n
-            ))
-        return actions
+        grids = [world.action_grid(s, scenario, n_speeds, n_headings) for s in states]
+        speeds, headings = (np.array(axis) for axis in zip(*grids))
+        ks = valuetrain.lookahead_index(
+            self.value_net, states, neighbors, speeds, headings, recording, gamma, t, scenario,
+            j_n=j_n,
+        )
+        return [world.Action(speed=float(s[k]), heading=float(h[k]))
+                for s, h, k in zip(speeds, headings, ks)]
 
 
 def perfect_fit_map(model, value_net, env, trials, seed, gamma, scenario_kwargs,

@@ -426,6 +426,134 @@ class TestTrainEpochs:
                          TrainConfig(epochs=1), rng)
 
 
+def reference_train_epochs(params, inputs, targets, config, rng, adam, after_epoch):
+    """Minibatch Adam as one forward_batch, backward_batch and adam_step call per
+    minibatch, each written out as those functions computed it before the lean
+    step, independent of neuro's implementation: the loop train_epochs must
+    equal bit for bit.  Returns the per-epoch mean losses."""
+    specs, weights, biases = params.specs, params.weights, params.biases
+
+    def forward(x):
+        a = (x - params.standardizer.mean) / params.standardizer.std
+        activations, pre = [a], []
+        for spec, w, b in zip(specs, weights, biases):
+            z = a @ w + b
+            pre.append(z)
+            a = {"relu": lambda: np.maximum(z, 0.0), "tanh": lambda: np.tanh(z),
+                 "identity": lambda: z}[spec.activation]()
+            activations.append(a)
+        return a, activations, pre
+
+    def backward(activations, pre, dout, l2):
+        grads_w, grads_b = [None] * len(specs), [None] * len(specs)
+        da = dout
+        for i in range(len(specs) - 1, -1, -1):
+            z = pre[i]
+            if specs[i].activation == "relu":
+                grad = z > 0.0
+            elif specs[i].activation == "tanh":
+                t = np.tanh(z)
+                grad = 1.0 - t * t
+            else:
+                grad = np.ones_like(z)
+            dz = da * grad
+            grads_w[i] = activations[i].T @ dz + l2 * weights[i]
+            grads_b[i] = dz.sum(axis=0)
+            if i > 0:
+                da = dz @ weights[i].T
+        return grads_w, grads_b
+
+    def adam_update(grads_w, grads_b, lr):
+        grad = np.concatenate([g.ravel() for gw, gb in zip(grads_w, grads_b) for g in (gw, gb)])
+        m, v, value = adam.m, adam.v, params.flat
+        adam.step += 1
+        t = adam.step
+        b1, b2 = adam.beta1, adam.beta2
+        corr1 = 1.0 - b1 ** t
+        corr2 = 1.0 - b2 ** t
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        value -= lr * (m / corr1) / (np.sqrt(v / corr2) + adam.eps)
+
+    x = np.asarray(inputs, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(x))
+        losses = []
+        for start in range(0, len(x), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            out, activations, pre = forward(x[idx])
+            err = out - y[idx]
+            loss = 0.5 * float((err * err).sum()) / len(idx)
+            adam_update(*backward(activations, pre, err / len(idx), config.l2_coefficient),
+                        config.learning_rate)
+            losses.append(loss)
+        history.append(float(np.mean(losses)))
+        after_epoch()
+    return history
+
+
+class TestLeanTraining:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1),
+           hidden_act=hst.sampled_from(["relu", "tanh", "identity"]),
+           head=hst.sampled_from(["relu", "tanh", "identity"]),
+           hidden=hst.lists(hst.integers(1, 12), min_size=0, max_size=3),
+           n=hst.integers(1, 150), batch=hst.integers(1, 64), epochs=hst.integers(1, 3),
+           l2=hst.sampled_from([0.0, 1e-4]), flat_targets=hst.booleans())
+    @example(seed=1, hidden_act="relu", head="identity", hidden=[32, 16, 8], n=437, batch=200,
+             epochs=2, l2=1e-4, flat_targets=True)  # the map net, a ragged last batch
+    @example(seed=2, hidden_act="relu", head="tanh", hidden=[64, 32, 16], n=250, batch=64,
+             epochs=2, l2=0.0, flat_targets=False)  # the value net
+    def test_train_epochs_matches_the_per_minibatch_loop(self, seed, hidden_act, head, hidden,
+                                                         n, batch, epochs, l2, flat_targets):
+        rng = np.random.default_rng(seed)
+        n_in = int(rng.integers(1, 35))
+        specs = dense_specs(n_in, tuple(hidden), 1, hidden_act, head)
+        x = rng.normal(size=(n, n_in)) * 3
+        y = rng.normal(size=n) if flat_targets else rng.normal(size=(n, 1))
+        params = init_network(specs, rng, fit_standardizer(x))
+        twin = params.copy()
+        adam, twin_adam = AdamState.for_params(params), AdamState.for_params(twin)
+        cfg = TrainConfig(learning_rate=float(rng.uniform(1e-4, 0.05)), batch_size=batch,
+                          l2_coefficient=l2, epochs=epochs)
+        after, twin_after = [], []
+        _, history = train_epochs(params, x, y, cfg, np.random.default_rng(seed), adam,
+                                  after_epoch=lambda: after.append(params.flat.tobytes()))
+        want = reference_train_epochs(twin, x, y, cfg, np.random.default_rng(seed), twin_adam,
+                                      lambda: twin_after.append(twin.flat.tobytes()))
+        assert history == want
+        assert after == twin_after and len(after) == epochs
+        assert params.flat.tobytes() == twin.flat.tobytes()
+        assert adam.m.tobytes() == twin_adam.m.tobytes()
+        assert adam.v.tobytes() == twin_adam.v.tobytes()
+        assert adam.step == twin_adam.step == epochs * -(-n // batch)
+
+    def test_non_finite_input_raises_and_leaves_the_parameters(self, rng):
+        params = init_network(MAP_SPECS, rng)
+        adam = AdamState.for_params(params)
+        before = params.flat.tobytes()
+        x = rng.normal(size=(90, 30))
+        for bad in (math.nan, math.inf):
+            x[77, 4] = bad  # in the last minibatch
+            with pytest.raises(ValueError, match="non-finite"):
+                train_epochs(params, x, rng.normal(size=90), TrainConfig(batch_size=20, epochs=2),
+                             rng, adam)
+            assert params.flat.tobytes() == before
+            assert adam.step == 0 and not adam.m.any() and not adam.v.any()
+
+    def test_inputs_and_targets_must_pair_up(self, rng):
+        params = init_network(dense_specs(3, (4,), 1), rng)
+        with pytest.raises(ValueError, match="pair up"):
+            train_epochs(params, rng.normal(size=(10, 3)), rng.normal(size=9),
+                         TrainConfig(epochs=1), rng)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("specs", [VALUE_SPECS, MAP_SPECS], ids=["value", "map"])
     def test_lossless_round_trip(self, specs, rng, tmp_path):

@@ -1,7 +1,10 @@
 import math
+from collections import deque
 
+import hypothesis.strategies as hst
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from uavnav import neuro, radio, sinrmap
 from uavnav.sinrmap import (
@@ -123,9 +126,43 @@ class TestMeasurementCloud:
         assert removed == 3
         assert [m.timestamp for m in cloud.measurements()] == [3, 4, 5]
 
-    def test_rejects_bad_level(self):
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=hst.integers(1, 10), seed=hst.integers(0, 2**32 - 1),
+           steps=hst.lists(hst.tuples(hst.integers(0, 25), hst.booleans()), min_size=1,
+                           max_size=10))
+    def test_matches_a_deque_through_wrap_around_and_purges(self, capacity, seed, steps):
+        rng = np.random.default_rng(seed)
+        cloud, ref, stamp = MeasurementCloud(capacity), deque(maxlen=capacity), 0
+        for n, purge in steps:
+            batch = sinrmap.Measurements(rng.normal(size=(n, 3)), rng.integers(0, 3, n),
+                                         np.arange(stamp, stamp + n))
+            stamp += n
+            if n < 4:
+                for m in batch:
+                    cloud.record(m)
+            else:
+                cloud.record(batch)
+            ref.extend(batch)
+            if purge:
+                cut = int(rng.integers(stamp - capacity - 2, stamp + 2))
+                kept = [m for m in ref if m.timestamp >= cut]
+                assert cloud.purge_before(cut) == len(ref) - len(kept)
+                ref = deque(kept, maxlen=capacity)
+            got = list(cloud.measurements())
+            assert len(cloud) == len(got) == len(ref)
+            for a, b in zip(got, ref):
+                assert (a.features.tobytes(), a.level, a.timestamp) == (
+                    b.features.tobytes(), b.level, b.timestamp)
+
+    def test_rejects_bad_level_or_features(self):
+        cloud = MeasurementCloud(capacity=3)
         with pytest.raises(ValueError):
-            Measurement(np.zeros(5), level=3, timestamp=0)
+            cloud.record(Measurement(np.zeros(5), level=3, timestamp=0))
+        with pytest.raises(ValueError):
+            cloud.record(Measurement(np.array([0.0, np.nan, 0.0, 0.0, 0.0]), level=1, timestamp=0))
+        with pytest.raises(ValueError, match="row 1"):
+            sinrmap.Measurements(np.zeros((2, 5)), [1, 3], [0, 1])
+        assert len(cloud) == 0
 
 
 class TestPredict:
@@ -328,6 +365,14 @@ class TestMeasurementCsv:
             "0,1.0,2.0,3.0,4.0\n"
         )
         with pytest.raises(ValueError, match="bad.csv:3"):
+            sinrmap.read_measurement_csv(path)
+        path.write_text(
+            "# sinr-measurements v1 features=2 count=2\n"
+            "timestamp,f0,f1,label\n"
+            "0,1.0,2.0,1\n"
+            "1,1.0,2.0,5\n"
+        )
+        with pytest.raises(ValueError, match="bad.csv:4: level"):
             sinrmap.read_measurement_csv(path)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import deque
 from unittest import mock
 
 import hypothesis.strategies as hst
@@ -75,20 +77,90 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=3)
         for i in range(5):
-            buf.push(np.array([float(i)]), float(i))
+            buf.extend([[float(i)]], [float(i)])
         assert len(buf) == 3
-        assert [t for _, t in buf.entries()] == [2.0, 3.0, 4.0]
+        assert buf.arrays()[1].tolist() == [2.0, 3.0, 4.0]
 
     def test_sample_shapes_and_digest_stability(self, rng):
         buf = ReplayBuffer(capacity=10)
         for i in range(10):
-            buf.push(np.array([i, i + 1.0]), i * 0.5)
+            buf.extend([[i, i + 1.0]], [i * 0.5])
         feats, targets = buf.sample(4, rng)
         assert feats.shape == (4, 2) and targets.shape == (4,)
         assert buf.digest() == buf.digest()
         before = buf.digest()
-        buf.push(np.array([99.0, 98.0]), 1.0)
+        buf.extend([[99.0, 98.0]], [1.0])
         assert buf.digest() != before
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=hst.integers(1, 12), width=hst.integers(1, 4), seed=hst.integers(0, 2**32 - 1),
+           batches=hst.lists(hst.integers(0, 30), min_size=1, max_size=12))
+    def test_matches_a_deque_through_wrap_around(self, capacity, width, seed, batches):
+        rng = np.random.default_rng(seed)
+        buf, ref = ReplayBuffer(capacity), DequeReplay(capacity)
+        for n in batches:
+            feats, targets = rng.normal(size=(n, width)), rng.normal(size=n)
+            buf.extend(feats, targets)
+            for f, t in zip(feats, targets):
+                ref.push(f, t)
+            assert len(buf) == len(ref.entries)
+            if not len(buf):
+                assert buf.arrays()[1].shape == (0,) and buf.digest() == ref.digest()
+                continue
+            got, want = buf.arrays(), ref.as_arrays()
+            assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+            assert got[1].tobytes() == want[1].tobytes()
+            assert buf.digest() == ref.digest()
+            draw = int(rng.integers(1, 2 * capacity + 1))
+            got = buf.sample(draw, np.random.default_rng(seed + n))
+            want = ref.sample(draw, np.random.default_rng(seed + n))
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    def test_grows_by_doubling_up_to_capacity(self):
+        buf = ReplayBuffer(600_000)
+        buf.extend(np.zeros((5, 34)), np.zeros(5))
+        sizes = []
+        for _ in range(10):
+            buf.extend(np.ones((1, 34)), [1.0])
+            sizes.append(len(buf._store))
+        assert sizes == [10] * 5 + [20] * 5
+        buf.extend(np.zeros((1000, 34)), np.zeros(1000))
+        assert len(buf._store) == 1015  # a batch larger than double is stored as it is
+
+    def test_rejects_bad_rows_and_keeps_its_entries(self):
+        buf = ReplayBuffer(4)
+        buf.extend(np.ones((3, 2)), [0.5, 1.0, 1.5])
+        before = buf.digest()
+        for feats, targets in ((np.array([[1.0, math.nan]]), [0.0]), (np.ones((1, 2)), [math.inf]),
+                               (np.ones((1, 3)), [0.0]), (np.ones((2, 2)), [0.0])):
+            with pytest.raises(ValueError):
+                buf.extend(feats, targets)
+            assert buf.digest() == before and len(buf) == 3
+
+
+class DequeReplay:
+    """The replay buffer as a deque of (features, target) pairs: the reference the ring must equal."""
+
+    def __init__(self, capacity):
+        self.entries = deque(maxlen=capacity)
+
+    def push(self, features, target):
+        self.entries.append((np.asarray(features, dtype=float), float(target)))
+
+    def sample(self, batch_size, rng):
+        idx = rng.integers(0, len(self.entries), size=min(batch_size, len(self.entries)))
+        return (np.stack([self.entries[i][0] for i in idx]),
+                np.array([self.entries[i][1] for i in idx]))
+
+    def as_arrays(self):
+        return np.stack([e[0] for e in self.entries]), np.array([e[1] for e in self.entries])
+
+    def digest(self):
+        h = hashlib.sha256()
+        for vec, target in self.entries:
+            h.update(vec.tobytes())
+            h.update(np.float64(target).tobytes())
+        return h.hexdigest()
 
 
 class TestJammerSchedule:
@@ -331,7 +403,7 @@ class TestRunEpisode:
         assert log.reward_sums[0] == pytest.approx(2.0 - 0.05)
         # Buffer got the visited state plus the arrived terminal anchored at 0.
         assert len(buf) == 2
-        targets = [t for _, t in buf.entries()]
+        targets = buf.arrays()[1].tolist()
         assert targets[0] == pytest.approx(valuetrain.TARGET_SCALE * 1.95)
         assert targets[1] == 0.0
 

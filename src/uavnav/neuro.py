@@ -165,14 +165,6 @@ def init_network(specs, rng: np.random.Generator,
                          standardizer=standardizer)
 
 
-def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0, out=out)
-    if kind == "tanh":
-        return np.tanh(z, out=out)
-    return z
-
-
 def _check_input(params: NetworkParams, x: np.ndarray) -> None:
     if x.shape[-1] != params.input_size:
         raise ValueError(f"input length {x.shape[-1]}, expected {params.input_size}")
@@ -185,39 +177,47 @@ def _out(bufs, name: str, i: int):
     return None if bufs is None else bufs[name][i]
 
 
-def _forward(params: NetworkParams, a: np.ndarray, bufs=None):
-    """The layers on standardized input a; returns (activations, pre-activations).
+def _forward(params: NetworkParams, a: np.ndarray, bufs=None) -> list[np.ndarray]:
+    """The layers on standardized input a; returns every layer's output, a first.
 
     The one forward implementation: forward_batch passes no buffers and gets
     fresh arrays, a MinibatchStep passes its own and gets the same bits.
+    Each activation overwrites its pre-activation, which backward does not
+    need: a ReLU output is > 0 exactly where its input is.
     """
-    activations, pre = [a], []
+    activations = [a]
     for i, (spec, w, b) in enumerate(zip(params.specs, params.weights, params.biases)):
         # A stacked matmul makes one GEMM per B-row slice.  BLAS kernels round
         # a row differently depending on where it falls in their row blocks,
         # so a slice gives the same bits as a (B, in) call on its own, while
         # one flat (S*B, in) product would not.
-        z = np.matmul(a, w, out=_out(bufs, "z", i))
-        z += b
-        a = _activate(z, spec.activation, _out(bufs, "a", i))
-        pre.append(z)
+        a = np.matmul(a, w, out=_out(bufs, "a", i))
+        a += b
+        if spec.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        elif spec.activation == "tanh":
+            np.tanh(a, out=a)
         activations.append(a)
-    return activations, pre
+    return activations
 
 
-def _backward(params: NetworkParams, activations, pre, dout, l2, grads_w, grads_b, decay,
+def _backward(params: NetworkParams, activations, dout, l2, grads_w, grads_b, decay,
               bufs=None) -> None:
     """Exact gradients of (loss + l2/2 * ||W||^2) given dLoss/doutput, written into
-    grads_w and grads_b; decay holds l2 * W.  Biases are unregularized."""
+    grads_w and grads_b; decay holds l2 * W.  Biases are unregularized.
+
+    With buffers, each layer's dLoss/dz overwrites its dLoss/doutput, which
+    is then always a buffer of the step's own.
+    """
     da = dout
     for i in range(len(params.specs) - 1, -1, -1):
-        kind = params.specs[i].activation
+        kind, out = params.specs[i].activation, activations[i + 1]
+        dz_out = None if bufs is None else da
         if kind == "relu":  # a float times the mask gives the same bits as times 1.0/0.0
-            mask = np.greater(pre[i], 0.0, out=_out(bufs, "g", i))
-            dz = np.multiply(da, mask, out=_out(bufs, "dz", i))
-        elif kind == "tanh":  # activations[i + 1] is tanh(pre[i])
-            g = np.multiply(activations[i + 1], activations[i + 1], out=_out(bufs, "g", i))
-            dz = np.multiply(da, np.subtract(1.0, g, out=g), out=_out(bufs, "dz", i))
+            dz = np.multiply(da, np.greater(out, 0.0, out=_out(bufs, "g", i)), out=dz_out)
+        elif kind == "tanh":  # out is tanh of the pre-activation
+            g = np.multiply(out, out, out=_out(bufs, "g", i))
+            dz = np.multiply(da, np.subtract(1.0, g, out=g), out=dz_out)
         else:
             dz = da  # times a derivative of 1.0, which keeps every bit
         gw = np.matmul(activations[i].T, dz, out=grads_w[i])
@@ -238,8 +238,7 @@ def forward_batch(params: NetworkParams, x: np.ndarray):
         x = x[None, :]
     _check_input(params, x)
     cache = _forward(params, params.standardizer.apply(x))
-    a = cache[0][-1]
-    return (a[0] if squeeze else a), cache
+    return (cache[-1][0] if squeeze else cache[-1]), cache
 
 
 def backward_batch(params: NetworkParams, cache, output_gradient: np.ndarray, l2: float = 0.0):
@@ -248,16 +247,15 @@ def backward_batch(params: NetworkParams, cache, output_gradient: np.ndarray, l2
     Returns (weight gradients, bias gradients), views into one flat vector
     laid out like params.flat.
     """
-    activations, pre = cache
     dout = np.asarray(output_gradient, dtype=float)
     if dout.ndim == 1:
         dout = dout[None, :]
-    if dout.shape != pre[-1].shape:
+    if dout.shape != cache[-1].shape:
         raise ValueError(f"output gradient shape {dout.shape} does not match cache "
-                         f"{pre[-1].shape}")
+                         f"{cache[-1].shape}")
     grads_w, grads_b = _views(np.empty_like(params.flat), params.weights, params.biases)
     decay, _ = _views(np.empty_like(params.flat), params.weights, params.biases)
-    _backward(params, activations, pre, dout, l2, grads_w, grads_b, decay)
+    _backward(params, cache, dout, l2, grads_w, grads_b, decay)
     return grads_w, grads_b
 
 
@@ -336,9 +334,9 @@ class MinibatchStep:
 
     Runs the operations of forward_batch, backward_batch and adam_step in
     their order, so it gives their bits, but into buffers kept per batch size
-    (every layer's intermediates, the flat gradient, Adam's scratch vectors),
-    so a step allocates almost nothing.  The caller checks and standardizes
-    the input.
+    (the standardized input, every layer's intermediates, the flat gradient,
+    Adam's scratch vectors), so a step allocates almost nothing.  The caller
+    checks the input.
     """
 
     def __init__(self, params: NetworkParams, adam: AdamState):
@@ -347,40 +345,47 @@ class MinibatchStep:
         self._grad, self._scratch = grad, (np.empty_like(grad), np.empty_like(grad))
         self._grads = _views(grad, params.weights, params.biases)
         self._decay, _ = _views(self._scratch[0], params.weights, params.biases)
-        self._buffers: dict[int, dict] = {}
+        self._full: dict = {"x": np.empty((0, params.input_size))}
+        self._cut: dict[int, dict] = {}
 
     def buffers(self, rows: int) -> dict:
-        """The buffers for a batch of `rows` rows; "x" can take the caller's minibatch."""
-        if rows not in self._buffers:
+        """The buffers for a batch of `rows` rows: views of one set sized for the
+        largest batch yet.  "x" can take the caller's minibatch."""
+        if rows > len(self._full["x"]):
             def new(width, dtype=float):
                 return np.empty((rows, width), dtype=dtype)
 
             specs = self.params.specs
-            self._buffers[rows] = {
+            self._full = {
                 "x": new(self.params.input_size), "err": new(self.params.output_size),
-                "z": [new(s.output_size) for s in specs],
-                "a": [None if s.activation == "identity" else new(s.output_size) for s in specs],
+                "a": [new(s.output_size) for s in specs],
                 "g": [new(s.output_size, bool if s.activation == "relu" else float)
                       for s in specs],
-                "dz": [new(s.output_size) for s in specs],
                 "da": [new(s.input_size) for s in specs],
             }
-        return self._buffers[rows]
+            self._cut = {}
+        if rows not in self._cut:
+            self._cut[rows] = {k: v[:rows] if isinstance(v, np.ndarray) else [b[:rows] for b in v]
+                               for k, v in self._full.items()}
+        return self._cut[rows]
 
     def __call__(self, x: np.ndarray, y: np.ndarray, l2: float, lr: float) -> float:
-        """One Adam step on standardized rows x (B, in) and targets y (B, out); returns the loss.
+        """One Adam step on rows x (B, in) and targets y (B, out); returns the loss.
 
-        A non-finite loss raises ArithmeticError before any parameter changes.
+        x is standardized into buffers(B)["x"], which x may itself be.  A
+        non-finite loss raises ArithmeticError before any parameter changes.
         """
         n = len(x)
         bufs = self.buffers(n)
-        activations, pre = _forward(self.params, x, bufs)
+        a = np.subtract(x, self.params.standardizer.mean, out=bufs["x"])
+        a /= self.params.standardizer.std
+        activations = _forward(self.params, a, bufs)
         err = np.subtract(activations[-1], y, out=bufs["err"])
         loss = 0.5 * float((err * err).sum()) / n
         if not math.isfinite(loss):
             raise ArithmeticError(f"non-finite training loss {loss}")
         err /= n
-        _backward(self.params, activations, pre, err, l2, *self._grads, self._decay, bufs)
+        _backward(self.params, activations, err, l2, *self._grads, self._decay, bufs)
         _adam(self.params.flat, self._grad, self.adam, lr, *self._scratch)
         return loss
 
@@ -413,9 +418,9 @@ def train_epochs(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
                  after_epoch: Callable[[], None] | None = None):
     """Minibatch Adam on mean squared error; returns (params, per-epoch mean loss).
 
-    The inputs are checked and standardized once; each minibatch is one
-    MinibatchStep.  after_epoch, if given, is called once at the end of every
-    epoch.
+    The inputs are checked once; each minibatch is gathered into one
+    MinibatchStep, which standardizes it in place.  after_epoch, if given, is
+    called once at the end of every epoch.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -426,7 +431,6 @@ def train_epochs(params: NetworkParams, inputs: np.ndarray, targets: np.ndarray,
     if x.ndim != 2 or len(y) != len(x):
         raise ValueError(f"inputs {x.shape} and targets {y.shape} do not pair up row by row")
     _check_input(params, x)
-    x = params.standardizer.apply(x)
     if adam is None:
         adam = AdamState.for_params(params)
     step = MinibatchStep(params, adam)
@@ -449,17 +453,18 @@ class RowRing:
     """FIFO ring of entries, each a float row plus `columns` scalars; at capacity
     a new entry drops the oldest.
 
-    An entry is stored as one float64 row, its features then its scalars, and
-    the digest hashes those bytes.  Storage starts at the first batch's size
-    and doubles up to capacity.  Reads are oldest first.  Each extend checks
-    its batch once: one row width throughout and every value finite.
+    Rows and scalars sit in two arrays that share one ring index, so a read
+    that does not wrap round is a pair of contiguous views.  Storage starts
+    at the first batch's size and doubles up to capacity.  Reads are oldest
+    first.  Each extend checks its batch once: one row width throughout and
+    every value finite.
     """
 
     def __init__(self, capacity: int, columns: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity, self.columns = capacity, columns
-        self._store = np.empty((0, columns))
+        self._rows, self._cols = np.empty((0, 0)), np.empty((0, columns))
         self._start = self._len = 0  # the oldest entry's storage index; entries held
 
     def __len__(self) -> int:
@@ -470,67 +475,67 @@ class RowRing:
         rows = np.asarray(rows, dtype=float)
         if len(rows) == 0:
             return
-        entries = np.column_stack((rows, *columns)).astype(float, copy=False)
-        width = rows.shape[-1] + self.columns
-        if rows.ndim != 2 or entries.shape[1] != width or (
-                self._len and width != self._store.shape[1]):
-            raise ValueError(f"rows {rows.shape} with {len(columns)} columns do not fit a "
-                             f"ring of {self.columns} columns and entries {self._store.shape}")
-        if not np.isfinite(entries).all():
+        cols = np.column_stack(columns).astype(float) if columns else np.empty((len(rows), 0))
+        if rows.ndim != 2 or cols.shape != (len(rows), self.columns) or (
+                self._len and rows.shape[1] != self._rows.shape[1]):
+            raise ValueError(f"rows {rows.shape} and columns {cols.shape} do not fit a ring "
+                             f"of rows {self._rows.shape[1:]} and {self.columns} columns")
+        if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
             raise ValueError("non-finite row or column value")
-        entries = entries[-self.capacity:]
-        n = len(entries)
-        size = len(self._reserve(min(self._len + n, self.capacity), width))
+        rows, cols = rows[-self.capacity:], cols[-self.capacity:]
+        n = len(rows)
+        size = self._reserve(min(self._len + n, self.capacity), rows.shape[1])
         first = (self._start + self._len) % size
         fits = min(n, size - first)
-        self._store[first:first + fits] = entries[:fits]
-        self._store[:n - fits] = entries[fits:]  # the rest wraps round to the start
+        for store, new in ((self._rows, rows), (self._cols, cols)):
+            store[first:first + fits] = new[:fits]
+            store[:n - fits] = new[fits:]  # the rest wraps round to the start
         dropped = max(self._len + n - size, 0)  # only once storage is at capacity
         self._start = (self._start + dropped) % size
         self._len += n - dropped
 
-    def _reserve(self, needed: int, width: int) -> np.ndarray:
-        """Storage for `needed` entries: grown by doubling, the oldest moved to index 0."""
-        size = len(self._store)
-        if needed > size or width != self._store.shape[1]:
-            store = np.empty((max(needed, min(2 * size, self.capacity)), width))
+    def _reserve(self, needed: int, width: int) -> int:
+        """Grow storage to hold `needed` entries, doubling, with the oldest at index 0."""
+        size = len(self._rows)
+        if needed > size or width != self._rows.shape[1]:
+            size = max(needed, min(2 * size, self.capacity))
+            at = self._index(np.arange(self._len))
+            rows, cols = np.empty((size, width)), np.empty((size, self.columns))
             if self._len:
-                store[:self._len] = self._store[self._index(np.arange(self._len))]
-            self._store, self._start = store, 0
-        return self._store
+                rows[:self._len], cols[:self._len] = self._rows[at], self._cols[at]
+            self._rows, self._cols, self._start = rows, cols, 0
+        return size
 
     def _index(self, idx) -> np.ndarray:
         """Storage indices of oldest-first positions."""
-        return (np.asarray(idx) + self._start) % len(self._store)
-
-    def _split(self, entries: np.ndarray):
-        width = entries.shape[1] - self.columns
-        return (entries[:, :width], *entries[:, width:].T)
+        return (np.asarray(idx) + self._start) % max(len(self._rows), 1)
 
     def gather(self, idx):
         """Copies of the entries at oldest-first positions idx: (rows, *columns)."""
-        return self._split(self._store[self._index(idx)])
+        at = self._index(idx)
+        return (self._rows[at], *self._cols[at].T)
 
     def arrays(self):
         """Every entry, oldest first: (rows, *columns), read-only views unless they wrap."""
-        if self._start + self._len > len(self._store):
+        if self._start + self._len > len(self._rows):
             return self.gather(np.arange(self._len))
-        view = self._store[self._start:self._start + self._len]
-        view.flags.writeable = False
-        return self._split(view)
+        rows, cols = (a[self._start:self._start + self._len] for a in (self._rows, self._cols))
+        rows.flags.writeable = cols.flags.writeable = False
+        return (rows, *cols.T)
 
     def keep(self, mask) -> int:
         """Keep only the entries where the oldest-first mask is True; returns how many went."""
-        kept = self._store[self._index(np.flatnonzero(mask))]
-        self._store[:len(kept)] = kept
-        removed, self._start, self._len = self._len - len(kept), 0, len(kept)
+        at = self._index(np.flatnonzero(mask))
+        self._rows[:len(at)], self._cols[:len(at)] = self._rows[at], self._cols[at]
+        removed, self._start, self._len = self._len - len(at), 0, len(at)
         return removed
 
     def digest(self) -> str:
-        """sha256 of the stored entries' bytes, oldest first."""
+        """sha256 of the entries oldest first, each its row then its scalars as float64."""
         h = hashlib.sha256()
         for at in range(0, self._len, 4096):
-            h.update(self._store[self._index(np.arange(at, min(at + 4096, self._len)))])
+            rows, *cols = self.gather(np.arange(at, min(at + 4096, self._len)))
+            h.update(np.column_stack((rows, *cols)))
         return h.hexdigest()
 
 

@@ -465,8 +465,7 @@ def train(
         )
         for _ in range(config.updates_per_episode):
             feats, targets = buffer.sample(config.batch_size, rng_ep)
-            update(value_net.standardizer.apply(feats), targets[:, None], config.l2,
-                   config.learning_rate)
+            update(feats, targets[:, None], config.l2, config.learning_rate)
         curve.append(
             CurvePoint(
                 episode=episode,

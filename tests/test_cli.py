@@ -280,6 +280,22 @@ class TestTrainCommand:
         np.savez(out_dir / "replay.npz", features=feats, targets=targets)
         assert main(resume) == 2
 
+    @pytest.mark.parametrize("edit", ["nan feature", "short targets", "flat features"])
+    def test_resume_with_malformed_replay_names_it(self, tmp_path, capsys, edit):
+        out_dir, resume = self._interrupted_run(tmp_path)
+        with np.load(out_dir / "replay.npz") as data:
+            feats, targets = data["features"].copy(), data["targets"]
+        if edit == "nan feature":
+            feats[1, 2] = np.nan
+        elif edit == "short targets":
+            targets = targets[:-1]
+        else:
+            feats = feats.ravel()
+        np.savez(out_dir / "replay.npz", features=feats, targets=targets)
+        capsys.readouterr()
+        assert main(resume) == 2
+        assert "replay.npz" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, edit", [
         ("episode", lambda s: s.pop("episode")),
         ("episode", lambda s: s.update(episode="3")),

@@ -154,7 +154,7 @@ class TestMeasurementCloud:
                 assert (a.features.tobytes(), a.level, a.timestamp) == (
                     b.features.tobytes(), b.level, b.timestamp)
 
-    def test_rejects_bad_level_or_features(self):
+    def test_rejects_bad_level(self):
         cloud = MeasurementCloud(capacity=3)
         with pytest.raises(ValueError):
             cloud.record(Measurement(np.zeros(5), level=3, timestamp=0))

@@ -122,10 +122,10 @@ class TestReplayBuffer:
         sizes = []
         for _ in range(10):
             buf.extend(np.ones((1, 34)), [1.0])
-            sizes.append(len(buf._store))
+            sizes.append(len(buf._rows))
         assert sizes == [10] * 5 + [20] * 5
         buf.extend(np.zeros((1000, 34)), np.zeros(1000))
-        assert len(buf._store) == 1015  # a batch larger than double is stored as it is
+        assert len(buf._rows) == 1015  # a batch larger than double is stored as it is
 
     def test_rejects_bad_rows_and_keeps_its_entries(self):
         buf = ReplayBuffer(4)

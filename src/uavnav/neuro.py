@@ -495,15 +495,18 @@ class RowRing:
         self._len += n - dropped
 
     def _reserve(self, needed: int, width: int) -> int:
-        """Grow storage to hold `needed` entries, doubling, with the oldest at index 0."""
+        """Grow storage to hold `needed` entries, doubling.
+
+        Entries wrap round only once storage is at capacity, after which it
+        never grows, so the entries to move sit at the front, oldest first.
+        """
         size = len(self._rows)
         if needed > size or width != self._rows.shape[1]:
             size = max(needed, min(2 * size, self.capacity))
-            at = self._index(np.arange(self._len))
             rows, cols = np.empty((size, width)), np.empty((size, self.columns))
             if self._len:
-                rows[:self._len], cols[:self._len] = self._rows[at], self._cols[at]
-            self._rows, self._cols, self._start = rows, cols, 0
+                rows[:self._len], cols[:self._len] = self._rows[:self._len], self._cols[:self._len]
+            self._rows, self._cols = rows, cols
         return size
 
     def _index(self, idx) -> np.ndarray:
@@ -516,7 +519,11 @@ class RowRing:
         return (self._rows[at], *self._cols[at].T)
 
     def arrays(self):
-        """Every entry, oldest first: (rows, *columns), read-only views unless they wrap."""
+        """Every entry, oldest first: (rows, *columns).
+
+        Unless the entries wrap round, these are read-only views of the
+        storage, which a later extend or keep overwrites; copy to keep them.
+        """
         if self._start + self._len > len(self._rows):
             return self.gather(np.arange(self._len))
         rows, cols = (a[self._start:self._start + self._len] for a in (self._rows, self._cols))
@@ -531,10 +538,13 @@ class RowRing:
         return removed
 
     def digest(self) -> str:
-        """sha256 of the entries oldest first, each its row then its scalars as float64."""
+        """sha256 of the entries oldest first, each its row then its scalars as float64.
+
+        Hashed 256 entries at a time, so the copies it makes stay small.
+        """
         h = hashlib.sha256()
-        for at in range(0, self._len, 4096):
-            rows, *cols = self.gather(np.arange(at, min(at + 4096, self._len)))
+        for at in range(0, self._len, 256):
+            rows, *cols = self.gather(np.arange(at, min(at + 256, self._len)))
             h.update(np.column_stack((rows, *cols)))
         return h.hexdigest()
 

@@ -91,17 +91,6 @@ class Measurements:
             raise ValueError(f"row {bad}: level must be in {{0,1,2}} and features finite")
         self.levels, self.timestamps = levels.astype(int), stamps.astype(int)
 
-    @staticmethod
-    def of(measurements) -> "Measurements":
-        """A Measurements as is; one Measurement or an iterable of them, stacked."""
-        if isinstance(measurements, Measurements):
-            return measurements
-        rows = [measurements] if isinstance(measurements, Measurement) else list(measurements)
-        if not rows:
-            raise ValueError("no measurements")
-        return Measurements(np.stack([m.features for m in rows]), np.array([m.level for m in rows]),
-                            np.array([m.timestamp for m in rows]))
-
     def __len__(self) -> int:
         return len(self.features)
 
@@ -121,22 +110,19 @@ class MeasurementCloud(neuro.RowRing):
         super().__init__(capacity, columns=2)  # level, timestamp
 
     def record(self, measurements) -> None:
-        """Append one Measurement, a Measurements batch or an iterable of Measurement."""
-        if isinstance(measurements, Measurement):  # one row, as a stream records them
+        """Append a Measurements batch, or one Measurement as a stream records them."""
+        if isinstance(measurements, Measurement):
             m = measurements
-            if m.level not in (0, 1, 2):
-                raise ValueError(f"level must be in {{0,1,2}}, got {m.level}")
-            self.extend([m.features], [m.level], [m.timestamp])
-        else:
-            batch = Measurements.of(measurements)
-            self.extend(batch.features, batch.levels, batch.timestamps)
+            measurements = Measurements([m.features], [m.level], [m.timestamp])
+        self.extend(measurements.features, measurements.levels, measurements.timestamps)
 
     def measurements(self) -> "Measurements":
-        return Measurements(*self.arrays())
+        """A copy of every measurement held, oldest first; later records leave it as it is."""
+        return Measurements(*self.gather(np.arange(len(self))))
 
     def purge_before(self, timestamp: int) -> int:
         """Drop measurements older than timestamp; returns how many were removed."""
-        return self.keep(self.arrays()[2] >= timestamp)
+        return self.keep(self._cols[self._index(np.arange(len(self))), 1] >= timestamp)
 
 
 @dataclass
@@ -179,12 +165,11 @@ def learned_oracle(model: MapModel, stations, uav_altitude: float):
     return oracle
 
 
-def evaluate_accuracy(model: MapModel, measurements) -> float:
-    """Share of measurements (a Measurements or Measurement rows) whose predicted level is right."""
-    batch = Measurements.of(measurements)
-    if not len(batch):
+def evaluate_accuracy(model: MapModel, measurements: Measurements) -> float:
+    """Share of the measurements whose predicted level is right."""
+    if not len(measurements):
         raise ValueError("cannot evaluate accuracy on an empty slice")
-    return _accuracy(model, batch.features, batch.levels)
+    return _accuracy(model, measurements.features, measurements.levels)
 
 
 def _accuracy(model: MapModel, feats: np.ndarray, labels: np.ndarray) -> float:
@@ -289,8 +274,7 @@ def load_map_model(path) -> MapModel:
     return MapModel(network=neuro.from_dict(data["network"]), k_n=int(data["k_n"]))
 
 
-def write_measurement_csv(measurements, path, extra_comments: tuple[str, ...] = ()):
-    batch = Measurements.of(measurements)
+def write_measurement_csv(batch: Measurements, path, extra_comments: tuple[str, ...] = ()):
     n_feat = batch.features.shape[1]
     lines = [f"# sinr-measurements v1 features={n_feat} count={len(batch)}"]
     lines.extend(f"# {c}" for c in extra_comments)

@@ -154,6 +154,17 @@ class TestMeasurementCloud:
                 assert (a.features.tobytes(), a.level, a.timestamp) == (
                     b.features.tobytes(), b.level, b.timestamp)
 
+    def test_measurements_are_a_copy(self):
+        cloud = MeasurementCloud(capacity=3)
+        for i in range(3):
+            cloud.record(Measurement(np.full(5, float(i)), level=1, timestamp=i))
+        held = cloud.measurements()
+        for i in range(3, 6):
+            cloud.record(Measurement(np.full(5, float(i)), level=2, timestamp=i))
+        assert held.features[:, 0].tolist() == [0.0, 1.0, 2.0]
+        assert held.levels.tolist() == [1, 1, 1] and held.timestamps.tolist() == [0, 1, 2]
+        assert cloud.measurements().timestamps.tolist() == [3, 4, 5]
+
     def test_rejects_bad_level(self):
         cloud = MeasurementCloud(capacity=3)
         with pytest.raises(ValueError):
@@ -196,7 +207,7 @@ class TestPredict:
 
 class TestAccuracy:
     def _measurements(self, labels):
-        return [Measurement(np.zeros(5), level=v, timestamp=i) for i, v in enumerate(labels)]
+        return sinrmap.Measurements(np.zeros((len(labels), 5)), labels, np.arange(len(labels)))
 
     def test_all_correct_and_half(self):
         model = TestPredict()._const_model(0.0)
@@ -216,12 +227,12 @@ class TestAccuracy:
         model = TestPredict()._const_model(1.0)
         ms = self._measurements(labels)
         a = evaluate_accuracy(model, ms)
-        perm = [ms[i] for i in rng.permutation(30)]
+        perm = ms[rng.permutation(30)]
         assert evaluate_accuracy(model, perm) == a
 
     def test_empty_slice_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_accuracy(TestPredict()._const_model(0.0), [])
+            evaluate_accuracy(TestPredict()._const_model(0.0), self._measurements([]))
 
 
 class TestDetectChange:

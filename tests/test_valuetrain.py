@@ -116,6 +116,23 @@ class TestReplayBuffer:
             want = ref.sample(draw, np.random.default_rng(seed + n))
             assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
+    def test_digest_of_a_wrapped_ring_longer_than_one_hashed_piece(self, rng):
+        buf, ref = ReplayBuffer(600), DequeReplay(600)
+        for n in (250, 300, 150):  # 700 entries: the ring wraps and the digest takes 3 pieces
+            feats, targets = rng.normal(size=(n, 3)), rng.normal(size=n)
+            buf.extend(feats, targets)
+            for f, t in zip(feats, targets):
+                ref.push(f, t)
+        assert buf._start > 0 and buf.digest() == ref.digest()
+
+    def test_arrays_are_read_only_views_a_later_extend_overwrites(self):
+        buf = ReplayBuffer(capacity=2)
+        buf.extend([[1.0], [2.0]], [1.0, 2.0])
+        feats, targets = buf.arrays()
+        assert not feats.flags.writeable and not targets.flags.writeable
+        buf.extend([[3.0], [4.0]], [3.0, 4.0])
+        assert feats[:, 0].tolist() == targets.tolist() == [3.0, 4.0]
+
     def test_grows_by_doubling_up_to_capacity(self):
         buf = ReplayBuffer(600_000)
         buf.extend(np.zeros((5, 34)), np.zeros(5))

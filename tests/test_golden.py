@@ -147,3 +147,51 @@ def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeyp
     assert main([*train, "--resume"]) == 0
     for name in CHECKPOINT:
         assert digest(tmp_path / name) == GOLDEN[name], name
+
+
+# Evaluation where the three modes fly apart: the benchmark's navigate config
+# (default config, seed 3, 5 trials) with its value-net fixture and a center-1w
+# map, and the same config with the jammer off.  Unlike the golden run above,
+# every mode's trajectories differ here, so these pins see the learned map.
+VALUE_FIXTURE = Path(__file__).resolve().parent.parent / "bench" / "fixtures" / "value-model.json"
+
+EVAL_PINS = {
+    "map.json": "db7fce4409cd83678d89166e593537acf573cf003a7250e09405a7f8df45b1da",
+    "center-1w/report.json": "cf42728e2c0a65ef498ac51121b892c54ddc715399e36f56f6764a0c4faf1efc",
+    "center-1w/trajectories-proposed.csv":
+        "173cb84d5816cad9701d51642c3f1845f7150ea394b6637171ef8a3fa44396e5",
+    "center-1w/trajectories-outdated.csv":
+        "f5585528d916eb4239a35652bd603af57259fc729fd1ffc7b7992f689dc197bb",
+    "center-1w/trajectories-perfect.csv":
+        "e2bcc89383b0c10169078b957d57fd3d6dab951f13c0117a4fcfce0a29bb013e",
+    "none/report.json": "5c8950ca04c19c27336d5e40d73c80f15e15b5f8ece27fad680d8f46691f02c9",
+    "none/trajectories-outdated.csv":
+        "bf390eeaf0808e4538f22f83a462562e7b664c6eec55af1c28b0861b27bfa7c7",
+    "none/trajectories-perfect.csv":
+        "bf390eeaf0808e4538f22f83a462562e7b664c6eec55af1c28b0861b27bfa7c7",
+}
+
+
+def test_eval_digests_where_the_modes_differ(tmp_path):
+    raw = json.loads(json.dumps(cfgmod.DEFAULT_CONFIG))
+    raw["seed"] = 3
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    raw["evaluation"]["modes"] = ["outdated", "perfect"]
+    cfg_none = tmp_path / "config-none.json"
+    cfg_none.write_text(json.dumps(raw))
+    assert main(["trainmap", "--config", str(cfg), "--preset", "center-1w",
+                 "--out", str(tmp_path / "map.json")]) == 0
+    for preset, config, extra in (
+        ("center-1w", cfg, ["--map-model", str(tmp_path / "map.json")]),
+        ("none", cfg_none, []),
+    ):
+        (tmp_path / preset).mkdir()
+        assert main(["eval", "--config", str(config), "--preset", preset,
+                     "--value-model", str(VALUE_FIXTURE), *extra,
+                     "--out", str(tmp_path / preset / "report.json"),
+                     "--trajectories", str(tmp_path / preset), "--trials", "5"]) == 0
+    got = {name: digest(tmp_path / name) for name in EVAL_PINS}
+    modes = [got[f"center-1w/trajectories-{m}.csv"] for m in ("proposed", "outdated", "perfect")]
+    assert len(set(modes)) == 3
+    assert got == EVAL_PINS

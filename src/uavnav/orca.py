@@ -245,15 +245,15 @@ def run_orca_episode(
     """
     cfg = config or OrcaConfig()
 
-    def choose(ep, active, neighbors):
+    def choose(t, agents):
         actions = []
-        for i, nbs in zip(active, neighbors):
-            pref = preferred_velocity(ep.uavs[i], scenario.dt, tiebreak_rotation=1e-3 * (i + 1))
-            vel = orca_velocity(ep.uavs[i], nbs, pref, cfg, scenario.dt)
+        for _, i, uav, nbs in agents:
+            pref = preferred_velocity(uav, scenario.dt, tiebreak_rotation=1e-3 * (i + 1))
+            vel = orca_velocity(uav, nbs, pref, cfg, scenario.dt)
             actions.append(Action(speed=math.hypot(*vel), heading=math.atan2(vel[1], vel[0])))
         return actions
 
-    return world.rollout(scenario, env, choose, j_n=j_n if record_states else None)
+    return world.rollout([scenario], env, choose, j_n=j_n if record_states else None)[0]
 
 
 def generate_bootstrap_set(

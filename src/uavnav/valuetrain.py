@@ -331,24 +331,24 @@ def run_episode(
     """One epsilon-greedy episode; visited states get scaled return-to-go targets."""
     oracle = sinr_oracle if sinr_oracle is not None else ground_truth_oracle(env)
 
-    def choose(ep, active, neighbors):
+    def choose(t, agents):
         # The exploration coins are drawn in agent order first; the greedy
         # agents then share one lookahead, which draws nothing.
-        grids = [world.action_grid(ep.uavs[i], scenario, n_speeds, n_headings) for i in active]
+        grids = [world.action_grid(uav, scenario, n_speeds, n_headings) for _, _, uav, _ in agents]
         picks = [int(rng.integers(len(g[0]))) if rng.random() <= eps else None for g in grids]
         greedy = [a for a, k in enumerate(picks) if k is None]
         if greedy:
             ks = lookahead_index(
-                value_net, [ep.uavs[active[a]] for a in greedy], [neighbors[a] for a in greedy],
+                value_net, [agents[a][2] for a in greedy], [agents[a][3] for a in greedy],
                 np.stack([grids[a][0] for a in greedy]), np.stack([grids[a][1] for a in greedy]),
-                oracle, gamma, ep.t, scenario, j_n=j_n, reward_scale=target_scale,
+                oracle, gamma, t, scenario, j_n=j_n, reward_scale=target_scale,
             )
             for a, k in zip(greedy, ks):
                 picks[a] = int(k)
         return [Action(speed=float(s[k]), heading=float(h[k])) for (s, h), k in zip(grids, picks)]
 
-    run = world.rollout(
-        scenario, env, choose, j_n=None if buffer is None else j_n, level_oracle=oracle
+    (run,) = world.rollout(
+        [scenario], env, choose, j_n=None if buffer is None else j_n, level_oracle=oracle
     )
     if buffer is not None:
         # Agent by agent: its visited states, then its terminal state.

@@ -9,7 +9,7 @@ a gated SINR check every ``n_t`` steps against the next position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -413,6 +413,8 @@ class EpisodeState:
     consecutive_disconnects: list[int] = None
     ever_disconnected: list[bool] = None
     ever_collided: list[bool] = None
+    # Linear SINR at each agent's position, set by step_all; not compared (an array).
+    sinr: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = len(self.uavs)
@@ -535,6 +537,7 @@ def step_all(
         consecutive_disconnects=new_cd,
         ever_disconnected=new_ed,
         ever_collided=new_ec,
+        sinr=sinr_next,
     )
     return new_state, rewards, flags
 
@@ -576,60 +579,72 @@ class Rollout(NamedTuple):
 
 
 def rollout(
-    scenario: ScenarioConfig,
+    scenarios: list[ScenarioConfig],
     env: radio.RadioEnvironment,
     choose,
     j_n: int | None = None,
     level_oracle=None,
     observe=None,
-) -> Rollout:
-    """The episode loop of bootstrap, training and evaluation.
+) -> list[Rollout]:
+    """The episode loop of bootstrap, training and evaluation: one episode per
+    scenario, stepping in lockstep.
 
-    Every step, choose(ep, active, neighbors) returns one action per index
-    of the active agents in `active` (agent order), neighbors[a] being the
-    other active agents' observables, and step_all advances them together.
-    The episode ends when all agents have arrived, at the step cap, or right
-    after the first collision.  With j_n given, each active agent's frame is
-    recorded before it acts, and after a collision-free episode so is the
-    terminal frame of each arrived agent; their SINR levels come from
-    level_oracle, by default ground_truth_oracle(env).  observe(ep, flags),
-    if given, sees the initial state (flags None) and the state after every
-    step.
+    Every step, choose(t, agents) returns one action per active agent of every
+    live episode, given as (b, i, uav, neighbors) in episode-then-agent order
+    (neighbors: the other active agents' observables); step_all advances each
+    episode.  An episode leaves the batch when all its agents have arrived, at
+    its step cap, or right after its first collision.  With j_n given, each
+    active agent's frame is recorded before it acts, and after a collision-free
+    episode so is the terminal frame of each arrived agent; their SINR levels
+    come from level_oracle, by default ground_truth_oracle(env).
+    observe(b, ep, flags), if given, sees episode b's initial state (flags
+    None) and its state after every step.
     """
     level_oracle = level_oracle or ground_truth_oracle(env)
-    n = scenario.num_agents
-    ep = EpisodeState(uavs=scenario.initial_states())
-    rewards: list[list[float]] = [[] for _ in range(n)]
-    frames: list[list[np.ndarray]] = [[] for _ in range(n)]
+    eps = [EpisodeState(uavs=sc.initial_states()) for sc in scenarios]
+    rewards = [[[] for _ in range(sc.num_agents)] for sc in scenarios]
+    frames = [[[] for _ in range(sc.num_agents)] for sc in scenarios]
     if observe is not None:
-        observe(ep, None)
-    while not ep.all_arrived and ep.t < scenario.max_episode_steps:
-        active = [i for i, u in enumerate(ep.uavs) if not u.arrived]
-        neighbors = [ep.neighbors_of(i) for i in active]
-        if j_n is not None:
+        for b, ep in enumerate(eps):
+            observe(b, ep, None)
+    live = list(range(len(scenarios)))
+    t = 0
+    while live:
+        agents = []
+        for b in live:
+            ep = eps[b]
+            active = [i for i, u in enumerate(ep.uavs) if not u.arrived]
+            neighbors = [ep.neighbors_of(i) for i in active]
+            if j_n is not None:
+                levels = level_oracle(np.array([u.position for u in ep.uavs]))
+                for i, nbs in zip(active, neighbors):
+                    frames[b][i].append(to_agent_frame(ep.uavs[i], nbs, int(levels[i]), j_n))
+            agents += [(b, i, ep.uavs[i], nbs) for i, nbs in zip(active, neighbors)]
+        actions: dict[int, list[Action | None]] = {b: [None] * len(eps[b].uavs) for b in live}
+        for (b, i, _, _), act in zip(agents, choose(t, agents), strict=True):
+            actions[b][i] = act
+        for b in live:
+            eps[b], step_rewards, flags = step_all(eps[b], actions[b], env, scenarios[b])
+            for i, act in enumerate(actions[b]):
+                if act is not None:
+                    rewards[b][i].append(step_rewards[i].total)
+            if observe is not None:
+                observe(b, eps[b], flags)
+        t += 1
+        live = [b for b in live if not (eps[b].all_arrived or eps[b].any_collision
+                                        or t >= scenarios[b].max_episode_steps)]
+    runs = []
+    for b, ep in enumerate(eps):
+        # Arrived terminals carry zero future value and anchor the value net there.
+        terminals = []
+        if j_n is not None and not ep.any_collision and any(u.arrived for u in ep.uavs):
             levels = level_oracle(np.array([u.position for u in ep.uavs]))
-            for i, nbs in zip(active, neighbors):
-                frames[i].append(to_agent_frame(ep.uavs[i], nbs, int(levels[i]), j_n))
-        actions: list[Action | None] = [None] * n
-        for i, act in zip(active, choose(ep, active, neighbors), strict=True):
-            actions[i] = act
-        ep, step_rewards, flags = step_all(ep, actions, env, scenario)
-        for i, act in enumerate(actions):
-            if act is not None:
-                rewards[i].append(step_rewards[i].total)
-        if observe is not None:
-            observe(ep, flags)
-        if ep.any_collision:
-            break
-    # Arrived terminals carry zero future value and anchor the value net there.
-    terminals = []
-    if j_n is not None and not ep.any_collision and any(u.arrived for u in ep.uavs):
-        levels = level_oracle(np.array([u.position for u in ep.uavs]))
-        terminals = [
-            (i, to_agent_frame(u, ep.neighbors_of(i), int(levels[i]), j_n))
-            for i, u in enumerate(ep.uavs) if u.arrived
-        ]
-    return Rollout(frames, rewards, terminals, ep)
+            terminals = [
+                (i, to_agent_frame(u, ep.neighbors_of(i), int(levels[i]), j_n))
+                for i, u in enumerate(ep.uavs) if u.arrived
+            ]
+        runs.append(Rollout(frames[b], rewards[b], terminals, ep))
+    return runs
 
 
 TRAJECTORY_COLUMNS = (

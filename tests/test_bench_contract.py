@@ -6,10 +6,13 @@ nav.navigate_step.  Renaming or deleting one of those names breaks a traced
 benchmark run while the unit tests stay green; this test catches that.
 """
 
+import json
 import sys
 from pathlib import Path
 
+from uavnav import config as cfgmod
 from uavnav import nav
+from uavnav.cli import main
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -33,3 +36,34 @@ def test_tracer_installs_and_uninstalls():
 def test_navigate_step_is_a_module_attribute():
     assert "navigate_step" in vars(nav)
     assert callable(nav.navigate_step)
+
+
+def test_every_eval_decision_goes_through_navigate_step(tmp_path, monkeypatch):
+    """bench/run.py times decisions by patching nav.navigate_step; an eval that
+    chose actions some other way would leave nav.decision_ms_* at 0."""
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import checks
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    decided = []
+    original = nav.navigate_step
+
+    def counting(policy, states, *args, **kwargs):
+        decided.append(len(states))
+        return original(policy, states, *args, **kwargs)
+
+    monkeypatch.setattr(nav, "navigate_step", counting)
+    raw = json.loads(json.dumps(cfgmod.DEFAULT_CONFIG))
+    raw["seed"] = 3
+    raw["evaluation"]["modes"] = ["outdated", "perfect"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["eval", "--config", str(cfg), "--preset", "center-1w",
+                 "--value-model", str(BENCH_DIR / "fixtures" / "value-model.json"),
+                 "--out", str(tmp_path / "report.json"),
+                 "--trajectories", str(tmp_path / "traj"), "--trials", "2"]) == 0
+    expected = sum(checks.count_decisions(checks.read_trajectories(f))
+                   for f in sorted((tmp_path / "traj").glob("trajectories-*.csv")))
+    assert expected > 0
+    assert sum(decided) == expected

@@ -194,3 +194,85 @@ class TestCompareModes:
         n_cols = len(world.TRAJECTORY_COLUMNS.split(","))
         for row in rows:
             assert len(row.split(",")) == n_cols
+
+
+class RecklessLookahead:
+    """A policy's lookahead, except that agents whose top speed is RECKLESS fly
+    straight at it; logs the step, neighbor count and dt of every call."""
+
+    RECKLESS = 7.25
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def choose_actions(self, states, neighbors, env, t, scenario, gamma,
+                       j_n=4, n_speeds=3, n_headings=5):
+        self.calls.append((t, len(neighbors[0]), scenario.dt))
+        picked = self.inner.choose_actions(states, neighbors, env, t, scenario, gamma,
+                                           j_n, n_speeds, n_headings)
+        return [Action(speed=s.max_speed, heading=s.orientation) if s.max_speed == self.RECKLESS
+                else a for s, a in zip(states, picked)]
+
+
+class TestLockstep:
+    def scenarios(self):
+        fast = RecklessLookahead.RECKLESS
+        head_on = ScenarioConfig(
+            starts=((-10.0, 0.0), (10.0, 0.0)), destinations=((10.0, 0.0), (-10.0, 0.0)),
+            radii=(0.5, 0.5), max_speeds=(fast, fast), max_episode_steps=60,
+        )
+        capped = ScenarioConfig(starts=((0.0, 0.0),), destinations=((60.0, 0.0),),
+                                radii=(0.5,), max_speeds=(4.0,), max_episode_steps=3)
+        staggered = ScenarioConfig(
+            starts=((0.0, 0.0), (0.0, 10.0), (0.0, 20.0)),
+            destinations=((5.0, 0.0), (15.0, 10.0), (25.0, 20.0)),
+            radii=(0.5,) * 3, max_speeds=(fast,) * 3, max_episode_steps=60,
+        )
+        sampled = valuetrain.sample_scenario(np.random.default_rng(7), n_agents=3,
+                                             max_episode_steps=40)
+        other_dt = valuetrain.sample_scenario(np.random.default_rng(8), n_agents=2, dt=0.4,
+                                              max_episode_steps=40)
+        return [head_on, capped, staggered, sampled, other_dt]
+
+    def test_lockstep_equals_one_trial_at_a_time(self, rng):
+        env = single_station_env(tx_power=2.0, jammer=radio.Jammer(position=(10.0, 5.0),
+                                                                   tx_power=0.5))
+        net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
+        scenarios = self.scenarios()
+        policy = RecklessLookahead(NavPolicy.perfect(net))
+        rows: list = []
+        rep = run_evaluation(policy, env, trials=7, seed=0, gamma=0.95,
+                             scenarios=scenarios, trajectory=rows)
+        one_rows: list = []
+        logs = [
+            nav.run_trial(RecklessLookahead(NavPolicy.perfect(net)), scenarios[trial % 5], env,
+                          0.95, trajectory=one_rows, episode_index=trial)
+            for trial in range(7)
+        ]
+        assert rep == MetricsReport.from_trials(logs)
+        assert rows == one_rows
+
+        # The batch holds what the lockstep loop has to get right.
+        head_on, capped, staggered = rep.per_trial[:3]
+        assert all(head_on.collided) and head_on.steps < max(log.steps for log in logs)
+        assert capped.steps == 3 and not any(capped.arrived)
+        assert rep.per_trial[5:] == rep.per_trial[:2]  # the list is cycled
+        first_step = {}  # (episode, agent, flag) -> first step at which the flag is set
+        for row in rows:
+            episode, t, agent, *_, arrived, collided, _ = row.split(",")
+            for flag, value in (("arrived", arrived), ("collided", collided)):
+                if value == "1":
+                    first_step.setdefault((episode, agent, flag), int(t))
+        assert head_on.steps == first_step["0", "0", "collided"]  # it stopped right after
+        assert len({first_step["2", agent, "arrived"] for agent in "012"}) == 3
+        counts_by_step: dict = {}
+        for t, n_neighbors, dt in policy.calls:
+            counts_by_step.setdefault(t, set()).add((n_neighbors, dt))
+        assert max(len(groups) for groups in counts_by_step.values()) >= 3
+        assert any((0, 0.4) in g or (1, 0.4) in g for g in counts_by_step.values())
+
+    def test_empty_scenario_list_rejected(self, strong_env):
+        with pytest.raises(ValueError, match="scenarios is an empty list"):
+            run_evaluation(NavPolicy.perfect(zero_value_net()), strong_env, trials=2, seed=1,
+                           gamma=0.95, scenarios=[])

@@ -153,62 +153,12 @@ class MetricsReport:
 
 def run_trial(policy, scenario: ScenarioConfig, env_truth: radio.RadioEnvironment,
               gamma: float, j_n: int = 4, n_speeds: int = 3, n_headings: int = 5,
-              trajectory: list | None = None, episode_index: int = 0) -> TrialLog:
-    """Roll out one scenario to arrival, collision, or the step cap: run_trials
-    on a batch of one."""
-    return run_trials(policy, [scenario], env_truth, gamma, j_n, n_speeds, n_headings,
-                      trajectory, episode_index)[0]
-
-
-def run_trials(policy, scenarios: list[ScenarioConfig], env_truth: radio.RadioEnvironment,
-               gamma: float, j_n: int = 4, n_speeds: int = 3, n_headings: int = 5,
-               trajectory: list | None = None, first_episode: int = 0) -> list[TrialLog]:
-    """Roll out the scenarios in lockstep, one trial each; trajectory rows are
-    appended in trial order, numbered from first_episode.
-
-    policy needs a choose_actions(states, neighbors, env, t, scenario, gamma,
-    j_n, n_speeds, n_headings) method that returns one action per state;
-    NavPolicy provides the lookahead one.  Each step calls it once per group
-    of agents with the same neighbor count and scenario step fields, which
-    one lookahead call needs.
-    """
-
-    def choose(t, agents):
-        groups: dict[tuple, list[int]] = {}
-        for k, (b, _, _, nbs) in enumerate(agents):
-            sc = scenarios[b]
-            key = (len(nbs), sc.dt, sc.turn_rate_limit, sc.n_t, sc.arrival_tolerance,
-                   sc.movement_penalty)
-            groups.setdefault(key, []).append(k)
-        actions = [None] * len(agents)
-        for ks in groups.values():
-            picked = policy.choose_actions(
-                [agents[k][2] for k in ks], [agents[k][3] for k in ks], env_truth, t,
-                scenarios[agents[ks[0]][0]], gamma, j_n, n_speeds, n_headings,
-            )
-            for k, act in zip(ks, picked, strict=True):
-                actions[k] = act
-        return actions
-
-    rows: list[list[str]] = [[] for _ in scenarios]
-
-    def record(b: int, ep: EpisodeState, flags):
-        sinr_lin = ep.sinr if ep.sinr is not None else radio.sinr_many(
-            env_truth, np.array([u.position for u in ep.uavs]))
-        levels = radio.quantize_many(sinr_lin, env_truth)
-        for i, uav in enumerate(ep.uavs):
-            s = float(sinr_lin[i])
-            db = 10.0 * math.log10(s) if s > 0 else -math.inf
-            f = flags[i] if flags is not None else world.StepFlags(uav.arrived, False, False)
-            rows[b].append(world.format_trajectory_row(
-                first_episode + b, ep.t, i, uav, db, int(levels[i]), f
-            ))
-
-    runs = world.rollout(scenarios, env_truth, choose,
-                         observe=None if trajectory is None else record)
-    if trajectory is not None:
-        trajectory.extend(row for trial_rows in rows for row in trial_rows)
-    return [TrialLog.of(run.final) for run in runs]
+              trajectory: list | None = None) -> TrialLog:
+    """Roll out one scenario to arrival, collision, or the step cap: a one-trial
+    run_evaluation, its trajectory rows numbered episode 0."""
+    return run_evaluation(policy, env_truth, 1, 0, gamma, scenarios=[scenario], j_n=j_n,
+                          n_speeds=n_speeds, n_headings=n_headings,
+                          trajectory=trajectory).per_trial[0]
 
 
 def run_evaluation(
@@ -225,7 +175,15 @@ def run_evaluation(
     trajectory: list | None = None,
 ) -> MetricsReport:
     """Seeded evaluation, all trials in lockstep; scenarios come from an explicit
-    list (cycled) or the seeded sampler, so identical seeds give identical reports."""
+    list (cycled) or the seeded sampler, so identical seeds give identical reports.
+    Trajectory rows are appended in trial order.
+
+    policy needs a choose_actions(states, neighbors, env, t, scenario, gamma,
+    j_n, n_speeds, n_headings) method that returns one action per state;
+    NavPolicy provides the lookahead one.  Each step calls it once per group
+    of agents with the same neighbor count and scenario step fields, which
+    one lookahead call needs.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if scenarios is None:
@@ -233,8 +191,38 @@ def run_evaluation(
     if not scenarios:
         raise ValueError("scenarios is an empty list; give at least one scenario or None")
     batch = [scenarios[trial % len(scenarios)] for trial in range(trials)]
-    return MetricsReport.from_trials(
-        run_trials(policy, batch, env_truth, gamma, j_n, n_speeds, n_headings, trajectory))
+
+    def choose(t, agents):
+        groups: dict[tuple, list[int]] = {}
+        for k, (b, _, _, nbs) in enumerate(agents):
+            groups.setdefault((len(nbs), batch[b].step_fields), []).append(k)
+        actions = [None] * len(agents)
+        for ks in groups.values():
+            picked = policy.choose_actions(
+                [agents[k][2] for k in ks], [agents[k][3] for k in ks], env_truth, t,
+                batch[agents[ks[0]][0]], gamma, j_n, n_speeds, n_headings,
+            )
+            for k, act in zip(ks, picked, strict=True):
+                actions[k] = act
+        return actions
+
+    rows: list[list[str]] = [[] for _ in batch]
+
+    def record(b: int, ep: EpisodeState, flags):
+        sinr_lin = ep.sinr if ep.sinr is not None else radio.sinr_many(
+            env_truth, np.array([u.position for u in ep.uavs]))
+        levels = radio.quantize_many(sinr_lin, env_truth)
+        for i, uav in enumerate(ep.uavs):
+            s = float(sinr_lin[i])
+            db = 10.0 * math.log10(s) if s > 0 else -math.inf
+            f = flags[i] if flags is not None else world.StepFlags(uav.arrived, False, False)
+            rows[b].append(world.format_trajectory_row(b, ep.t, i, uav, db, int(levels[i]), f))
+
+    runs = world.rollout(batch, env_truth, choose,
+                         observe=None if trajectory is None else record)
+    if trajectory is not None:
+        trajectory.extend(row for trial_rows in rows for row in trial_rows)
+    return MetricsReport.from_trials([TrialLog.of(run.final) for run in runs])
 
 
 def sample_scenarios(

@@ -126,9 +126,17 @@ class ScenarioConfig:
                 if gap <= self.radii[i] + self.radii[j]:
                     raise ValueError(f"starts of agents {i} and {j} overlap")
 
+    # The fields that one step's action choice reads (action_grid and
+    # valuetrain.lookahead_index); agents of scenarios equal in them can share one.
+    STEP_FIELDS = ("dt", "turn_rate_limit", "n_t", "arrival_tolerance", "movement_penalty")
+
     @property
     def num_agents(self) -> int:
         return len(self.starts)
+
+    @property
+    def step_fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.STEP_FIELDS)
 
     def initial_states(self) -> list[UavState]:
         out = []

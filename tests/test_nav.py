@@ -245,11 +245,13 @@ class TestLockstep:
         rep = run_evaluation(policy, env, trials=7, seed=0, gamma=0.95,
                              scenarios=scenarios, trajectory=rows)
         one_rows: list = []
-        logs = [
-            nav.run_trial(RecklessLookahead(NavPolicy.perfect(net)), scenarios[trial % 5], env,
-                          0.95, trajectory=one_rows, episode_index=trial)
-            for trial in range(7)
-        ]
+        logs = []
+        for trial in range(7):
+            trial_rows: list = []
+            logs.append(nav.run_trial(RecklessLookahead(NavPolicy.perfect(net)),
+                                      scenarios[trial % 5], env, 0.95, trajectory=trial_rows))
+            # run_trial numbers its rows episode 0; renumber them as trial.
+            one_rows += [f"{trial}," + row.split(",", 1)[1] for row in trial_rows]
         assert rep == MetricsReport.from_trials(logs)
         assert rows == one_rows
 
@@ -276,3 +278,23 @@ class TestLockstep:
         with pytest.raises(ValueError, match="scenarios is an empty list"):
             run_evaluation(NavPolicy.perfect(zero_value_net()), strong_env, trials=2, seed=1,
                            gamma=0.95, scenarios=[])
+
+    def test_group_key_covers_every_scenario_field_a_decision_reads(self, rng):
+        """Agents share a lookahead call when their scenarios agree on
+        ScenarioConfig.STEP_FIELDS, so one decision must read no other field."""
+        sc = valuetrain.sample_scenario(np.random.default_rng(9), n_agents=3)
+        read = set()
+
+        class Recording:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(sc, name)
+
+        ep = world.EpisodeState(uavs=sc.initial_states())
+        env = single_station_env(jammer=radio.Jammer(position=(10.0, 5.0), tx_power=0.5))
+        net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
+        for policy in (NavPolicy.perfect(net), NavPolicy.outdated(net, env)):
+            for t in (0, 1):
+                navigate_step(policy, ep.uavs, [ep.neighbors_of(i) for i in range(3)], env, t,
+                              Recording(), 0.95)
+        assert read and read <= set(ScenarioConfig.STEP_FIELDS)

@@ -251,7 +251,8 @@ class RunConfig:
 def _validate_environment(block: dict) -> radio.RadioEnvironment:
     path = "environment"
     _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
-    station_fields = DEFAULT_CONFIG[path]["station_defaults"].keys()
+    fallback = DEFAULT_CONFIG[path]["station_defaults"]
+    station_fields = fallback.keys()
     defaults = block.get("station_defaults") or {}
     _require_keys(defaults, station_fields, f"{path}.station_defaults")
     _numbers(defaults, station_fields, f"{path}.station_defaults")
@@ -263,18 +264,14 @@ def _validate_environment(block: dict) -> radio.RadioEnvironment:
         spath = f"{path}.stations[{i}]"
         _require_keys(sb, {"position", *station_fields}, spath)
         _numbers(sb, station_fields, spath)
-        merged = {**defaults, **sb}
+        merged = {**fallback, **defaults, **sb}
         if "position" not in merged:
             raise ConfigError(f"{spath}.position: missing")
         try:
             stations.append(
                 radio.GroundStation(
                     position=_point(merged["position"], f"{spath}.position"),
-                    height=float(merged.get("height", 32.0)),
-                    tx_power=float(merged.get("tx_power", 1.0)),
-                    tilt_deg=float(merged.get("tilt_deg", 10.0)),
-                    beamwidth_deg=float(merged.get("beamwidth_deg", 15.0)),
-                    max_atten_db=float(merged.get("max_atten_db", 30.0)),
+                    **{k: float(merged[k]) for k in station_fields},
                 )
             )
         except ValueError as exc:

@@ -212,11 +212,17 @@ def run_evaluation(
         sinr_lin = ep.sinr if ep.sinr is not None else radio.sinr_many(
             env_truth, np.array([u.position for u in ep.uavs]))
         levels = radio.quantize_many(sinr_lin, env_truth)
+        n = len(ep.uavs)
+        arrived, collided, disconnected = (
+            (f.tolist() for f in flags) if flags is not None
+            # Before the first step no agent has collided or lost its link.
+            else ([u.arrived for u in ep.uavs], [False] * n, [False] * n)
+        )
         for i, uav in enumerate(ep.uavs):
             s = float(sinr_lin[i])
             db = 10.0 * math.log10(s) if s > 0 else -math.inf
-            f = flags[i] if flags is not None else world.StepFlags(uav.arrived, False, False)
-            rows[b].append(world.format_trajectory_row(b, ep.t, i, uav, db, int(levels[i]), f))
+            rows[b].append(world.format_trajectory_row(
+                b, ep.t, i, uav, db, int(levels[i]), arrived[i], collided[i], disconnected[i]))
 
     runs = world.rollout(batch, env_truth, choose,
                          observe=None if trajectory is None else record)

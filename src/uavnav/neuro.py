@@ -280,12 +280,10 @@ class AdamState:
         self.v, self.v_w, self.v_b = _pack(self.v_w, self.v_b)
 
     @staticmethod
-    def for_params(params: NetworkParams, beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> "AdamState":
+    def for_params(params: NetworkParams) -> "AdamState":
         zeros_w = [np.zeros_like(w) for w in params.weights]
         zeros_b = [np.zeros_like(b) for b in params.biases]
-        return AdamState(m_w=zeros_w, v_w=zeros_w, m_b=zeros_b, v_b=zeros_b,
-                         beta1=beta1, beta2=beta2, eps=eps)
+        return AdamState(m_w=zeros_w, v_w=zeros_w, m_b=zeros_b, v_b=zeros_b)
 
 
 def _adam(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,

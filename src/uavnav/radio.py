@@ -27,7 +27,7 @@ __all__ = [
     "serving_gbs",
     "sinr",
     "sinr_many",
-    "quantize_sinr",
+    "quantize_many",
     "coverage_grid",
     "write_coverage_csv",
     "read_coverage_csv",
@@ -209,20 +209,13 @@ def serving_gbs(env: RadioEnvironment, uav_position) -> int:
     return int(np.argmax(received_powers(env, uav_position)[0]))
 
 
-def quantize_sinr(linear_sinr: float, env: RadioEnvironment) -> int:
-    """Three-level quantization: 0 below threshold, 1 in the marginal band, 2 above."""
-    if linear_sinr < env.sinr_threshold:
-        return 0
-    if linear_sinr < env.sinr_threshold + env.margin:
-        return 1
-    return 2
-
-
 def quantize_many(linear_sinr: np.ndarray, env: RadioEnvironment) -> np.ndarray:
+    """Three-level quantization: 0 below threshold, 1 in the marginal band, 2 above.
+
+    2 less the number of the two thresholds the SINR lies below.
+    """
     s = np.asarray(linear_sinr)
-    return np.where(
-        s < env.sinr_threshold, 0, np.where(s < env.sinr_threshold + env.margin, 1, 2)
-    ).astype(int)
+    return 2 - (s < env.sinr_threshold) - (s < env.sinr_threshold + env.margin)
 
 
 @dataclass(frozen=True)

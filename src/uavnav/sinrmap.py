@@ -29,8 +29,7 @@ POSITION_FEATURES = 2  # the UAV's own x, y, after the station blocks
 LEVEL_BLOCK = 2048  # positions per sinr_many call: bounds its (block, stations) temporaries
 
 
-def featurize_many(positions: np.ndarray, stations, uav_altitude: float, k_n: int,
-                   pad_distance: float = FAR_STATION) -> np.ndarray:
+def featurize_many(positions: np.ndarray, stations, uav_altitude: float, k_n: int) -> np.ndarray:
     """Per position of an (N, 2) array: blocks of [rel_x, rel_y, distance,
     elevation, azimuth] for the k_n nearest stations, closest first, then the
     position's own x and y.
@@ -38,7 +37,7 @@ def featurize_many(positions: np.ndarray, stations, uav_altitude: float, k_n: in
     stations are (x, y, height) triples; coordinates are translated to the UAV
     (no rotation; azimuth is measured in the global frame).  A station directly
     below reports elevation pi/2 and azimuth 0.  Missing stations (k_n above
-    their count) are padded with [0, 0, pad_distance, 0, 0].
+    their count) are padded with [0, 0, FAR_STATION, 0, 0].
     """
     if len(stations) == 0:
         raise ValueError("no stations to featurize")
@@ -66,7 +65,7 @@ def featurize_many(positions: np.ndarray, stations, uav_altitude: float, k_n: in
     elev[...] = np.where(below, math.pi / 2.0, np.arctan2(uav_altitude - sh[order], d_k))
     azim[...] = np.where(below, 0.0, np.arctan2(ry_k, rx_k))
     if used < width:
-        feats[:, used:width] = np.tile([0.0, 0.0, pad_distance, 0.0, 0.0], k_n - order.shape[1])
+        feats[:, used:width] = np.tile([0.0, 0.0, FAR_STATION, 0.0, 0.0], k_n - order.shape[1])
     feats[:, width:] = pos
     return feats
 

@@ -201,8 +201,6 @@ def lookahead_index(
     state_vel = np.where(arrived[..., None], 0.0, vel)
 
     levels = np.asarray(sinr_oracle(positions), dtype=int)
-    gated = t % config.n_t == 0
-    conn = world.CONNECTIVITY_BANDS[levels] if gated else np.zeros(levels.shape)
 
     # Closest approach to each neighbor (axis 1) under each action (axis 2).
     obs = np.asarray(neighbors, dtype=float).reshape(len(states), len(neighbors[0]), 5)
@@ -218,7 +216,9 @@ def lookahead_index(
         gap = d_min - radii[:, None, None] - obs[..., 4:5]
         coll = np.minimum(coll, world.collision_ramp(gap).min(axis=1))
 
-    rewards = conn + coll + 2.0 * arrived + config.movement_penalty
+    rewards = world.transition_rewards(
+        levels, t % config.n_t == 0, coll, arrived, config.movement_penalty
+    )
     moved = np.concatenate([obs[..., 0:2] + obs[..., 2:4] * dt, obs[..., 2:5]], axis=-1)
     feature_rows = world.agent_frame_rows(
         positions, state_vel, headings, dest, radii, [s.max_speed for s in states],
@@ -325,11 +325,9 @@ def run_episode(
     j_n: int = 4,
     n_speeds: int = 3,
     n_headings: int = 5,
-    sinr_oracle=None,
-    target_scale: float = TARGET_SCALE,
 ) -> EpisodeLog:
     """One epsilon-greedy episode; visited states get scaled return-to-go targets."""
-    oracle = sinr_oracle if sinr_oracle is not None else ground_truth_oracle(env)
+    oracle = ground_truth_oracle(env)
 
     def choose(t, agents):
         # The exploration coins are drawn in agent order first; the greedy
@@ -341,7 +339,7 @@ def run_episode(
             ks = lookahead_index(
                 value_net, [agents[a][2] for a in greedy], [agents[a][3] for a in greedy],
                 np.stack([grids[a][0] for a in greedy]), np.stack([grids[a][1] for a in greedy]),
-                oracle, gamma, t, scenario, j_n=j_n, reward_scale=target_scale,
+                oracle, gamma, t, scenario, j_n=j_n,
             )
             for a, k in zip(greedy, ks):
                 picks[a] = int(k)
@@ -357,7 +355,7 @@ def run_episode(
         for i, (frames, rewards) in enumerate(zip(run.frames, run.rewards)):
             for vec, target in zip(frames, discounted_returns(rewards, gamma)):
                 rows.append(vec)
-                targets.append(target_scale * target)
+                targets.append(TARGET_SCALE * target)
             if i in terminals:
                 rows.append(terminals[i])
                 targets.append(0.0)

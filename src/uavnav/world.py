@@ -9,7 +9,7 @@ a gated SINR check every ``n_t`` steps against the next position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -71,26 +71,12 @@ def frame_length(j_n: int) -> int:
     return 9 + 6 * j_n + 1
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
-    connectivity: float
-    collision: float
-    arrival: float
-    movement: float
+class StepFlags(NamedTuple):
+    """Per-agent flags of one joint step, each a bool array over the agents."""
 
-    @property
-    def total(self) -> float:
-        return self.connectivity + self.collision + self.arrival + self.movement
-
-
-ZERO_REWARD = RewardBreakdown(0.0, 0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class StepFlags:
-    arrived: bool
-    collided: bool
-    disconnected: bool
+    arrived: np.ndarray
+    collided: np.ndarray
+    disconnected: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -163,7 +149,6 @@ def to_agent_frame(
     neighbors: list[tuple[float, float, float, float, float]],
     sinr_level: int,
     j_n: int,
-    pad_distance: float = FAR_NEIGHBOR,
 ) -> np.ndarray:
     """Transform observations into the agent-centric frame (a frame_length(j_n) vector).
 
@@ -203,7 +188,7 @@ def to_agent_frame(
         a_j = math.atan2(ry, rx)
         blocks.extend((rx, ry, rvx, rvy, d_j, a_j))
     for _ in range(j_n - len(ordered)):
-        blocks.extend((0.0, 0.0, 0.0, 0.0, pad_distance, 0.0))
+        blocks.extend((0.0, 0.0, 0.0, 0.0, FAR_NEIGHBOR, 0.0))
     return np.array([*self_features, *blocks, float(sinr_level)])
 
 
@@ -224,7 +209,6 @@ def agent_frame_rows(
     neighbor_obs: np.ndarray,
     levels: np.ndarray,
     j_n: int,
-    pad_distance: float = FAR_NEIGHBOR,
 ) -> np.ndarray:
     """Batched to_agent_frame over M candidate states of each of A agents.
 
@@ -275,7 +259,7 @@ def agent_frame_rows(
             rows[..., base + 4] = d_j[..., k]
             rows[..., base + 5] = np.arctan2(ry[..., k], rx[..., k])
     for k in range(n_obs, j_n):
-        rows[..., 9 + 6 * k + 4] = pad_distance
+        rows[..., 9 + 6 * k + 4] = FAR_NEIGHBOR
     rows[..., 9 + 6 * j_n] = np.asarray(levels, dtype=float)
     return rows
 
@@ -327,16 +311,11 @@ def propagate(
     vx, vy = action.velocity()
     px, py = state.position
     nx, ny = px + vx * dt, py + vy * dt
-    dist = _point_segment_distance(state.destination, (px, py), (nx, ny))
-    if dist <= arrival_tolerance:
-        return replace(
-            state,
-            position=state.destination,
-            velocity=(0.0, 0.0),
-            orientation=action.heading,
-            arrived=True,
-        )
-    return replace(state, position=(nx, ny), velocity=(vx, vy), orientation=action.heading)
+    arrived = _point_segment_distance(state.destination, (px, py), (nx, ny)) <= arrival_tolerance
+    if arrived:
+        (nx, ny), vx, vy = state.destination, 0.0, 0.0
+    return UavState((nx, ny), (vx, vy), state.radius, state.destination, state.max_speed,
+                    action.heading, arrived)
 
 
 def _point_segment_distance(point, seg_a, seg_b) -> float:
@@ -364,6 +343,7 @@ def segment_closest_approach(p1, v1, p2, v2, dt: float) -> float:
 CONNECTIVITY_BANDS = np.array([-1.0, -0.5, 0.0])
 CONNECTIVITY_BANDS.flags.writeable = False
 COLLISION_BUFFER = 0.2  # m of clearance over which the collision penalty ramps to 0
+ARRIVAL_BONUS = 2.0  # reward of the step that reaches the destination
 
 
 def collision_ramp(gap):
@@ -375,41 +355,15 @@ def collision_ramp(gap):
     )
 
 
-def reward_connectivity(
-    t: int, n_t: int, next_sinr: float, threshold: float, margin: float
-) -> float:
-    """Gated connectivity penalty: the band of the post-step SINR's level."""
-    if t % n_t != 0:
-        return 0.0
-    level = 0 if next_sinr < threshold else 1 if next_sinr < threshold + margin else 2
-    return float(CONNECTIVITY_BANDS[level])
-
-
-def reward_collision(d_min: float, r_i: float, r_j: float) -> float:
-    """collision_ramp of one pair's gap at closest approach d_min."""
-    if r_i <= 0 or r_j <= 0:
-        raise ValueError("radii must be > 0")
-    return float(collision_ramp(d_min - r_i - r_j))
-
-
-def reward_total(
-    t: int,
-    n_t: int,
-    next_sinr: float,
-    d_min: float,
-    r_i: float,
-    r_j: float,
-    arrived_next: bool,
-    movement_penalty: float,
-    threshold: float,
-    margin: float,
-) -> RewardBreakdown:
-    return RewardBreakdown(
-        connectivity=reward_connectivity(t, n_t, next_sinr, threshold, margin),
-        collision=reward_collision(d_min, r_i, r_j) if math.isfinite(d_min) else 0.0,
-        arrival=2.0 if arrived_next else 0.0,
-        movement=movement_penalty,
-    )
+def transition_rewards(levels, gated: bool, collision, arrived, movement_penalty: float):
+    """Reward of each transition, elementwise: the connectivity band of the
+    post-step SINR level on a gated step (levels are read only then), plus
+    the collision penalty (the worst collision_ramp over the agent's pairs,
+    0.0 without one), the arrival bonus where the step arrives, and the
+    movement penalty.
+    """
+    conn = CONNECTIVITY_BANDS[levels] if gated else 0.0
+    return conn + collision + ARRIVAL_BONUS * arrived + movement_penalty
 
 
 @dataclass
@@ -418,7 +372,6 @@ class EpisodeState:
 
     uavs: list[UavState]
     t: int = 0
-    consecutive_disconnects: list[int] = None
     ever_disconnected: list[bool] = None
     ever_collided: list[bool] = None
     # Linear SINR at each agent's position, set by step_all; not compared (an array).
@@ -426,8 +379,6 @@ class EpisodeState:
 
     def __post_init__(self):
         n = len(self.uavs)
-        if self.consecutive_disconnects is None:
-            self.consecutive_disconnects = [0] * n
         if self.ever_disconnected is None:
             self.ever_disconnected = [False] * n
         if self.ever_collided is None:
@@ -451,26 +402,26 @@ def step_all(
     actions: list[Action | None],
     env: radio.RadioEnvironment,
     config: ScenarioConfig,
-) -> tuple[EpisodeState, list[RewardBreakdown], list[StepFlags]]:
-    """Advance all agents simultaneously and account rewards and flags.
+) -> tuple[EpisodeState, list[float], StepFlags]:
+    """Advance all agents simultaneously; returns the new state, each agent's
+    reward total (transition_rewards) and the step's flags.
 
-    Arrived agents get None actions and hold position; they are excluded from
-    collision checks.  Collision pairs are detected by closest approach over
-    the step segments.  The gated connectivity check uses the post-step SINR.
+    Arrived agents get None actions, hold position and get reward 0.0; they
+    are excluded from collision checks.  Collision pairs are detected by
+    closest approach over the step segments.  The gated connectivity check
+    uses the post-step SINR.
     """
     n = len(state.uavs)
     if len(actions) != n:
         raise ValueError(f"expected {n} actions, got {len(actions)}")
-    for i, (uav, act) in enumerate(zip(state.uavs, actions)):
+    prev = state.uavs
+    nxt: list[UavState] = []
+    seg_vel: list[tuple[float, float]] = []
+    for i, (uav, act) in enumerate(zip(prev, actions)):
         if uav.arrived and act is not None:
             raise ValueError(f"agent {i} already arrived but got an action")
         if not uav.arrived and act is None:
             raise ValueError(f"agent {i} is active but got no action")
-
-    prev = state.uavs
-    nxt: list[UavState] = []
-    seg_vel: list[tuple[float, float]] = []
-    for uav, act in zip(prev, actions):
         if act is None:
             nxt.append(uav)
             seg_vel.append((0.0, 0.0))
@@ -506,45 +457,24 @@ def step_all(
 
     sinr_next = radio.sinr_many(env, np.array([u.position for u in nxt]))
     gated = state.t % config.n_t == 0
-
-    rewards: list[RewardBreakdown] = []
-    flags: list[StepFlags] = []
-    new_cd = list(state.consecutive_disconnects)
-    new_ed = list(state.ever_disconnected)
-    new_ec = list(state.ever_collided)
-    for i in range(n):
-        if prev[i].arrived:
-            rewards.append(ZERO_REWARD)
-            flags.append(StepFlags(arrived=True, collided=False, disconnected=False))
-            continue
-        conn = reward_connectivity(
-            state.t, config.n_t, float(sinr_next[i]), env.sinr_threshold, env.margin
-        )
-        rewards.append(
-            RewardBreakdown(
-                connectivity=conn,
-                collision=worst_pair[i],
-                arrival=2.0 if nxt[i].arrived else 0.0,
-                movement=config.movement_penalty,
-            )
-        )
-        disconnected_now = gated and float(sinr_next[i]) < env.sinr_threshold
-        if gated:
-            new_cd[i] = new_cd[i] + 1 if disconnected_now else 0
-        if disconnected_now:
-            new_ed[i] = True
-        if collided_now[i]:
-            new_ec[i] = True
-        flags.append(
-            StepFlags(arrived=nxt[i].arrived, collided=collided_now[i], disconnected=disconnected_now)
-        )
-
+    # Only a gated step checks connectivity, so only it reads the levels.
+    levels = radio.quantize_many(sinr_next, env) if gated else None
+    acting = [not u.arrived for u in prev]
+    flags = StepFlags(
+        arrived=np.array([u.arrived for u in nxt]),
+        collided=np.array(collided_now),
+        disconnected=np.logical_and(levels == 0, acting) if gated else np.zeros(n, dtype=bool),
+    )
+    totals = transition_rewards(
+        levels, gated, np.array(worst_pair), flags.arrived, config.movement_penalty
+    )
+    rewards = [r if a else 0.0 for r, a in zip(totals.tolist(), acting)]
     new_state = EpisodeState(
         uavs=nxt,
         t=state.t + 1,
-        consecutive_disconnects=new_cd,
-        ever_disconnected=new_ed,
-        ever_collided=new_ec,
+        ever_disconnected=[e or d for e, d in zip(state.ever_disconnected,
+                                                  flags.disconnected.tolist())],
+        ever_collided=[e or c for e, c in zip(state.ever_collided, collided_now)],
         sinr=sinr_next,
     )
     return new_state, rewards, flags
@@ -635,7 +565,7 @@ def rollout(
             eps[b], step_rewards, flags = step_all(eps[b], actions[b], env, scenarios[b])
             for i, act in enumerate(actions[b]):
                 if act is not None:
-                    rewards[b][i].append(step_rewards[i].total)
+                    rewards[b][i].append(step_rewards[i])
             if observe is not None:
                 observe(b, eps[b], flags)
         t += 1
@@ -661,8 +591,10 @@ TRAJECTORY_COLUMNS = (
 
 
 def format_trajectory_row(
-    episode: int, t: int, agent: int, uav: UavState, sinr_db: float, level: int, flags: StepFlags
+    episode: int, t: int, agent: int, uav: UavState, sinr_db: float, level: int,
+    arrived: bool, collided: bool, disconnected: bool,
 ) -> str:
+    """One TRAJECTORY_COLUMNS row: an agent's state and its flags (StepFlags) after a step."""
     return ",".join(
         [
             str(episode),
@@ -674,8 +606,8 @@ def format_trajectory_row(
             repr(uav.velocity[1]),
             repr(sinr_db),
             str(level),
-            str(int(flags.arrived)),
-            str(int(flags.collided)),
-            str(int(flags.disconnected)),
+            str(int(arrived)),
+            str(int(collided)),
+            str(int(disconnected)),
         ]
     )

@@ -278,6 +278,8 @@ class TestCriterion05OrcaSafety:
 class TestCriterion06RewardConformance:
     def test_ten_thousand_random_cases(self, rng):
         t_s, margin = 10 ** (-0.3), 0.1
+        env = radio.RadioEnvironment(stations=(make_station(),), sinr_threshold=t_s,
+                                     margin=margin)
         checked = 0
         for _ in range(10000):
             t = int(rng.integers(0, 16))
@@ -286,7 +288,9 @@ class TestCriterion06RewardConformance:
             r_i, r_j = (float(v) for v in rng.uniform(0.2, 1.0, 2))
             d = float(rng.uniform(0, r_i + r_j + 0.6))
             arrived = bool(rng.random() < 0.2)
-            conn = world.reward_connectivity(t, n_t, sinr, t_s, margin)
+            level = radio.quantize_many(sinr, env)
+            gated = t % n_t == 0
+            conn = float(world.transition_rewards(level, gated, 0.0, False, 0.0))
             if t % n_t != 0:
                 assert conn == 0.0
             elif sinr < t_s:
@@ -295,24 +299,21 @@ class TestCriterion06RewardConformance:
                 assert conn == -0.5
             else:
                 assert conn == 0.0
-            coll = world.reward_collision(d, r_i, r_j)
+            coll = float(world.collision_ramp(d - r_i - r_j))
             gap = d - r_i - r_j
             if gap <= 0:
                 assert coll == -1.0
             elif gap <= 0.2:
                 assert math.isclose(coll, -(1 - gap / 0.2), abs_tol=1e-12)
                 eps = 1e-7
-                assert abs(world.reward_collision(d + eps, r_i, r_j) - coll) < 1e-5
+                assert abs(float(world.collision_ramp(d + eps - r_i - r_j)) - coll) < 1e-5
             else:
                 assert coll == 0.0
-            total = world.reward_total(
-                t, n_t, sinr, d, r_i, r_j, arrived, -0.05, t_s, margin
-            )
-            assert total.total == pytest.approx(
-                total.connectivity + total.collision + total.arrival + total.movement
-            )
-            assert total.connectivity in (-1.0, -0.5, 0.0)
-            assert total.arrival == (2.0 if arrived else 0.0)
+            total = float(world.transition_rewards(level, gated, coll, arrived, -0.05))
+            arrival = total - float(world.transition_rewards(level, gated, coll, False, -0.05))
+            assert total == pytest.approx(conn + coll + arrival + -0.05)
+            assert conn in (-1.0, -0.5, 0.0)
+            assert arrival == pytest.approx(2.0 if arrived else 0.0, abs=1e-12)
             checked += 1
         report(6, checked == 10000, f"{checked} random reward cases conform to the bands")
 

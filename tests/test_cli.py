@@ -74,6 +74,17 @@ class TestConfigValidation:
         with pytest.raises(cfgmod.ConfigError, match=r"stations\[3\]"):
             cfgmod.load(path)
 
+    @pytest.mark.parametrize("defaults", [None, {}])
+    def test_station_defaults_omitted_resolve_to_the_default_stations(self, tmp_path, defaults):
+        raw = json.loads(json.dumps(cfgmod.DEFAULT_CONFIG))
+        if defaults is None:
+            del raw["environment"]["station_defaults"]
+        else:
+            raw["environment"]["station_defaults"] = defaults
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cfgmod.load(path).env.stations == cfgmod.load(None).env.stations
+
     def test_presets(self):
         cfg = cfgmod.load(None, preset="southeast-1w")
         assert cfg.env.jammer.position == (25.0, -10.0)

@@ -213,7 +213,7 @@ def reference_lookahead(value_net, self_state, neighbors, space, oracle, gamma, 
             d = world.segment_closest_approach(
                 self_state.position, a.velocity(), (ob[0], ob[1]), (ob[2], ob[3]), dt
             )
-            coll = min(coll, world.reward_collision(d, self_state.radius, ob[4]))
+            coll = min(coll, float(world.collision_ramp(d - self_state.radius - ob[4])))
         reward = conn + coll + (2.0 if nxt.arrived else 0.0) + cfg.movement_penalty
         frame = world.to_agent_frame(nxt, moved, level, j_n)
         value = neuro.forward_batch(value_net, frame)[0][0]

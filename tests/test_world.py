@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import hypothesis.strategies as hst
 import numpy as np
@@ -9,17 +10,15 @@ from uavnav import radio, world
 from uavnav.world import (
     Action,
     EpisodeState,
-    RewardBreakdown,
     ScenarioConfig,
     UavState,
+    collision_ramp,
     propagate,
-    reward_collision,
-    reward_connectivity,
-    reward_total,
     sample_action_space,
     segment_closest_approach,
     step_all,
     to_agent_frame,
+    transition_rewards,
     wrap_angle,
 )
 
@@ -283,19 +282,16 @@ class TestMinFutureDistance:
 
 class TestRewards:
     def test_connectivity_gating(self):
-        t_s, m = 0.5, 0.1
-        assert reward_connectivity(3, 4, 0.0, t_s, m) == 0.0
-        assert reward_connectivity(4, 4, 0.4, t_s, m) == -1.0
-        assert reward_connectivity(4, 4, 0.55, t_s, m) == -0.5
-        assert reward_connectivity(4, 4, 0.6, t_s, m) == 0.0
-        assert reward_connectivity(0, 4, 0.4, t_s, m) == -1.0  # step 0 is gated
-        assert reward_connectivity(4, 4, 0.5, t_s, m) == -0.5  # threshold inclusive
+        levels = np.array([0, 1, 2])
+        none, no = np.zeros(3), np.zeros(3, dtype=bool)
+        assert transition_rewards(levels, True, none, no, 0.0).tolist() == [-1.0, -0.5, 0.0]
+        assert transition_rewards(levels, False, none, no, 0.0).tolist() == [0.0] * 3
 
     def test_collision_band_values(self):
-        assert reward_collision(1.0, 0.5, 0.5) == -1.0
-        assert reward_collision(1.1, 0.5, 0.5) == pytest.approx(-0.5)
-        assert reward_collision(1.2, 0.5, 0.5) == pytest.approx(0.0)
-        assert reward_collision(5.0, 0.5, 0.5) == 0.0
+        assert collision_ramp(1.0 - 0.5 - 0.5) == -1.0
+        assert collision_ramp(1.1 - 0.5 - 0.5) == pytest.approx(-0.5)
+        assert collision_ramp(1.2 - 0.5 - 0.5) == pytest.approx(0.0)
+        assert collision_ramp(5.0 - 0.5 - 0.5) == 0.0
 
     def test_collision_continuity_and_monotonicity(self, rng):
         for _ in range(200):
@@ -303,23 +299,23 @@ class TestRewards:
             base = r_i + r_j
             d = float(rng.uniform(base, base + 0.4))
             eps = 1e-9
-            a = reward_collision(d, r_i, r_j)
-            b = reward_collision(d + eps, r_i, r_j)
+            a = collision_ramp(d - r_i - r_j)
+            b = collision_ramp(d + eps - r_i - r_j)
             assert b >= a
             assert abs(b - a) < 1e-6
 
     def test_total_is_component_sum(self, rng):
         for _ in range(100):
-            t = int(rng.integers(0, 12))
-            sinr = float(rng.uniform(0, 1.5))
-            d = float(rng.uniform(0.5, 3.0))
-            arrived = bool(rng.random() < 0.3)
-            rb = reward_total(t, 4, sinr, d, 0.5, 0.5, arrived, -0.05, 0.5, 0.1)
-            assert rb.total == pytest.approx(
-                rb.connectivity + rb.collision + rb.arrival + rb.movement
-            )
-            assert rb.arrival == (2.0 if arrived else 0.0)
-            assert rb.movement == -0.05
+            gated = bool(rng.random() < 0.5)
+            levels = rng.integers(0, 3, 4)
+            coll = collision_ramp(rng.uniform(-0.1, 0.3, 4))
+            arrived = rng.random(4) < 0.3
+            got = transition_rewards(levels, gated, coll, arrived, -0.05)
+            for k in range(4):
+                conn = float(world.CONNECTIVITY_BANDS[levels[k]]) if gated else 0.0
+                bonus = world.ARRIVAL_BONUS if arrived[k] else 0.0
+                assert got[k] == conn + float(coll[k]) + bonus + -0.05
+        assert world.ARRIVAL_BONUS == 2.0
 
 
 class TestStepAll:
@@ -329,8 +325,8 @@ class TestStepAll:
         # Full-speed head-on: they swap sides within one step, crossing mid-segment.
         actions = [Action(8.0, 0.0), Action(8.0, math.pi)]
         ep2, rewards, flags = step_all(ep, actions, strong_env, cfg)
-        assert flags[0].collided and flags[1].collided
-        assert rewards[0].collision == -1.0 and rewards[1].collision == -1.0
+        assert flags.collided.tolist() == [True, True]
+        assert rewards == [0.0 + -1.0 + 0.0 + cfg.movement_penalty] * 2
         assert ep2.any_collision
 
     def test_straight_run_arrives_in_kinematic_steps(self, strong_env):
@@ -351,24 +347,27 @@ class TestStepAll:
         cfg = two_agent_config([(0, 0)], [(40, 0)])
         ep = EpisodeState(uavs=cfg.initial_states())
         ep, rewards, flags = step_all(ep, [Action(4.0, 0.0)], env, cfg)  # t=0 gated
-        assert flags[0].disconnected
-        assert rewards[0].connectivity == -1.0
-        assert ep.ever_disconnected[0]
-        assert ep.consecutive_disconnects[0] == 1
+        assert flags.disconnected.tolist() == [True]
+        assert rewards == [-1.0 + 0.0 + 0.0 + cfg.movement_penalty]
+        assert ep.ever_disconnected == [True]
         ep, rewards, flags = step_all(ep, [Action(4.0, 0.0)], env, cfg)  # t=1 not gated
-        assert not flags[0].disconnected
-        assert rewards[0].connectivity == 0.0
-        assert ep.consecutive_disconnects[0] == 1
+        assert flags.disconnected.tolist() == [False]
+        assert rewards == [cfg.movement_penalty]
+        assert ep.ever_disconnected == [True]
 
     def test_arrived_agents_hold_and_are_ignored(self, strong_env):
         cfg = two_agent_config([(0, 0), (10, 0)], [(0.5, 0), (-40, 0)], vmax=4.0)
         ep = EpisodeState(uavs=cfg.initial_states())
-        ep, _, flags = step_all(ep, [Action(4.0, 0.0), Action(4.0, math.pi)], strong_env, cfg)
-        assert flags[0].arrived
+        ep, rewards, flags = step_all(ep, [Action(4.0, 0.0), Action(4.0, math.pi)], strong_env,
+                                      cfg)
+        assert flags.arrived.tolist() == [True, False]
+        assert rewards[0] == 0.0 + 0.0 + world.ARRIVAL_BONUS + cfg.movement_penalty
         # Arrived agent 0 sits at its destination; agent 1 passes right through it.
         for _ in range(3):
-            ep, _, flags = step_all(ep, [None, Action(4.0, math.pi)], strong_env, cfg)
-            assert not flags[1].collided
+            ep, rewards, flags = step_all(ep, [None, Action(4.0, math.pi)], strong_env, cfg)
+            assert flags.arrived.tolist() == [True, False]
+            assert flags.collided.tolist() == [False, False]
+            assert rewards == [0.0, cfg.movement_penalty]
         assert ep.uavs[0].position == (0.5, 0.0)
 
     def test_action_count_and_none_mismatch_rejected(self, strong_env):
@@ -387,7 +386,7 @@ class TestStepAll:
             ep, rewards, _ = step_all(
                 ep, [Action(3.0, 0.1), Action(2.0, math.pi - 0.1)], strong_env, cfg
             )
-            runs.append((tuple(ep.uavs[0].position), rewards[0].total, rewards[1].total))
+            runs.append((tuple(ep.uavs[0].position), rewards))
         assert runs[0] == runs[1]
 
 
@@ -419,19 +418,107 @@ class TestStepAllCollisionProperty:
         )
         actions = [Action(v, h) for _, _, _, v, h in agents]
         ep = EpisodeState(uavs=cfg.initial_states())
-        _, rewards, flags = step_all(ep, actions, single_station_env(tx_power=1e6), cfg)
+        env = single_station_env(tx_power=1e6)
+        ep2, rewards, flags = step_all(ep, actions, env, cfg)
+        levels = radio.quantize_many(ep2.sinr, env)
         for i in range(len(agents)):
             dists = {
                 j: segment_closest_approach(starts[i], actions[i].velocity(), starts[j],
                                             actions[j].velocity(), cfg.dt)
                 for j in range(len(agents)) if j != i
             }
-            expected = min(0.0, min(reward_collision(d, radii[i], radii[j])
-                                    for j, d in dists.items()))
-            assert rewards[i].collision == expected
-            assert flags[i].collided == any(
+            worst = min(0.0, min(float(collision_ramp(d - radii[i] - radii[j]))
+                                 for j, d in dists.items()))
+            conn = float(world.CONNECTIVITY_BANDS[levels[i]])  # t = 0 is gated
+            assert rewards[i] == conn + worst + 0.0 + cfg.movement_penalty
+            assert flags.collided[i] == any(
                 d <= radii[i] + radii[j] for j, d in dists.items()
             )
+
+
+def reference_step_terms(state, actions, nxt, sinr_next, env, cfg):
+    """Per agent, the scalar reward terms of its step (connectivity, collision,
+    arrival, movement), or None for an agent that had arrived before the step.
+
+    The connectivity band comes from the level thresholds on gated steps, the
+    collision term is the worst pair penalty by a Python min from 0.0 over the
+    active partners in index order, and the arrival bonus is 2.0.
+    """
+    prev = state.uavs
+    out = []
+    for i, uav in enumerate(prev):
+        if uav.arrived:
+            out.append(None)
+            continue
+        s = float(sinr_next[i])
+        if state.t % cfg.n_t != 0:
+            conn = 0.0
+        elif s < env.sinr_threshold:
+            conn = -1.0
+        elif s < env.sinr_threshold + env.margin:
+            conn = -0.5
+        else:
+            conn = 0.0
+        worst = 0.0
+        for j, other in enumerate(prev):
+            if j == i or other.arrived:
+                continue
+            d = segment_closest_approach(uav.position, actions[i].velocity(), other.position,
+                                         actions[j].velocity(), cfg.dt)
+            gap = d - uav.radius - other.radius
+            pen = -1.0 if gap <= 0.0 else -(1.0 - gap / 0.2) if gap <= 0.2 else 0.0
+            worst = min(worst, pen)
+        out.append((conn, worst, 2.0 if nxt[i].arrived else 0.0, cfg.movement_penalty))
+    return out
+
+
+class TestStepAllRewardsBitForBit:
+    def test_random_steps_equal_the_scalar_reference(self):
+        rng = np.random.default_rng(2024)
+        env = single_station_env(jammer=radio.Jammer(position=(20.0, 0.0), tx_power=1e-4))
+        seen = dict.fromkeys(("contact", "ramp", "arrival", "held", "gated", "ungated",
+                              "band, ramp and arrival"), 0)
+        seen_levels = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 5))
+            center = rng.uniform(-60.0, 60.0, 2)
+            # Radii off a round grid keep the ramp's low bits busy.
+            radii = tuple(float(r) for r in rng.uniform(0.3, 0.8, n))
+            starts = []
+            while len(starts) < n:
+                p = tuple(center + rng.uniform(-2.0, 2.0, 2))
+                if all(math.hypot(p[0] - q[0], p[1] - q[1]) > radii[len(starts)] + radii[k]
+                       for k, q in enumerate(starts)):
+                    starts.append(p)
+            dests = [tuple(np.add(p, rng.uniform(-3.0, 3.0, 2))) for p in starts]
+            cfg = ScenarioConfig(starts=tuple(starts), destinations=tuple(dests),
+                                 radii=radii, max_speeds=(6.0,) * n,
+                                 movement_penalty=float(rng.uniform(-0.1, 0.0)))
+            held = rng.random(n) < 0.25
+            uavs = [replace(u, position=u.destination, arrived=True) if h else u
+                    for u, h in zip(cfg.initial_states(), held)]
+            state = EpisodeState(uavs=uavs, t=int(rng.integers(0, 8)))
+            # Half the agents head for their destination, so arrivals are common.
+            actions = [None if h else Action(
+                float(rng.uniform(0.0, 6.0)),
+                u.orientation if rng.random() < 0.5 else float(rng.uniform(-math.pi, math.pi)),
+            ) for u, h in zip(uavs, held)]
+            nxt, rewards, _ = step_all(state, actions, env, cfg)
+            terms = reference_step_terms(state, actions, nxt.uavs, nxt.sinr, env, cfg)
+            expected = [0.0 if k is None else k[0] + k[1] + k[2] + k[3] for k in terms]
+            assert rewards == expected
+            assert [r.hex() for r in rewards] == [e.hex() for e in expected]
+            live = [k for k in terms if k is not None]
+            seen["contact"] += any(k[1] == -1.0 for k in live)
+            seen["ramp"] += any(-1.0 < k[1] < 0.0 for k in live)
+            seen["arrival"] += any(k[2] for k in live)
+            seen["band, ramp and arrival"] += any(k[0] and -1.0 < k[1] < 0.0 and k[2]
+                                                  for k in live)
+            seen["held"] += bool(held.any())
+            seen["gated" if state.t % cfg.n_t == 0 else "ungated"] += 1
+            seen_levels.update(radio.quantize_many(nxt.sinr, env)[~held].tolist())
+        assert min(seen.values()) > 0, seen
+        assert seen_levels == {0, 1, 2}
 
 
 class TestScenarioConfig:
@@ -455,9 +542,7 @@ class TestScenarioConfig:
 class TestTrajectoryFormat:
     def test_row_schema(self):
         st = make_state(pos=(1.5, -2.5), vel=(1.0, 0.0))
-        row = world.format_trajectory_row(
-            3, 7, 1, st, -2.5, 1, world.StepFlags(False, True, False)
-        )
+        row = world.format_trajectory_row(3, 7, 1, st, -2.5, 1, False, True, False)
         parts = row.split(",")
         assert len(parts) == len(world.TRAJECTORY_COLUMNS.split(","))
         assert parts[0] == "3" and parts[1] == "7" and parts[2] == "1"

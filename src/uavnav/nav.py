@@ -90,11 +90,8 @@ def navigate_step(
 ):
     """Greedy one-step-lookahead Actions of a step's active agents (states, with
     neighbors[a] seen by states[a]) from one valuetrain.lookahead_index call,
-    using the policy's map source; a single UavState gets its single Action.
+    using the policy's map source.
     """
-    single = isinstance(states, world.UavState)
-    if single:
-        states, neighbors = [states], [neighbors]
     if any(s.arrived for s in states):
         raise ValueError("agent already arrived")
     grids = [world.action_grid(s, scenario, n_speeds, n_headings) for s in states]
@@ -103,9 +100,8 @@ def navigate_step(
         policy.inference_net, states, neighbors, speeds, headings,
         policy.sinr_oracle(env_truth), gamma, t, scenario, j_n=j_n,
     )
-    actions = [Action(speed=float(s[k]), heading=float(h[k]))
-               for s, h, k in zip(speeds, headings, ks)]
-    return actions[0] if single else actions
+    return [Action(speed=float(s[k]), heading=float(h[k]))
+            for s, h, k in zip(speeds, headings, ks)]
 
 
 @dataclass
@@ -209,9 +205,7 @@ def run_evaluation(
     rows: list[list[str]] = [[] for _ in batch]
 
     def record(b: int, ep: EpisodeState, flags):
-        sinr_lin = ep.sinr if ep.sinr is not None else radio.sinr_many(
-            env_truth, np.array([u.position for u in ep.uavs]))
-        levels = radio.quantize_many(sinr_lin, env_truth)
+        levels = radio.quantize_many(ep.sinr, env_truth)
         n = len(ep.uavs)
         arrived, collided, disconnected = (
             (f.tolist() for f in flags) if flags is not None
@@ -219,7 +213,7 @@ def run_evaluation(
             else ([u.arrived for u in ep.uavs], [False] * n, [False] * n)
         )
         for i, uav in enumerate(ep.uavs):
-            s = float(sinr_lin[i])
+            s = float(ep.sinr[i])
             db = 10.0 * math.log10(s) if s > 0 else -math.inf
             rows[b].append(world.format_trajectory_row(
                 b, ep.t, i, uav, db, int(levels[i]), arrived[i], collided[i], disconnected[i]))

@@ -275,14 +275,14 @@ def sample_scenario(
     def draw_point(others, min_from=None) -> tuple[float, float]:
         # The coverage filter is waived after many rejections; the travel and
         # separation constraints relax later, so a cramped setup degrades to a
-        # shorter mission instead of stalling the sampler.
+        # shorter mission instead of stalling the sampler.  Every attempt draws
+        # its two uniforms first, so checking the cheap constraints before the
+        # coverage filter accepts the same candidate with fewer filter calls.
         best = None
         for attempt in range(10000):
             cand = (float(rng.uniform(-position_bound, position_bound)),
                     float(rng.uniform(-position_bound, position_bound)))
             best = cand
-            if position_ok is not None and attempt < 500 and not position_ok(cand):
-                continue
             if any(
                 math.hypot(cand[0] - p[0], cand[1] - p[1]) <= min_separation for p in others
             ):
@@ -290,6 +290,8 @@ def sample_scenario(
             if min_from is not None and attempt < 5000:
                 if math.hypot(cand[0] - min_from[0], cand[1] - min_from[1]) < min_travel:
                     continue
+            if position_ok is not None and attempt < 500 and not position_ok(cand):
+                continue
             return cand
         return best
 
@@ -345,9 +347,7 @@ def run_episode(
                 picks[a] = int(k)
         return [Action(speed=float(s[k]), heading=float(h[k])) for (s, h), k in zip(grids, picks)]
 
-    (run,) = world.rollout(
-        [scenario], env, choose, j_n=None if buffer is None else j_n, level_oracle=oracle
-    )
+    (run,) = world.rollout([scenario], env, choose, j_n=None if buffer is None else j_n)
     if buffer is not None:
         # Agent by agent: its visited states, then its terminal state.
         terminals = dict(run.terminals)

@@ -374,7 +374,8 @@ class EpisodeState:
     t: int = 0
     ever_disconnected: list[bool] = None
     ever_collided: list[bool] = None
-    # Linear SINR at each agent's position, set by step_all; not compared (an array).
+    # Linear SINR at each agent's position, set by rollout on the initial state
+    # and by step_all after every step; not compared (an array).
     sinr: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -521,7 +522,6 @@ def rollout(
     env: radio.RadioEnvironment,
     choose,
     j_n: int | None = None,
-    level_oracle=None,
     observe=None,
 ) -> list[Rollout]:
     """The episode loop of bootstrap, training and evaluation: one episode per
@@ -534,12 +534,14 @@ def rollout(
     its step cap, or right after its first collision.  With j_n given, each
     active agent's frame is recorded before it acts, and after a collision-free
     episode so is the terminal frame of each arrived agent; their SINR levels
-    come from level_oracle, by default ground_truth_oracle(env).
+    quantize the episode's own SINR (EpisodeState.sinr), computed here for the
+    initial positions and by step_all after every step.
     observe(b, ep, flags), if given, sees episode b's initial state (flags
     None) and its state after every step.
     """
-    level_oracle = level_oracle or ground_truth_oracle(env)
     eps = [EpisodeState(uavs=sc.initial_states()) for sc in scenarios]
+    for ep in eps:
+        ep.sinr = radio.sinr_many(env, np.array([u.position for u in ep.uavs]))
     rewards = [[[] for _ in range(sc.num_agents)] for sc in scenarios]
     frames = [[[] for _ in range(sc.num_agents)] for sc in scenarios]
     if observe is not None:
@@ -554,7 +556,7 @@ def rollout(
             active = [i for i, u in enumerate(ep.uavs) if not u.arrived]
             neighbors = [ep.neighbors_of(i) for i in active]
             if j_n is not None:
-                levels = level_oracle(np.array([u.position for u in ep.uavs]))
+                levels = radio.quantize_many(ep.sinr, env)
                 for i, nbs in zip(active, neighbors):
                     frames[b][i].append(to_agent_frame(ep.uavs[i], nbs, int(levels[i]), j_n))
             agents += [(b, i, ep.uavs[i], nbs) for i, nbs in zip(active, neighbors)]
@@ -576,7 +578,7 @@ def rollout(
         # Arrived terminals carry zero future value and anchor the value net there.
         terminals = []
         if j_n is not None and not ep.any_collision and any(u.arrived for u in ep.uavs):
-            levels = level_oracle(np.array([u.position for u in ep.uavs]))
+            levels = radio.quantize_many(ep.sinr, env)
             terminals = [
                 (i, to_agent_frame(u, ep.neighbors_of(i), int(levels[i]), j_n))
                 for i, u in enumerate(ep.uavs) if u.arrived

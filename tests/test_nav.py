@@ -67,7 +67,7 @@ class TestNavigateStep:
         expected = valuetrain.lookahead_select(
             net, st, [], space, valuetrain.ground_truth_oracle(strong_env), 0.95, 0, sc
         )
-        got = navigate_step(pol, st, [], strong_env, 0, sc, 0.95)
+        (got,) = navigate_step(pol, [st], [[]], strong_env, 0, sc, 0.95)
         assert got.speed == expected.speed and got.heading == expected.heading
 
     def test_learned_mode_matches_perfect_on_uniform_field(self, strong_env, rng):
@@ -77,8 +77,9 @@ class TestNavigateStep:
         sc = valuetrain.sample_scenario(np.random.default_rng(3), n_agents=1)
         st = sc.initial_states()[0]
         for t in range(4):
-            a1 = navigate_step(NavPolicy.learned(net, model), st, [], strong_env, t, sc, 0.95)
-            a2 = navigate_step(NavPolicy.perfect(net), st, [], strong_env, t, sc, 0.95)
+            (a1,) = navigate_step(NavPolicy.learned(net, model), [st], [[]], strong_env, t, sc,
+                                  0.95)
+            (a2,) = navigate_step(NavPolicy.perfect(net), [st], [[]], strong_env, t, sc, 0.95)
             assert a1.speed == a2.speed and a1.heading == a2.heading
             st = world.propagate(st, a1, sc.dt, sc.arrival_tolerance)
 
@@ -89,8 +90,8 @@ class TestNavigateStep:
         pol = NavPolicy.outdated(net, jammed)
         sc = valuetrain.sample_scenario(np.random.default_rng(4), n_agents=1)
         st = sc.initial_states()[0]
-        a_clean = navigate_step(pol, st, [], clean, 0, sc, 0.95)
-        a_jammed = navigate_step(pol, st, [], jammed, 0, sc, 0.95)
+        (a_clean,) = navigate_step(pol, [st], [[]], clean, 0, sc, 0.95)
+        (a_jammed,) = navigate_step(pol, [st], [[]], jammed, 0, sc, 0.95)
         assert a_clean.speed == a_jammed.speed and a_clean.heading == a_jammed.heading
 
     def test_rejects_arrived_agent(self, strong_env):
@@ -99,7 +100,8 @@ class TestNavigateStep:
         st = sc.initial_states()[0]
         st = world.propagate(st, Action(4.0, 0.0), 10.0, arrival_tolerance=100.0)
         with pytest.raises(ValueError):
-            navigate_step(NavPolicy.perfect(zero_value_net()), st, [], strong_env, 0, sc, 0.95)
+            navigate_step(NavPolicy.perfect(zero_value_net()), [st], [[]], strong_env, 0, sc,
+                          0.95)
 
 
 class TestRunEvaluation:

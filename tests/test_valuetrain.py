@@ -495,3 +495,31 @@ class TestScenarioSampler:
                 for j in range(i + 1, 4):
                     assert math.dist(sc.starts[i], sc.starts[j]) > 1.0
             assert all(4.0 <= v <= 8.0 for v in sc.max_speeds)
+
+    def test_coverage_filter_sees_only_candidates_that_pass_the_cheap_checks(self):
+        """The filter runs after the separation and travel checks, so it never
+        sees a candidate that those reject; the draws, and so the scenario, are
+        the same in either order."""
+        seen = []
+
+        def recording(point):
+            seen.append((point, point[0] + point[1] > -30.0))
+            return seen[-1][1]
+
+        sc = sample_scenario(np.random.default_rng(6), n_agents=4, min_separation=20.0,
+                             position_ok=recording)
+        # Each endpoint, starts first, ends the run of candidates drawn for it.
+        accepted = list(sc.starts) + list(sc.destinations)
+        k = 0
+        for point, ok in seen:
+            if k < 4:
+                others, travel_from = sc.starts[:k], None
+            else:
+                others, travel_from = sc.destinations[:k - 4], sc.starts[k - 4]
+            assert all(math.dist(point, p) > 20.0 for p in others)
+            if travel_from is not None:
+                assert math.dist(point, travel_from) >= 50.0
+            if ok and point == accepted[k]:
+                k += 1
+        assert k == 8
+        assert any(not ok for _, ok in seen)  # the filter did reject some candidates

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
-from uavnav import radio, world
+from uavnav import nav, neuro, orca, radio, valuetrain, world
 from uavnav.world import (
     Action,
     EpisodeState,
@@ -548,3 +548,83 @@ class TestTrajectoryFormat:
         assert parts[0] == "3" and parts[1] == "7" and parts[2] == "1"
         assert float(parts[3]) == 1.5 and float(parts[8]) == 1.0
         assert parts[9:] == ["0", "1", "0"]
+
+
+class TestRolloutRecordsTrueLevels:
+    """Frames, terminal frames and trajectory rows read the episode's own SINR;
+    each level must be the ground truth at the recorded position."""
+
+    # A disc of level 2 around the station, rimmed by level 1, then level 0.
+    ENV = single_station_env(tx_power=1.0, jammer=radio.Jammer(position=(10.0, 0.0),
+                                                                tx_power=1e-3))
+    # Two agents fly out of the disc; the third arrives in one step.
+    SCENARIO = ScenarioConfig(
+        starts=((-18.0, -10.0), (-20.0, 0.0), (-1.5, 25.0)),
+        destinations=((-38.0, -10.0), (-40.0, 0.0), (0.0, 25.0)),
+        radii=(0.5,) * 3, max_speeds=(4.0,) * 3, max_episode_steps=20,
+    )
+
+    def spy_frames(self, monkeypatch):
+        made = {}  # id(frame) -> (position, frame); holding the frame keeps its id unique
+        real = world.to_agent_frame
+
+        def spy(state, neighbors, sinr_level, j_n):
+            frame = real(state, neighbors, sinr_level, j_n)
+            made[id(frame)] = (state.position, frame)
+            return frame
+
+        monkeypatch.setattr(world, "to_agent_frame", spy)
+        return made
+
+    def check(self, run, made):
+        truth = world.ground_truth_oracle(self.ENV)
+        recorded = [f for frames in run.frames for f in frames] + [f for _, f in run.terminals]
+        assert run.terminals and len(recorded) == len(made)
+        for frame in recorded:
+            position, _ = made[id(frame)]
+            assert frame[-1] == truth(np.array(position))
+        assert {int(f[-1]) for f in recorded} == {0, 1, 2}
+
+    def test_training_episode(self, monkeypatch):
+        made = self.spy_frames(monkeypatch)
+        runs = []
+        real_rollout = world.rollout
+
+        def recording_rollout(*args, **kwargs):
+            out = real_rollout(*args, **kwargs)
+            runs.extend(out)
+            return out
+
+        monkeypatch.setattr(world, "rollout", recording_rollout)
+        net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"),
+                                 np.random.default_rng(2))
+        buf = valuetrain.ReplayBuffer(1000)
+        log = valuetrain.run_episode(net, self.ENV, self.SCENARIO, 0.5, buf,
+                                     np.random.default_rng(1), 0.95)
+        assert any(log.arrived)
+        (run,) = runs
+        self.check(run, made)
+        # The buffer holds each agent's frames, then its terminal frame.
+        terminals = dict(run.terminals)
+        levels = [f[-1] for i, frames in enumerate(run.frames)
+                  for f in frames + ([terminals[i]] if i in terminals else [])]
+        assert buf.arrays()[0][:, -1].tolist() == levels
+
+    def test_orca_episode(self, monkeypatch):
+        made = self.spy_frames(monkeypatch)
+        run = orca.run_orca_episode(self.SCENARIO, self.ENV)
+        assert all(u.arrived for u in run.final.uavs)
+        self.check(run, made)
+
+    def test_initial_trajectory_rows(self):
+        rows = []
+        policy = nav.NavPolicy.perfect(neuro.init_network(
+            neuro.dense_specs(34, (8,), 1, "relu", "tanh"), np.random.default_rng(2)))
+        nav.run_trial(policy, self.SCENARIO, self.ENV, 0.95, trajectory=rows)
+        sinr = radio.sinr_many(self.ENV, np.array(self.SCENARIO.starts))
+        levels = radio.quantize_many(sinr, self.ENV)
+        first = [row.split(",") for row in rows if row.split(",")[1] == "0"]
+        assert [int(parts[2]) for parts in first] == [0, 1, 2]
+        for parts, s, level in zip(first, sinr.tolist(), levels.tolist()):
+            assert float(parts[7]) == 10.0 * math.log10(s)
+            assert int(parts[8]) == level

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from uavnav import config as cfgmod
-from uavnav import valuetrain
+from uavnav import neuro, valuetrain
 from uavnav.cli import main
 
 CHECKPOINT = ("run/value-model.json", "run/curve.csv", "run/replay.npz", "run/adam.npz",
@@ -195,3 +195,22 @@ def test_eval_digests_where_the_modes_differ(tmp_path):
     modes = [got[f"center-1w/trajectories-{m}.csv"] for m in ("proposed", "outdated", "perfect")]
     assert len(set(modes)) == 3
     assert got == EVAL_PINS
+
+
+# The fixture's forward bits, pinned directly: an eval digest does not move
+# unless a last-bit change flips some decision, but these do.  One stacked
+# (S, B, in) batch as the lookahead sends and one flat (B, in) batch.
+FORWARD_PINS = {
+    (4, 15, 34): "cbd28e6c5363c71762a27c8db4ad4ba4882c67c1e2fbcc84298cf9562fca0276",
+    (60, 34): "e235d7c58d824f9ad47f309ac57e43cf2147715db94695b1ecd9326385e058be",
+}
+
+
+@pytest.mark.parametrize("seed, shape", enumerate(FORWARD_PINS))
+def test_fixture_forward_bits(seed, shape):
+    net = neuro.load_model(VALUE_FIXTURE)
+    rng = np.random.default_rng(seed)
+    x = net.standardizer.mean + 3.0 * net.standardizer.std * rng.normal(size=shape)
+    out = neuro.forward_batch(net, x)[0]
+    assert out.shape == (*shape[:-1], 1)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == FORWARD_PINS[shape]

@@ -93,6 +93,9 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
             _read(lambda p: json.loads(p.read_text()), state_path), str(state_path)
         )
         start_episode = state["episode"]
+        if start_episode > run_cfg.total_episodes:
+            raise ConfigError(f"{state_path}: checkpoint is at episode {start_episode}, past "
+                              f"the {run_cfg.total_episodes} episodes asked for")
         value_net = _read(neuro.load_model, model_path)
         data = _read_npz(replay_path, ("features", "targets"))
         buffer = valuetrain.ReplayBuffer(run_cfg.replay_capacity)

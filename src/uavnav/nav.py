@@ -28,9 +28,6 @@ class NavPolicy:
     mode: str
     map_model: sinrmap.MapModel | None = None
     snapshot: radio.RadioEnvironment | None = None
-    # What every forward pass reads: value_net without subnormal weights, which
-    # gives the same outputs at full speed (see neuro.without_subnormals).
-    inference_net: neuro.NetworkParams = field(init=False, repr=False, compare=False)
     _oracle: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -40,7 +37,6 @@ class NavPolicy:
             raise ValueError("proposed mode needs a map model")
         if self.mode == "outdated" and self.snapshot is None:
             raise ValueError("outdated mode needs an environment snapshot")
-        object.__setattr__(self, "inference_net", neuro.without_subnormals(self.value_net))
 
     @staticmethod
     def learned(value_net, map_model: sinrmap.MapModel) -> "NavPolicy":
@@ -97,7 +93,7 @@ def navigate_step(
     grids = [world.action_grid(s, scenario, n_speeds, n_headings) for s in states]
     speeds, headings = (np.array(axis) for axis in zip(*grids))
     ks = valuetrain.lookahead_index(
-        policy.inference_net, states, neighbors, speeds, headings,
+        policy.value_net, states, neighbors, speeds, headings,
         policy.sinr_oracle(env_truth), gamma, t, scenario, j_n=j_n,
     )
     return [Action(speed=float(s[k]), heading=float(h[k]))

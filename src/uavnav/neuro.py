@@ -115,30 +115,21 @@ class NetworkParams:
                              standardizer=self.standardizer)
 
 
-def without_subnormals(params: NetworkParams) -> NetworkParams:
-    """Copy of params with every subnormal weight and bias set to 0.0.
+def flush_subnormals(*arrays: np.ndarray) -> None:
+    """Set every subnormal entry of the given float arrays to 0.0, in place.
 
-    Inference runs on such a copy.  Training under L2 with Adam leaves the
-    weights of dead units decaying into the subnormal range, and x86 takes a
-    slow microcode path for every subnormal operand, so a small batch forward
-    on a desk-trained value net runs about 9x slower than on the same net with
-    those weights at zero.  A subnormal term lies far below the last bit of any
-    normal-sized sum it joins, so the outputs stay bit-identical as long as
-    each output unit's sum has a normal-sized term, such as its bias; only a
-    unit whose whole input is subnormal changes, from a subnormal value to 0.
-    Training keeps updating the master weights; the source is left untouched.
+    Training under L2 with Adam leaves the weights of dead units decaying into
+    the subnormal range, and x86 takes a slow microcode path for every
+    subnormal operand, so a small batch forward on a desk-trained value net
+    runs about 9x slower than on the same net with those weights at zero.  A
+    subnormal term lies far below the last bit of any normal-sized sum it
+    joins, so the outputs stay bit-identical as long as each output unit's sum
+    has a normal-sized term, such as its bias; only a unit whose whole input
+    is subnormal changes, from a subnormal value to 0.  Zeros keep their sign.
     """
     tiny = np.finfo(float).tiny
-
-    def flushed(a: np.ndarray) -> np.ndarray:
-        return np.where((a != 0.0) & (np.abs(a) < tiny), 0.0, a)
-
-    return NetworkParams(
-        specs=params.specs,
-        weights=[flushed(w) for w in params.weights],
-        biases=[flushed(b) for b in params.biases],
-        standardizer=params.standardizer,
-    )
+    for a in arrays:
+        a[(a != 0.0) & (np.abs(a) < tiny)] = 0.0
 
 
 def dense_specs(input_size: int, hidden: tuple[int, ...], output_size: int,
@@ -259,6 +250,9 @@ def backward_batch(params: NetworkParams, cache, output_gradient: np.ndarray, l2
     return grads_w, grads_b
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments, held like NetworkParams: m and v are flat vectors in the
@@ -269,9 +263,6 @@ class AdamState:
     m_b: tuple[np.ndarray, ...]
     v_b: tuple[np.ndarray, ...]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
 
@@ -300,7 +291,7 @@ def _adam(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
                          f"match parameters {value.shape}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
     m *= b1
@@ -314,7 +305,7 @@ def _adam(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
     t1 *= lr
     t2 = np.divide(v, corr2, out=t2)
     np.sqrt(t2, out=t2)
-    t2 += state.eps
+    t2 += ADAM_EPS
     t1 /= t2
     value -= t1
 
@@ -571,13 +562,15 @@ def to_dict(params: NetworkParams, digest: str | None = None) -> dict:
 
 
 def from_dict(data: dict) -> NetworkParams:
+    """The network a to_dict mapping describes, its subnormals set to 0 as
+    training keeps them (flush_subnormals); older saved models still hold them."""
     if data.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {data.get('format')!r}")
     specs = tuple(
         LayerSpec(layer["input_size"], layer["output_size"], layer["activation"])
         for layer in data["layers"]
     )
-    return NetworkParams(
+    params = NetworkParams(
         specs=specs,
         weights=[np.array(w, dtype=float) for w in data["weights"]],
         biases=[np.array(b, dtype=float) for b in data["biases"]],
@@ -586,6 +579,8 @@ def from_dict(data: dict) -> NetworkParams:
             std=np.array(data["standardizer"]["std"], dtype=float),
         ),
     )
+    flush_subnormals(params.flat)
+    return params
 
 
 def save_model(params: NetworkParams, path, digest: str | None = None) -> None:

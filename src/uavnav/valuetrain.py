@@ -456,9 +456,10 @@ def train(
             rng_scn, position_ok=coverage_predicate(env), **scn_kwargs
         )
         eps = epsilon(episode, config)
-        # The rollout reads a copy without subnormals; updates go to value_net.
+        # Keeps the rollout's forward passes off x86's slow path for subnormals.
+        neuro.flush_subnormals(value_net.flat, adam.m, adam.v)
         log = run_episode(
-            neuro.without_subnormals(value_net), env, scenario, eps, buffer, rng_ep,
+            value_net, env, scenario, eps, buffer, rng_ep,
             config.gamma, j_n=config.j_n, n_speeds=config.n_speeds, n_headings=config.n_headings,
         )
         for _ in range(config.updates_per_episode):

@@ -263,6 +263,21 @@ class TestTrainCommand:
         curve = valuetrain.read_curve_csv(out_dir / "curve.csv")
         assert [p.episode for p in curve] == [0, 1, 2, 3, 4]
 
+    def test_resume_with_fewer_episodes_than_the_checkpoint_is_validation_error(
+            self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path)
+        boot = self._bootstrap(tmp_path, cfg_path)
+        out_dir = tmp_path / "run"
+        argv = ["train", "--config", str(cfg_path), "--bootstrap", str(boot),
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert main([*argv, "--episodes", "2", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "episode 4" in err and "2 episodes" in err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
     def _interrupted_run(self, tmp_path):
         """A 2-episode run to resume from, and the argv that resumes it to 4."""
         cfg_path = tiny_config(tmp_path)

@@ -468,14 +468,14 @@ def reference_train_epochs(params, inputs, targets, config, rng, adam, after_epo
         m, v, value = adam.m, adam.v, params.flat
         adam.step += 1
         t = adam.step
-        b1, b2 = adam.beta1, adam.beta2
+        b1, b2 = neuro.ADAM_BETA1, neuro.ADAM_BETA2
         corr1 = 1.0 - b1 ** t
         corr2 = 1.0 - b2 ** t
         m *= b1
         m += (1.0 - b1) * grad
         v *= b2
         v += (1.0 - b2) * grad * grad
-        value -= lr * (m / corr1) / (np.sqrt(v / corr2) + adam.eps)
+        value -= lr * (m / corr1) / (np.sqrt(v / corr2) + neuro.ADAM_EPS)
 
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -611,7 +611,20 @@ class TestValidation:
             LayerSpec(2, 2, "sigmoid")
 
 
-class TestWithoutSubnormals:
+def is_subnormal(a) -> np.ndarray:
+    return (a != 0.0) & (np.abs(a) < np.finfo(float).tiny)
+
+
+class TestFlushSubnormals:
+    def test_zeroes_subnormals_in_place_and_keeps_the_rest(self):
+        tiny = np.finfo(float).tiny
+        a = np.array([-0.0, 0.0, tiny, -tiny, tiny / 2, -tiny / 3, 5e-324, 1.5, -2.0])
+        b = np.array([[tiny / 4, 1e-300]])
+        neuro.flush_subnormals(a, b)
+        want = np.array([-0.0, 0.0, tiny, -tiny, 0.0, 0.0, 0.0, 1.5, -2.0])
+        assert a.tobytes() == want.tobytes()  # -0.0 keeps its sign
+        assert b.tobytes() == np.array([[0.0, 1e-300]]).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(seed=hst.integers(0, 2**32 - 1), share=hst.floats(0.0, 0.9))
     def test_planted_subnormals(self, seed, share):
@@ -626,13 +639,13 @@ class TestWithoutSubnormals:
         for a in net.weights + net.biases[:-1]:
             planted = rng.random(a.shape) < share
             a[planted] = rng.uniform(-1.0, 1.0, int(planted.sum())) * tiny
-        before = [a.copy() for a in net.weights + net.biases]
+        mapping = json.loads(json.dumps(neuro.to_dict(net)))
         x = std.mean + 3.0 * std.std * rng.normal(size=(200, 34))
 
-        flushed = neuro.without_subnormals(net)
+        loaded = neuro.from_dict(mapping)
 
-        for a in flushed.weights + flushed.biases:
-            assert ((a == 0.0) | (np.abs(a) >= tiny)).all()
-        for a, b in zip(net.weights + net.biases, before):
-            assert a.tobytes() == b.tobytes()
-        assert forward_batch(flushed, x)[0].tobytes() == forward_batch(net, x)[0].tobytes()
+        assert not is_subnormal(loaded.flat).any()
+        kept = ~is_subnormal(net.flat)
+        assert loaded.flat[kept].tobytes() == net.flat[kept].tobytes()
+        assert (loaded.flat[~kept] == 0.0).all()
+        assert forward_batch(loaded, x)[0].tobytes() == forward_batch(net, x)[0].tobytes()

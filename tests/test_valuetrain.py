@@ -473,6 +473,28 @@ class TestTrain:
             )
         assert digests[0] == digests[1]
 
+    def test_rollouts_read_the_trained_net_without_subnormals(self, monkeypatch):
+        env, pairs = self._tiny_setup()
+        cfg = TrainRunConfig(total_episodes=2, agents=2, pretrain_epochs=1, seed=4)
+        net = valuetrain.pretrain_value_net(pairs, cfg, np.random.default_rng(0))
+        adam = neuro.AdamState.for_params(net)
+        tiny = np.finfo(float).tiny
+        for a in (net.flat, adam.m, adam.v):
+            a[::3] = tiny / 8  # v stays >= 0
+        seen = []
+        real = valuetrain.run_episode
+
+        def spy(value_net, *args, **kwargs):
+            seen.append((value_net is net, *(
+                int(((x != 0.0) & (np.abs(x) < tiny)).sum()) for x in (net.flat, adam.m, adam.v))))
+            return real(value_net, *args, **kwargs)
+
+        monkeypatch.setattr(valuetrain, "run_episode", spy)
+        result = train(cfg, pairs, env, JammerSchedule(), value_net=net, adam=adam,
+                       scenario_kwargs={"n_agents": 2, "max_episode_steps": 60})
+        assert result.value_net is net
+        assert seen == [(True, 0, 0, 0)] * 2
+
     def test_curve_csv_round_trip(self, tmp_path):
         env, pairs = self._tiny_setup()
         cfg = TrainRunConfig(total_episodes=3, agents=2, pretrain_epochs=1, seed=2)

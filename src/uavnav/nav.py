@@ -90,8 +90,7 @@ def navigate_step(
     """
     if any(s.arrived for s in states):
         raise ValueError("agent already arrived")
-    grids = [world.action_grid(s, scenario, n_speeds, n_headings) for s in states]
-    speeds, headings = (np.array(axis) for axis in zip(*grids))
+    speeds, headings = world.action_grids(states, scenario, n_speeds, n_headings)
     ks = valuetrain.lookahead_index(
         policy.value_net, states, neighbors, speeds, headings,
         policy.sinr_oracle(env_truth), gamma, t, scenario, j_n=j_n,
@@ -173,8 +172,9 @@ def run_evaluation(
     policy needs a choose_actions(states, neighbors, env, t, scenario, gamma,
     j_n, n_speeds, n_headings) method that returns one action per state;
     NavPolicy provides the lookahead one.  Each step calls it once per group
-    of agents with the same neighbor count and scenario step fields, which
-    one lookahead call needs.
+    of agents whose scenarios agree on ScenarioConfig.step_fields, which one
+    lookahead call needs; a group's agents may see different numbers of
+    neighbors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -186,8 +186,8 @@ def run_evaluation(
 
     def choose(t, agents):
         groups: dict[tuple, list[int]] = {}
-        for k, (b, _, _, nbs) in enumerate(agents):
-            groups.setdefault((len(nbs), batch[b].step_fields), []).append(k)
+        for k, (b, _, _, _) in enumerate(agents):
+            groups.setdefault(batch[b].step_fields, []).append(k)
         actions = [None] * len(agents)
         for ks in groups.values():
             picked = policy.choose_actions(

@@ -167,12 +167,14 @@ def lookahead_index(
 ) -> np.ndarray:
     """Per agent, the argmax over actions of scaled estimated reward + gamma * V(next state).
 
-    A agents (states), each with its neighbors' observables (the same count
-    for all) and a row of the (A, M) speed and heading arrays (see
-    world.action_grid).  Neighbors travel one step at their observed
-    (filtered) velocities.  One oracle query at the (A, M, 2) next positions
-    and one stacked forward pass give each agent the index a call with it
-    alone gives, bit for bit; ties go to the first action.
+    A agents (states), each with its neighbors' observables (any count per
+    agent) and a row of the (A, M) speed and heading arrays (see
+    world.action_grids).  Neighbors travel one step at their observed
+    (filtered) velocities.  The neighbor lists are padded to the longest
+    with a presence mask: an absent slot adds no collision penalty and reads
+    as world.agent_frame_rows' padding.  One oracle query at the (A, M, 2)
+    next positions and one stacked forward pass give each agent the index a
+    call with it alone gives, bit for bit; ties go to the first action.
     """
     if speeds.shape[-1] == 0:
         raise ValueError("empty action space")
@@ -203,7 +205,15 @@ def lookahead_index(
     levels = np.asarray(sinr_oracle(positions), dtype=int)
 
     # Closest approach to each neighbor (axis 1) under each action (axis 2).
-    obs = np.asarray(neighbors, dtype=float).reshape(len(states), len(neighbors[0]), 5)
+    counts = [len(nbs) for nbs in neighbors]
+    obs = np.zeros((len(states), max(counts), 5))
+    for a, nbs in enumerate(neighbors):
+        if nbs:
+            obs[a, :len(nbs)] = nbs
+    # The slots that hold a neighbor; None when every agent fills them all.
+    present = None
+    if min(counts) < max(counts):
+        present = np.arange(obs.shape[1]) < np.array(counts)[:, None]
     coll = np.zeros(speeds.shape)
     if obs.shape[1]:
         rx, ry = start[:, None, 0:1] - obs[..., 0:1], start[:, None, 1:2] - obs[..., 1:2]
@@ -214,7 +224,10 @@ def lookahead_index(
         t_cl = np.clip(t_cl, 0.0, dt)
         d_min = np.hypot(rx + t_cl * wx, ry + t_cl * wy)
         gap = d_min - radii[:, None, None] - obs[..., 4:5]
-        coll = np.minimum(coll, world.collision_ramp(gap).min(axis=1))
+        ramp = world.collision_ramp(gap)
+        if present is not None:
+            ramp = np.where(present[..., None], ramp, 0.0)
+        coll = np.minimum(coll, ramp.min(axis=1))
 
     rewards = world.transition_rewards(
         levels, t % config.n_t == 0, coll, arrived, config.movement_penalty
@@ -222,7 +235,7 @@ def lookahead_index(
     moved = np.concatenate([obs[..., 0:2] + obs[..., 2:4] * dt, obs[..., 2:5]], axis=-1)
     feature_rows = world.agent_frame_rows(
         positions, state_vel, headings, dest, radii, [s.max_speed for s in states],
-        moved, levels, j_n,
+        moved, levels, j_n, present,
     )
     values, _ = neuro.forward_batch(value_net, feature_rows)
     scores = reward_scale * rewards + gamma * values[..., 0]
@@ -334,18 +347,20 @@ def run_episode(
     def choose(t, agents):
         # The exploration coins are drawn in agent order first; the greedy
         # agents then share one lookahead, which draws nothing.
-        grids = [world.action_grid(uav, scenario, n_speeds, n_headings) for _, _, uav, _ in agents]
-        picks = [int(rng.integers(len(g[0]))) if rng.random() <= eps else None for g in grids]
+        speeds, headings = world.action_grids([uav for _, _, uav, _ in agents], scenario,
+                                              n_speeds, n_headings)
+        n = speeds.shape[1]
+        picks = [int(rng.integers(n)) if rng.random() <= eps else None for _ in agents]
         greedy = [a for a, k in enumerate(picks) if k is None]
         if greedy:
             ks = lookahead_index(
                 value_net, [agents[a][2] for a in greedy], [agents[a][3] for a in greedy],
-                np.stack([grids[a][0] for a in greedy]), np.stack([grids[a][1] for a in greedy]),
-                oracle, gamma, t, scenario, j_n=j_n,
+                speeds[greedy], headings[greedy], oracle, gamma, t, scenario, j_n=j_n,
             )
             for a, k in zip(greedy, ks):
                 picks[a] = int(k)
-        return [Action(speed=float(s[k]), heading=float(h[k])) for (s, h), k in zip(grids, picks)]
+        return [Action(speed=float(s[k]), heading=float(h[k]))
+                for s, h, k in zip(speeds, headings, picks)]
 
     (run,) = world.rollout([scenario], env, choose, j_n=None if buffer is None else j_n)
     if buffer is not None:

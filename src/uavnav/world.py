@@ -192,6 +192,11 @@ def to_agent_frame(
     return np.array([*self_features, *blocks, float(sinr_level)])
 
 
+# The neighbor block of an empty slot: no offset or velocity, far away.
+_ABSENT_BLOCK = np.array([0.0, 0.0, 0.0, 0.0, FAR_NEIGHBOR, 0.0])
+_ABSENT_BLOCK.flags.writeable = False
+
+
 def wrap_angles(a: np.ndarray) -> np.ndarray:
     """Vectorized wrap to (-pi, pi]."""
     w = np.mod(a + math.pi, 2.0 * math.pi)
@@ -209,13 +214,18 @@ def agent_frame_rows(
     neighbor_obs: np.ndarray,
     levels: np.ndarray,
     j_n: int,
+    present: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched to_agent_frame over M candidate states of each of A agents.
 
     positions/velocities are (A, M, 2), orientations and levels (A, M);
     destinations are (A, 2), radii and max_speeds (A,), and neighbor_obs is
     (A, N, 5): agent a's neighbor observables, shared by its candidates.
-    rows[a, m] equals to_agent_frame(state_am, neighbor_obs[a], levels[a, m], j_n).
+    present, an (A, N) bool mask, marks the slots of neighbor_obs that hold
+    a neighbor (all of them when None); absent slots sort last and read as
+    the padding of a missing neighbor, so agents with fewer neighbors share
+    the array.  rows[a, m] equals to_agent_frame(state_am, the present
+    neighbor_obs[a], levels[a, m], j_n).
     """
     pos = np.asarray(positions, dtype=float)
     vel = np.asarray(velocities, dtype=float)
@@ -236,13 +246,16 @@ def agent_frame_rows(
     rows[..., 8] = wrap_angles(np.asarray(orientations, dtype=float) - rot)
 
     ob = np.asarray(neighbor_obs, dtype=float)
+    if present is not None:
+        present = np.asarray(present, dtype=bool)
     n_obs = min(ob.shape[1], j_n)
     if n_obs:
         # (A, M, N): offsets from each candidate to each of its agent's neighbors.
         off_x = ob[:, None, :, 0] - pos[..., 0:1]
         off_y = ob[:, None, :, 1] - pos[..., 1:2]
         d_j = np.hypot(off_x, off_y)
-        order = np.argsort(d_j, axis=-1, kind="stable")[..., :j_n]
+        key = d_j if present is None else np.where(present[:, None, :], d_j, np.inf)
+        order = np.argsort(key, axis=-1, kind="stable")[..., :j_n]
         agent = np.arange(len(pos))[:, None, None]
         take = (agent, np.arange(pos.shape[1])[None, :, None], order)
         off_x, off_y, d_j = off_x[take], off_y[take], d_j[take]
@@ -258,6 +271,10 @@ def agent_frame_rows(
             rows[..., base + 3] = nvx[..., k] * sin_r + nvy[..., k] * cos_r
             rows[..., base + 4] = d_j[..., k]
             rows[..., base + 5] = np.arctan2(ry[..., k], rx[..., k])
+        if present is not None:
+            # A view of the neighbor blocks as (A, M, n_obs, 6).
+            blocks = rows[..., 9:9 + 6 * n_obs].reshape(pos.shape[:2] + (n_obs, 6))
+            blocks[~present[agent, order]] = _ABSENT_BLOCK
     for k in range(n_obs, j_n):
         rows[..., 9 + 6 * k + 4] = FAR_NEIGHBOR
     rows[..., 9 + 6 * j_n] = np.asarray(levels, dtype=float)
@@ -277,23 +294,32 @@ def _grid_axes(max_speed: float, max_turn: float, n_speeds: int, n_headings: int
     return speeds, offsets
 
 
-def action_grid(
-    state: UavState, config: ScenarioConfig, n_speeds: int = 3, n_headings: int = 5
+def action_grids(
+    states, config: ScenarioConfig, n_speeds: int = 3, n_headings: int = 5
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Speed x heading grid obeying the speed and turn-rate limits, as two arrays.
+    """Speed x heading grids of A states obeying the speed and turn-rate limits.
 
-    Returns (speeds, headings) of length n_speeds * n_headings, speed-major.
-    Always contains the hover action (speed 0) and the keep-heading action:
-    with an even heading count the grid point closest to the current heading
-    is snapped onto it.  The axes are cached per speed limit, turn limit and
-    grid size; only the wrap around the current orientation is computed here.
+    Returns (speeds, headings), each (A, n_speeds * n_headings), speed-major.
+    Every grid contains the hover action (speed 0) and the keep-heading
+    action: with an even heading count the grid point closest to the current
+    heading is snapped onto it.  The axes are cached per speed limit, turn
+    limit and grid size; only the wrap around each current orientation is
+    computed here, for all states at once.
     """
     if n_speeds < 2 or n_headings < 3:
         raise ValueError("need n_speeds >= 2 and n_headings >= 3")
-    speeds, offsets = _grid_axes(
-        state.max_speed, config.dt * config.turn_rate_limit, n_speeds, n_headings
-    )
-    return speeds, wrap_angles(state.orientation + offsets)
+    max_turn = config.dt * config.turn_rate_limit
+    axes = [_grid_axes(s.max_speed, max_turn, n_speeds, n_headings) for s in states]
+    orientations = np.array([[s.orientation] for s in states])
+    return np.array([speeds for speeds, _ in axes]), wrap_angles(orientations + axes[0][1])
+
+
+def action_grid(
+    state: UavState, config: ScenarioConfig, n_speeds: int = 3, n_headings: int = 5
+) -> tuple[np.ndarray, np.ndarray]:
+    """action_grids of one state: its (speeds, headings) rows."""
+    speeds, headings = action_grids([state], config, n_speeds, n_headings)
+    return speeds[0], headings[0]
 
 
 def sample_action_space(
@@ -355,14 +381,15 @@ def collision_ramp(gap):
     )
 
 
-def transition_rewards(levels, gated: bool, collision, arrived, movement_penalty: float):
+def transition_rewards(levels, gated, collision, arrived, movement_penalty):
     """Reward of each transition, elementwise: the connectivity band of the
-    post-step SINR level on a gated step (levels are read only then), plus
-    the collision penalty (the worst collision_ramp over the agent's pairs,
-    0.0 without one), the arrival bonus where the step arrives, and the
-    movement penalty.
+    post-step SINR level on a gated step, plus the collision penalty (the
+    worst collision_ramp over the agent's pairs, 0.0 without one), the
+    arrival bonus where the step arrives, and the movement penalty.  gated
+    and movement_penalty are one value for all transitions or one each;
+    levels may be None when no transition is gated.
     """
-    conn = CONNECTIVITY_BANDS[levels] if gated else 0.0
+    conn = 0.0 if levels is None else np.where(gated, CONNECTIVITY_BANDS[levels], 0.0)
     return conn + collision + ARRIVAL_BONUS * arrived + movement_penalty
 
 
@@ -399,86 +426,112 @@ class EpisodeState:
 
 
 def step_all(
-    state: EpisodeState,
-    actions: list[Action | None],
+    states: list[EpisodeState],
+    actions: list[list[Action | None]],
     env: radio.RadioEnvironment,
-    config: ScenarioConfig,
-) -> tuple[EpisodeState, list[float], StepFlags]:
-    """Advance all agents simultaneously; returns the new state, each agent's
-    reward total (transition_rewards) and the step's flags.
+    scenarios: list[ScenarioConfig],
+) -> tuple[list[EpisodeState], list[list[float]], list[StepFlags]]:
+    """Advance the agents of every episode simultaneously: episode b takes
+    actions[b] under scenarios[b].  Returns per episode its new state, each
+    agent's reward total (transition_rewards) and the step's flags.
 
     Arrived agents get None actions, hold position and get reward 0.0; they
     are excluded from collision checks.  Collision pairs are detected by
     closest approach over the step segments.  The gated connectivity check
-    uses the post-step SINR.
+    uses the post-step SINR.  Kinematics and closest approach run per agent
+    and pair; the SINR, levels, collision penalties, rewards and flags of
+    all episodes' agents are each one array operation, so an episode gets
+    the bits of a step with it alone.
     """
-    n = len(state.uavs)
-    if len(actions) != n:
-        raise ValueError(f"expected {n} actions, got {len(actions)}")
-    prev = state.uavs
+    if not len(states) == len(actions) == len(scenarios):
+        raise ValueError("states, actions and scenarios lengths differ")
+    # Per row, every episode's agents in episode-major order: the state before
+    # and after the step, the commanded velocity, whether its episode's step
+    # checks connectivity, and its episode's movement penalty.
+    uavs: list[UavState] = []
     nxt: list[UavState] = []
     seg_vel: list[tuple[float, float]] = []
-    for i, (uav, act) in enumerate(zip(prev, actions)):
-        if uav.arrived and act is not None:
-            raise ValueError(f"agent {i} already arrived but got an action")
-        if not uav.arrived and act is None:
-            raise ValueError(f"agent {i} is active but got no action")
-        if act is None:
-            nxt.append(uav)
-            seg_vel.append((0.0, 0.0))
-        else:
-            nxt.append(propagate(uav, act, config.dt, config.arrival_tolerance))
-            # Collision segments use the commanded motion even when the agent
-            # snaps onto its destination and reports zero velocity afterwards.
-            seg_vel.append(act.velocity())
+    gated: list[bool] = []
+    penalty: list[float] = []
+    spans: list[tuple[int, int]] = []  # each episode's rows
+    pairs: list[tuple[int, int]] = []  # rows of the agent pairs active in the step
+    closest: list[float] = []
+    for state, acts, config in zip(states, actions, scenarios):
+        prev = state.uavs
+        if len(acts) != len(prev):
+            raise ValueError(f"expected {len(prev)} actions, got {len(acts)}")
+        first = len(uavs)
+        spans.append((first, first + len(prev)))
+        uavs += prev
+        gated += [state.t % config.n_t == 0] * len(prev)
+        penalty += [config.movement_penalty] * len(prev)
+        for i, (uav, act) in enumerate(zip(prev, acts)):
+            if uav.arrived and act is not None:
+                raise ValueError(f"agent {i} already arrived but got an action")
+            if not uav.arrived and act is None:
+                raise ValueError(f"agent {i} is active but got no action")
+            if act is None:
+                nxt.append(uav)
+                seg_vel.append((0.0, 0.0))
+            else:
+                nxt.append(propagate(uav, act, config.dt, config.arrival_tolerance))
+                # Collision segments use the commanded motion even when the agent
+                # snaps onto its destination and reports zero velocity afterwards.
+                seg_vel.append(act.velocity())
+        # Continuous collision check among the episode's agents active during
+        # this step.  Each pair's closest approach is computed once (it is
+        # symmetric in the pair) and gives both the collided flags and, from
+        # each side's gap, the penalties.  With heterogeneous radii the
+        # binding pair is the worst margin, not the smallest raw distance.
+        active = [first + i for i, u in enumerate(prev) if not u.arrived]
+        ep_pairs = [(i, j) for a, i in enumerate(active) for j in active[a + 1:]]
+        pairs += ep_pairs
+        closest += [
+            segment_closest_approach(uavs[i].position, seg_vel[i], uavs[j].position, seg_vel[j],
+                                     config.dt)
+            for i, j in ep_pairs
+        ]
 
-    # Continuous collision check among agents active during this step.  Each
-    # pair's closest approach is computed once (it is symmetric in the pair)
-    # and gives both the collided flags and, from each side's gap, the
-    # penalties.  With heterogeneous radii the binding pair is the worst
-    # margin, not the smallest raw distance.
-    active = [i for i in range(n) if not prev[i].arrived]
-    pairs = [(i, j) for a, i in enumerate(active) for j in active[a + 1:]]
-    closest = [
-        segment_closest_approach(prev[i].position, seg_vel[i], prev[j].position, seg_vel[j],
-                                 config.dt)
-        for i, j in pairs
-    ]
     gaps = []
     for (i, j), d in zip(pairs, closest):
-        gaps += [d - prev[i].radius - prev[j].radius, d - prev[j].radius - prev[i].radius]
+        gaps += [d - uavs[i].radius - uavs[j].radius, d - uavs[j].radius - uavs[i].radius]
     penalties = collision_ramp(gaps).tolist()
-    collided_now = [False] * n
-    worst_pair = [0.0] * n
+    collided = [False] * len(uavs)
+    worst_pair = [0.0] * len(uavs)
     for k, ((i, j), d) in enumerate(zip(pairs, closest)):
-        if d <= prev[i].radius + prev[j].radius:
-            collided_now[i] = collided_now[j] = True
+        if d <= uavs[i].radius + uavs[j].radius:
+            collided[i] = collided[j] = True
         worst_pair[i] = min(worst_pair[i], penalties[2 * k])
         worst_pair[j] = min(worst_pair[j], penalties[2 * k + 1])
 
-    sinr_next = radio.sinr_many(env, np.array([u.position for u in nxt]))
-    gated = state.t % config.n_t == 0
-    # Only a gated step checks connectivity, so only it reads the levels.
-    levels = radio.quantize_many(sinr_next, env) if gated else None
-    acting = [not u.arrived for u in prev]
-    flags = StepFlags(
-        arrived=np.array([u.arrived for u in nxt]),
-        collided=np.array(collided_now),
-        disconnected=np.logical_and(levels == 0, acting) if gated else np.zeros(n, dtype=bool),
-    )
-    totals = transition_rewards(
-        levels, gated, np.array(worst_pair), flags.arrived, config.movement_penalty
-    )
+    sinr = radio.sinr_many(env, np.array([u.position for u in nxt]))
+    acting = [not u.arrived for u in uavs]
+    arrived = np.array([u.arrived for u in nxt])
+    # Only a gated step checks connectivity, so only then are the levels read.
+    if any(gated):
+        gated = np.array(gated)
+        levels = radio.quantize_many(sinr, env)
+        disconnected = (levels == 0) & gated & np.array(acting)
+    else:
+        levels, disconnected = None, np.zeros(len(nxt), dtype=bool)
+    totals = transition_rewards(levels, gated, np.array(worst_pair), arrived, np.array(penalty))
     rewards = [r if a else 0.0 for r, a in zip(totals.tolist(), acting)]
-    new_state = EpisodeState(
-        uavs=nxt,
-        t=state.t + 1,
-        ever_disconnected=[e or d for e, d in zip(state.ever_disconnected,
-                                                  flags.disconnected.tolist())],
-        ever_collided=[e or c for e, c in zip(state.ever_collided, collided_now)],
-        sinr=sinr_next,
-    )
-    return new_state, rewards, flags
+
+    new_states, step_rewards, flags = [], [], []
+    for state, (lo, hi) in zip(states, spans):
+        f = StepFlags(arrived=arrived[lo:hi], collided=np.array(collided[lo:hi]),
+                      disconnected=disconnected[lo:hi])
+        new_states.append(EpisodeState(
+            uavs=nxt[lo:hi],
+            t=state.t + 1,
+            ever_disconnected=[e or d for e, d in zip(state.ever_disconnected,
+                                                      f.disconnected.tolist())],
+            ever_collided=[e or c for e, c in zip(state.ever_collided, collided[lo:hi])],
+            sinr=sinr[lo:hi],
+        ))
+        step_rewards.append(rewards[lo:hi])
+        flags.append(f)
+    return new_states, step_rewards, flags
 
 
 @dataclass
@@ -529,19 +582,20 @@ def rollout(
 
     Every step, choose(t, agents) returns one action per active agent of every
     live episode, given as (b, i, uav, neighbors) in episode-then-agent order
-    (neighbors: the other active agents' observables); step_all advances each
-    episode.  An episode leaves the batch when all its agents have arrived, at
-    its step cap, or right after its first collision.  With j_n given, each
-    active agent's frame is recorded before it acts, and after a collision-free
-    episode so is the terminal frame of each arrived agent; their SINR levels
-    quantize the episode's own SINR (EpisodeState.sinr), computed here for the
-    initial positions and by step_all after every step.
-    observe(b, ep, flags), if given, sees episode b's initial state (flags
-    None) and its state after every step.
+    (neighbors: the other active agents' observables); one step_all call then
+    advances every live episode.  An episode leaves the batch when all its
+    agents have arrived, at its step cap, or right after its first collision.
+    With j_n given, each active agent's frame is recorded before it acts, and
+    after a collision-free episode so is the terminal frame of each arrived
+    agent; their SINR levels quantize the episode's own SINR
+    (EpisodeState.sinr), computed here for all initial positions in one call
+    and by step_all after every step.  observe(b, ep, flags), if given, sees
+    episode b's initial state (flags None) and its state after every step.
     """
     eps = [EpisodeState(uavs=sc.initial_states()) for sc in scenarios]
-    for ep in eps:
-        ep.sinr = radio.sinr_many(env, np.array([u.position for u in ep.uavs]))
+    sinr = radio.sinr_many(env, np.array([u.position for ep in eps for u in ep.uavs]))
+    for ep, ep_sinr in zip(eps, np.split(sinr, np.cumsum([len(ep.uavs) for ep in eps])[:-1])):
+        ep.sinr = ep_sinr
     rewards = [[[] for _ in range(sc.num_agents)] for sc in scenarios]
     frames = [[[] for _ in range(sc.num_agents)] for sc in scenarios]
     if observe is not None:
@@ -563,13 +617,15 @@ def rollout(
         actions: dict[int, list[Action | None]] = {b: [None] * len(eps[b].uavs) for b in live}
         for (b, i, _, _), act in zip(agents, choose(t, agents), strict=True):
             actions[b][i] = act
-        for b in live:
-            eps[b], step_rewards, flags = step_all(eps[b], actions[b], env, scenarios[b])
+        stepped = step_all([eps[b] for b in live], [actions[b] for b in live], env,
+                           [scenarios[b] for b in live])
+        for b, ep, step_rewards, flags in zip(live, *stepped):
+            eps[b] = ep
             for i, act in enumerate(actions[b]):
                 if act is not None:
                     rewards[b][i].append(step_rewards[i])
             if observe is not None:
-                observe(b, eps[b], flags)
+                observe(b, ep, flags)
         t += 1
         live = [b for b in live if not (eps[b].all_arrived or eps[b].any_collision
                                         or t >= scenarios[b].max_episode_steps)]

@@ -200,7 +200,7 @@ class TestCompareModes:
 
 class RecklessLookahead:
     """A policy's lookahead, except that agents whose top speed is RECKLESS fly
-    straight at it; logs the step, neighbor count and dt of every call."""
+    straight at it; logs the step, neighbor counts and dt of every call."""
 
     RECKLESS = 7.25
 
@@ -210,7 +210,7 @@ class RecklessLookahead:
 
     def choose_actions(self, states, neighbors, env, t, scenario, gamma,
                        j_n=4, n_speeds=3, n_headings=5):
-        self.calls.append((t, len(neighbors[0]), scenario.dt))
+        self.calls.append((t, tuple(len(nbs) for nbs in neighbors), scenario.dt))
         picked = self.inner.choose_actions(states, neighbors, env, t, scenario, gamma,
                                            j_n, n_speeds, n_headings)
         return [Action(speed=s.max_speed, heading=s.orientation) if s.max_speed == self.RECKLESS
@@ -270,11 +270,13 @@ class TestLockstep:
                     first_step.setdefault((episode, agent, flag), int(t))
         assert head_on.steps == first_step["0", "0", "collided"]  # it stopped right after
         assert len({first_step["2", agent, "arrived"] for agent in "012"}) == 3
-        counts_by_step: dict = {}
-        for t, n_neighbors, dt in policy.calls:
-            counts_by_step.setdefault(t, set()).add((n_neighbors, dt))
-        assert max(len(groups) for groups in counts_by_step.values()) >= 3
-        assert any((0, 0.4) in g or (1, 0.4) in g for g in counts_by_step.values())
+        # One call per step and dt; agents with different neighbor counts share it.
+        dts_by_step: dict = {}
+        for t, _, dt in policy.calls:
+            dts_by_step.setdefault(t, []).append(dt)
+        assert all(len(dts) == len(set(dts)) for dts in dts_by_step.values())
+        assert any(sorted(dts) == [0.4, 0.5] for dts in dts_by_step.values())
+        assert any(len(set(counts)) >= 3 for _, counts, _ in policy.calls)
 
     def test_empty_scenario_list_rejected(self, strong_env):
         with pytest.raises(ValueError, match="scenarios is an empty list"):

@@ -194,6 +194,30 @@ class TestBootstrapSet:
         assert all(floor <= v <= 2.0 for _, v in pairs)
         assert all(len(vec) == 9 + 6 * 4 + 1 for vec, _ in pairs)
 
+    def test_failing_episode_is_skipped_and_the_others_kept(self, strong_env, monkeypatch):
+        bad = circle_scenario(n=3, r=12.0)
+        good = [swap_scenario(), circle_scenario()]
+        expected, skipped = generate_bootstrap_set(good, strong_env, 0.95)
+        assert skipped == 0 and expected
+        real = orca.orca_velocity
+        calls = []
+
+        def failing(self_state, neighbors, pref, config, dt):
+            # The bad episode's agents fail a few steps in, after some frames were recorded.
+            if self_state.destination in bad.destinations:
+                calls.append(self_state)
+                if len(calls) > 7:
+                    raise ValueError("degenerate half-plane")
+            return real(self_state, neighbors, pref, config, dt)
+
+        monkeypatch.setattr(orca, "orca_velocity", failing)
+        pairs, skipped = generate_bootstrap_set([good[0], bad, good[1]], strong_env, 0.95)
+        assert skipped == 1 and len(calls) == 8
+        assert len(pairs) == len(expected)
+        for (vec, value), (want_vec, want_value) in zip(pairs, expected):
+            assert vec.tobytes() == want_vec.tobytes()
+            assert value == want_value
+
     def test_export_import_round_trip(self, strong_env, tmp_path):
         from uavnav import neuro
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import deque
+from dataclasses import replace
 from unittest import mock
 
 import hypothesis.strategies as hst
@@ -305,6 +306,26 @@ class TestLookaheadSelect:
             assert fast.heading == pytest.approx(slow.heading)
 
 
+def random_lookahead_agents(rng, cfg, counts):
+    """Agents for a lookahead, agent a with counts[a] neighbors: (states, neighbors)."""
+    states = []
+    for _ in counts:
+        dest = rng.uniform(-30, 30, 2)
+        vmax = float(rng.uniform(2, 8))
+        if rng.random() < 0.5:  # within one step: some actions snap onto the destination
+            start = dest + rng.uniform(-1, 1, 2) * vmax * cfg.dt / 2
+        else:
+            start = rng.uniform(-30, 30, 2)
+        states.append(UavState(
+            position=tuple(start), velocity=(0.0, 0.0), radius=float(rng.uniform(0.3, 1.0)),
+            destination=tuple(dest), max_speed=vmax,
+            orientation=float(rng.uniform(-math.pi, math.pi)),
+        ))
+    nbs = [[tuple(rng.uniform(-30, 30, 2)) + tuple(rng.uniform(-4, 4, 2))
+            + (float(rng.uniform(0.3, 1.0)),) for _ in range(n)] for n in counts]
+    return states, nbs
+
+
 class TestStackedLookahead:
     @settings(max_examples=80, deadline=None)
     @given(a=hst.integers(1, 4), n=hst.integers(0, 3), t=hst.integers(0, 7),
@@ -325,21 +346,7 @@ class TestStackedLookahead:
 
         net = neuro.init_network(neuro.dense_specs(34, (16, 8), 1, "relu", "tanh"), rng)
         cfg = simple_scenario()
-        states = []
-        for _ in range(a):
-            dest = rng.uniform(-30, 30, 2)
-            vmax = float(rng.uniform(2, 8))
-            if rng.random() < 0.5:  # within one step: some actions snap onto the destination
-                start = dest + rng.uniform(-1, 1, 2) * vmax * cfg.dt / 2
-            else:
-                start = rng.uniform(-30, 30, 2)
-            states.append(UavState(
-                position=tuple(start), velocity=(0.0, 0.0), radius=float(rng.uniform(0.3, 1.0)),
-                destination=tuple(dest), max_speed=vmax,
-                orientation=float(rng.uniform(-math.pi, math.pi)),
-            ))
-        nbs = [[tuple(rng.uniform(-30, 30, 2)) + tuple(rng.uniform(-4, 4, 2))
-                + (float(rng.uniform(0.3, 1.0)),) for _ in range(n)] for _ in range(a)]
+        states, nbs = random_lookahead_agents(rng, cfg, [n] * a)
         grids = [world.action_grid(s, cfg, 3, 5) for s in states]
         speeds = np.stack([g[0] for g in grids])
         headings = np.stack([g[1] for g in grids])
@@ -363,6 +370,64 @@ class TestStackedLookahead:
                 assert one[0] == stacked[i]
                 assert queries[-1].tobytes() == queries[0][i:i + 1].tobytes()
         assert np.concatenate(values[1:]).tobytes() == values[0].tobytes()
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(counts=hst.lists(hst.integers(0, 5), min_size=1, max_size=6), t=hst.integers(0, 7),
+           learned=hst.booleans(), near_origin=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+    def test_ragged_neighbors_equal_one_call_per_count(self, counts, t, learned, near_origin,
+                                                       seed):
+        """Agents with 0 to j_n + 1 neighbors in one call get the indices, oracle
+        queries, rewards, feature rows and values of one call per neighbor count.
+        An agent near the origin would touch a zero-filled neighbor slot."""
+        rng = np.random.default_rng(seed)
+        env = single_station_env(jammer=radio.Jammer(position=(10.0, 0.0), tx_power=0.8))
+        if learned:
+            model = sinrmap.init_map_model(env, 2, rng, hidden=(8,))
+            inner = sinrmap.learned_oracle(model, env.stations, env.uav_altitude)
+        else:
+            inner = ground_truth_oracle(env)
+        queries, seen = [], []  # oracle positions; (feature rows, values) of each forward
+
+        def oracle(positions):
+            queries.append(np.array(positions))
+            return inner(positions)
+
+        def forward(params, x):
+            out = real_forward(params, x)
+            if params is net:
+                seen.append((np.array(x), out[0]))
+            return out
+
+        rewards = []
+
+        def transition_rewards(*args):
+            rewards.append(real_rewards(*args))
+            return rewards[-1]
+
+        net = neuro.init_network(neuro.dense_specs(34, (16, 8), 1, "relu", "tanh"), rng)
+        cfg = simple_scenario()
+        states, nbs = random_lookahead_agents(rng, cfg, counts)
+        if near_origin:
+            states[0] = replace(states[0], position=tuple(rng.uniform(-1.5, 1.5, 2)))
+        speeds, headings = world.action_grids(states, cfg)
+        real_forward, real_rewards = neuro.forward_batch, world.transition_rewards
+        with mock.patch.object(neuro, "forward_batch", forward), \
+                mock.patch.object(world, "transition_rewards", transition_rewards):
+            ragged = valuetrain.lookahead_index(net, states, nbs, speeds, headings, oracle,
+                                                0.95, t, cfg)
+            for count in sorted(set(counts)):
+                group = [a for a, c in enumerate(counts) if c == count]
+                one = valuetrain.lookahead_index(
+                    net, [states[a] for a in group], [nbs[a] for a in group], speeds[group],
+                    headings[group], oracle, 0.95, t, cfg)
+                assert one.tolist() == ragged[group].tolist()
+                assert queries[-1].tobytes() == queries[0][group].tobytes()
+                assert rewards[-1].tobytes() == rewards[0][group].tobytes()
+                rows, values = seen[-1]
+                assert rows.tobytes() == seen[0][0][group].tobytes()
+                assert values.tobytes() == seen[0][1][group].tobytes()
+        assert len(queries) == 1 + len(set(counts))
 
 
 class TestRunEpisode:

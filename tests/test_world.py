@@ -25,6 +25,12 @@ from uavnav.world import (
 from conftest import single_station_env
 
 
+def step_one(state, actions, env, cfg):
+    """step_all on a batch of one episode."""
+    (nxt,), (rewards,), (flags,) = step_all([state], [actions], env, [cfg])
+    return nxt, rewards, flags
+
+
 def make_state(pos=(0, 0), vel=(0, 0), dest=(50, 0), vmax=6.0, radius=0.5, orientation=0.0):
     return UavState(
         position=pos, velocity=vel, radius=radius, destination=dest,
@@ -69,6 +75,35 @@ class TestAgentFrameRows:
                                  max_speed=vmax[i], orientation=ori[i, k])
                 frame = to_agent_frame(state, [tuple(o) for o in obs[i]], levels[i, k], j_n)
                 assert np.allclose(rows[i, k], frame, atol=1e-9)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=hst.lists(hst.integers(0, 5), min_size=1, max_size=5),
+           m=hst.integers(1, 15), j_n=hst.integers(1, 4), seed=hst.integers(0, 2**32 - 1))
+    def test_ragged_rows_equal_rows_of_the_present_neighbors(self, counts, m, j_n, seed):
+        """Absent slots hold junk at each agent's first candidate position,
+        nearer to it than any neighbor; the mask must hide it."""
+        rng = np.random.default_rng(seed)
+        a, n = len(counts), max(counts)
+        dest = rng.uniform(-40, 40, (a, 2))
+        pos = rng.uniform(-40, 40, (a, m, 2))
+        vel = rng.uniform(-8, 8, (a, m, 2))
+        ori = rng.uniform(-4, 4, (a, m))
+        radii = rng.uniform(0.3, 1.0, a)
+        vmax = rng.uniform(12, 20, a)
+        obs = np.concatenate([rng.uniform(-40, 40, (a, n, 2)), rng.uniform(-8, 8, (a, n, 2)),
+                              rng.uniform(0.3, 1.0, (a, n, 1))], axis=-1)
+        present = np.arange(n) < np.array(counts)[:, None]
+        for i in range(a):
+            obs[i, ~present[i]] = (*pos[i, 0], 1.0, 1.0, 0.5)
+        levels = rng.integers(0, 3, (a, m))
+        rows = world.agent_frame_rows(pos, vel, ori, dest, radii, vmax, obs, levels, j_n,
+                                      present)
+        for i, c in enumerate(counts):
+            one = world.agent_frame_rows(pos[i:i + 1], vel[i:i + 1], ori[i:i + 1], dest[i:i + 1],
+                                         radii[i:i + 1], vmax[i:i + 1], obs[i:i + 1, :c],
+                                         levels[i:i + 1], j_n)
+            assert rows[i:i + 1].tobytes() == one.tobytes()
 
 
 class TestAgentFrame:
@@ -207,6 +242,25 @@ class TestActionSpace:
         space = sample_action_space(st, cfg, n_speeds, n_headings)
         assert [(a.speed, a.heading) for a in space] == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        agents=hst.lists(hst.tuples(hst.floats(0.1, 20.0), hst.floats(-10.0, 10.0)),
+                         min_size=1, max_size=6),
+        dt=hst.floats(0.05, 2.0),
+        turn_rate=hst.floats(0.01, 3.0),
+        n_speeds=hst.integers(2, 5),
+        n_headings=hst.integers(3, 9),
+    )
+    def test_action_grids_equal_per_state_grids(self, agents, dt, turn_rate, n_speeds,
+                                                n_headings):
+        states = [make_state(vmax=v, orientation=o) for v, o in agents]
+        cfg = two_agent_config([(0, 0)], [(50, 0)], dt=dt, turn_rate_limit=turn_rate)
+        speeds, headings = world.action_grids(states, cfg, n_speeds, n_headings)
+        assert speeds.shape == headings.shape == (len(states), n_speeds * n_headings)
+        for st, s, h in zip(states, speeds, headings):
+            one_s, one_h = world.action_grid(st, cfg, n_speeds, n_headings)
+            assert s.tobytes() == one_s.tobytes() and h.tobytes() == one_h.tobytes()
+
     @given(hst.lists(hst.floats(-100.0, 100.0), min_size=1, max_size=20))
     @example([math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 0.0, -0.0, 2 * math.pi])
     def test_wrap_angles_matches_scalar(self, angles):
@@ -324,7 +378,7 @@ class TestStepAll:
         ep = EpisodeState(uavs=cfg.initial_states())
         # Full-speed head-on: they swap sides within one step, crossing mid-segment.
         actions = [Action(8.0, 0.0), Action(8.0, math.pi)]
-        ep2, rewards, flags = step_all(ep, actions, strong_env, cfg)
+        ep2, rewards, flags = step_one(ep, actions, strong_env, cfg)
         assert flags.collided.tolist() == [True, True]
         assert rewards == [0.0 + -1.0 + 0.0 + cfg.movement_penalty] * 2
         assert ep2.any_collision
@@ -336,7 +390,7 @@ class TestStepAll:
         expected_steps = math.ceil(dist / (vmax * dt))
         steps = 0
         while not ep.all_arrived:
-            ep, _, _ = step_all(ep, [Action(vmax, 0.0)] if not ep.uavs[0].arrived else [None],
+            ep, _, _ = step_one(ep, [Action(vmax, 0.0)] if not ep.uavs[0].arrived else [None],
                                 strong_env, cfg)
             steps += 1
             assert steps <= expected_steps
@@ -346,11 +400,11 @@ class TestStepAll:
         env = single_station_env(tx_power=1e-9)  # hopeless coverage
         cfg = two_agent_config([(0, 0)], [(40, 0)])
         ep = EpisodeState(uavs=cfg.initial_states())
-        ep, rewards, flags = step_all(ep, [Action(4.0, 0.0)], env, cfg)  # t=0 gated
+        ep, rewards, flags = step_one(ep, [Action(4.0, 0.0)], env, cfg)  # t=0 gated
         assert flags.disconnected.tolist() == [True]
         assert rewards == [-1.0 + 0.0 + 0.0 + cfg.movement_penalty]
         assert ep.ever_disconnected == [True]
-        ep, rewards, flags = step_all(ep, [Action(4.0, 0.0)], env, cfg)  # t=1 not gated
+        ep, rewards, flags = step_one(ep, [Action(4.0, 0.0)], env, cfg)  # t=1 not gated
         assert flags.disconnected.tolist() == [False]
         assert rewards == [cfg.movement_penalty]
         assert ep.ever_disconnected == [True]
@@ -358,13 +412,13 @@ class TestStepAll:
     def test_arrived_agents_hold_and_are_ignored(self, strong_env):
         cfg = two_agent_config([(0, 0), (10, 0)], [(0.5, 0), (-40, 0)], vmax=4.0)
         ep = EpisodeState(uavs=cfg.initial_states())
-        ep, rewards, flags = step_all(ep, [Action(4.0, 0.0), Action(4.0, math.pi)], strong_env,
+        ep, rewards, flags = step_one(ep, [Action(4.0, 0.0), Action(4.0, math.pi)], strong_env,
                                       cfg)
         assert flags.arrived.tolist() == [True, False]
         assert rewards[0] == 0.0 + 0.0 + world.ARRIVAL_BONUS + cfg.movement_penalty
         # Arrived agent 0 sits at its destination; agent 1 passes right through it.
         for _ in range(3):
-            ep, rewards, flags = step_all(ep, [None, Action(4.0, math.pi)], strong_env, cfg)
+            ep, rewards, flags = step_one(ep, [None, Action(4.0, math.pi)], strong_env, cfg)
             assert flags.arrived.tolist() == [True, False]
             assert flags.collided.tolist() == [False, False]
             assert rewards == [0.0, cfg.movement_penalty]
@@ -374,16 +428,16 @@ class TestStepAll:
         cfg = two_agent_config([(0, 0), (10, 0)], [(40, 0), (-40, 0)])
         ep = EpisodeState(uavs=cfg.initial_states())
         with pytest.raises(ValueError):
-            step_all(ep, [Action(1.0, 0.0)], strong_env, cfg)
+            step_one(ep, [Action(1.0, 0.0)], strong_env, cfg)
         with pytest.raises(ValueError):
-            step_all(ep, [Action(1.0, 0.0), None], strong_env, cfg)
+            step_one(ep, [Action(1.0, 0.0), None], strong_env, cfg)
 
     def test_deterministic(self, strong_env):
         cfg = two_agent_config([(0, 0), (10, 5)], [(40, 0), (-40, 5)])
         runs = []
         for _ in range(2):
             ep = EpisodeState(uavs=cfg.initial_states())
-            ep, rewards, _ = step_all(
+            ep, rewards, _ = step_one(
                 ep, [Action(3.0, 0.1), Action(2.0, math.pi - 0.1)], strong_env, cfg
             )
             runs.append((tuple(ep.uavs[0].position), rewards))
@@ -419,7 +473,7 @@ class TestStepAllCollisionProperty:
         actions = [Action(v, h) for _, _, _, v, h in agents]
         ep = EpisodeState(uavs=cfg.initial_states())
         env = single_station_env(tx_power=1e6)
-        ep2, rewards, flags = step_all(ep, actions, env, cfg)
+        ep2, rewards, flags = step_one(ep, actions, env, cfg)
         levels = radio.quantize_many(ep2.sinr, env)
         for i in range(len(agents)):
             dists = {
@@ -472,6 +526,34 @@ def reference_step_terms(state, actions, nxt, sinr_next, env, cfg):
     return out
 
 
+def random_step(rng, n, **scenario_kw):
+    """One random joint step of n agents within a few metres of each other:
+    about a quarter have arrived and hold, half the others head straight for
+    their nearby destination.  Returns (state, actions, scenario)."""
+    center = rng.uniform(-60.0, 60.0, 2)
+    # Radii off a round grid keep the ramp's low bits busy.
+    radii = tuple(float(r) for r in rng.uniform(0.3, 0.8, n))
+    starts = []
+    while len(starts) < n:
+        p = tuple(center + rng.uniform(-2.0, 2.0, 2))
+        if all(math.hypot(p[0] - q[0], p[1] - q[1]) > radii[len(starts)] + radii[k]
+               for k, q in enumerate(starts)):
+            starts.append(p)
+    dests = [tuple(np.add(p, rng.uniform(-3.0, 3.0, 2))) for p in starts]
+    cfg = ScenarioConfig(starts=tuple(starts), destinations=tuple(dests),
+                         radii=radii, max_speeds=(6.0,) * n,
+                         movement_penalty=float(rng.uniform(-0.1, 0.0)), **scenario_kw)
+    held = rng.random(n) < 0.25
+    uavs = [replace(u, position=u.destination, arrived=True) if h else u
+            for u, h in zip(cfg.initial_states(), held)]
+    state = EpisodeState(uavs=uavs, t=int(rng.integers(0, 8)))
+    actions = [None if h else Action(
+        float(rng.uniform(0.0, 6.0)),
+        u.orientation if rng.random() < 0.5 else float(rng.uniform(-math.pi, math.pi)),
+    ) for u, h in zip(uavs, held)]
+    return state, actions, cfg
+
+
 class TestStepAllRewardsBitForBit:
     def test_random_steps_equal_the_scalar_reference(self):
         rng = np.random.default_rng(2024)
@@ -480,30 +562,9 @@ class TestStepAllRewardsBitForBit:
                               "band, ramp and arrival"), 0)
         seen_levels = set()
         for _ in range(3000):
-            n = int(rng.integers(1, 5))
-            center = rng.uniform(-60.0, 60.0, 2)
-            # Radii off a round grid keep the ramp's low bits busy.
-            radii = tuple(float(r) for r in rng.uniform(0.3, 0.8, n))
-            starts = []
-            while len(starts) < n:
-                p = tuple(center + rng.uniform(-2.0, 2.0, 2))
-                if all(math.hypot(p[0] - q[0], p[1] - q[1]) > radii[len(starts)] + radii[k]
-                       for k, q in enumerate(starts)):
-                    starts.append(p)
-            dests = [tuple(np.add(p, rng.uniform(-3.0, 3.0, 2))) for p in starts]
-            cfg = ScenarioConfig(starts=tuple(starts), destinations=tuple(dests),
-                                 radii=radii, max_speeds=(6.0,) * n,
-                                 movement_penalty=float(rng.uniform(-0.1, 0.0)))
-            held = rng.random(n) < 0.25
-            uavs = [replace(u, position=u.destination, arrived=True) if h else u
-                    for u, h in zip(cfg.initial_states(), held)]
-            state = EpisodeState(uavs=uavs, t=int(rng.integers(0, 8)))
-            # Half the agents head for their destination, so arrivals are common.
-            actions = [None if h else Action(
-                float(rng.uniform(0.0, 6.0)),
-                u.orientation if rng.random() < 0.5 else float(rng.uniform(-math.pi, math.pi)),
-            ) for u, h in zip(uavs, held)]
-            nxt, rewards, _ = step_all(state, actions, env, cfg)
+            state, actions, cfg = random_step(rng, int(rng.integers(1, 5)))
+            held = np.array([a is None for a in actions])
+            nxt, rewards, _ = step_one(state, actions, env, cfg)
             terms = reference_step_terms(state, actions, nxt.uavs, nxt.sinr, env, cfg)
             expected = [0.0 if k is None else k[0] + k[1] + k[2] + k[3] for k in terms]
             assert rewards == expected
@@ -519,6 +580,53 @@ class TestStepAllRewardsBitForBit:
             seen_levels.update(radio.quantize_many(nxt.sinr, env)[~held].tolist())
         assert min(seen.values()) > 0, seen
         assert seen_levels == {0, 1, 2}
+
+
+class TestStepAllBatch:
+    """One step_all over a batch of episodes against a step of each alone."""
+
+    ENV = single_station_env(jammer=radio.Jammer(position=(20.0, 0.0), tx_power=1e-4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(episodes=hst.lists(
+        hst.tuples(hst.integers(1, 4), hst.sampled_from((0.3, 0.5, 0.8)), hst.integers(1, 4),
+                   hst.integers(0, 2**32 - 1)),
+        min_size=1, max_size=6,
+    ))
+    def test_batch_equals_one_episode_at_a_time(self, episodes):
+        steps = [random_step(np.random.default_rng(seed), n, dt=dt, n_t=n_t)
+                 for n, dt, n_t, seed in episodes]
+        states, actions, scenarios = (list(part) for part in zip(*steps))
+        batch = step_all(states, actions, self.ENV, scenarios)
+        assert [len(part) for part in batch] == [len(steps)] * 3
+        for b, (nxt, rewards, flags) in enumerate(zip(*batch)):
+            one, one_rewards, one_flags = step_one(states[b], actions[b], self.ENV,
+                                                   scenarios[b])
+            assert nxt == one  # agents, t and the ever-flags
+            assert nxt.sinr.tobytes() == one.sinr.tobytes()
+            assert [r.hex() for r in rewards] == [r.hex() for r in one_rewards]
+            for got, want in zip(flags, one_flags):
+                assert got.dtype == want.dtype == bool
+                assert got.tobytes() == want.tobytes()
+
+    def test_batch_reaches_every_case(self):
+        """The drawn steps mix arrived agents, contacts, gated and ungated
+        steps, and scenarios apart in dt, n_t and movement penalty."""
+        rng = np.random.default_rng(5)
+        steps = [random_step(rng, 4, dt=dt, n_t=n_t) for dt, n_t in ((0.3, 1), (0.8, 3)) * 3]
+        states, actions, scenarios = (list(part) for part in zip(*steps))
+        nxt, _, flags = step_all(states, actions, self.ENV, scenarios)
+        assert any(a is None for acts in actions for a in acts)
+        assert any(f.collided.any() for f in flags)
+        assert {s.t % sc.n_t == 0 for s, sc in zip(states, scenarios)} == {True, False}
+        assert len({sc.movement_penalty for sc in scenarios}) == len(scenarios)
+        assert all(ep.t == s.t + 1 for ep, s in zip(nxt, states))
+
+    def test_length_mismatch_rejected(self, strong_env):
+        cfg = two_agent_config([(0, 0)], [(40, 0)])
+        ep = EpisodeState(uavs=cfg.initial_states())
+        with pytest.raises(ValueError, match="lengths differ"):
+            step_all([ep, ep], [[Action(1.0, 0.0)]], strong_env, [cfg, cfg])
 
 
 class TestScenarioConfig:

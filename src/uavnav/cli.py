@@ -8,6 +8,8 @@ bytes; reruns with identical inputs are digest-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import nav, neuro, orca, radio, sinrmap, valuetrain, world
-from .config import ConfigError
+from .config import ConfigError, _int, _num, _point, _require_keys
 
 
 def _rng_for(seed: int, purpose: int) -> np.random.Generator:
@@ -67,95 +69,136 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
     """Run offline value-network training, writing model, curve, and checkpoints."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model_path = out / "value-model.json"
-    curve_path = out / "curve.csv"
-    state_path = out / "train-state.json"
-    replay_path = out / "replay.npz"
-    adam_path = out / "adam.npz"
-
     pairs, _ = _read(orca.read_bootstrap_csv, bootstrap_path)
     if not pairs:
         raise ConfigError(f"{bootstrap_path}: empty bootstrap set")
     run_cfg = cfg.train_run_config()
-    schedule = cfg.jammer_schedule()
-
-    start_episode = 0
-    value_net = None
-    buffer = None
-    rng_states = None
-    initial_jammer = None
-    adam = None
-    curve_prefix: list = []
-    if resume:
-        if not state_path.exists():
-            raise ConfigError(f"{state_path}: no checkpoint to resume from")
-        state = cfgmod.train_state(
-            _read(lambda p: json.loads(p.read_text()), state_path), str(state_path)
-        )
-        start_episode = state["episode"]
-        if start_episode > run_cfg.total_episodes:
-            raise ConfigError(f"{state_path}: checkpoint is at episode {start_episode}, past "
-                              f"the {run_cfg.total_episodes} episodes asked for")
-        value_net = _read(neuro.load_model, model_path)
-        data = _read_npz(replay_path, ("features", "targets"))
-        buffer = valuetrain.ReplayBuffer(run_cfg.replay_capacity)
-        _read(lambda p: buffer.extend(data["features"], data["targets"]), replay_path)
-        if buffer.digest() != state["buffer_digest"]:
-            raise ConfigError(f"{replay_path}: replay buffer does not match {state_path}")
-        n = len(value_net.weights)
-        opt = _read_npz(adam_path, [f"{k}{i}" for k in ADAM_MOMENTS for i in range(n)] + ["step"])
-        adam = neuro.AdamState(
-            **{k: [opt[f"{k}{i}"] for i in range(n)] for k in ADAM_MOMENTS}, step=int(opt["step"])
-        )
-        rng_states, initial_jammer = state["rng"], state["jammer"]
-        curve_prefix = [
-            p for p in _read(valuetrain.read_curve_csv, curve_path) if p.episode < start_episode
-        ]
-
-    def on_checkpoint(episode, net, buf, curve, rngs, jammer, opt):
-        feats, targets = buf.arrays()
-        _replace_files([
-            (model_path, lambda p: neuro.save_model(net, p, digest=cfg.digest)),
-            (curve_path, lambda p: valuetrain.write_curve_csv(
-                curve_prefix + curve, p, extra_comments=(f"digest={cfg.digest}",))),
-            (replay_path, lambda p: np.savez(p, features=feats, targets=targets)),
-            (adam_path, lambda p: np.savez(p, step=opt.step, **{
-                f"{k}{i}": a for k in ADAM_MOMENTS for i, a in enumerate(getattr(opt, k))
-            })),
-        ])
-        state = {
-            "episode": episode,
-            "epsilon": valuetrain.epsilon(min(episode, run_cfg.total_episodes - 1), run_cfg),
-            "buffer_digest": buf.digest(),
-            "config_digest": cfg.digest,
-            "jammer": None if jammer is None else {
-                "position": list(jammer.position), "height": jammer.height,
-                "tx_power": jammer.tx_power,
-            },
-            "rng": rngs,
-        }
-        # Written last: it names a checkpoint only once all of that checkpoint is in place.
-        _replace_files([(state_path, lambda p: p.write_text(
-            json.dumps(state, sort_keys=True, indent=1) + "\n"))])
-
-    result = valuetrain.train(
-        run_cfg, pairs, cfg.env.without_jammer(), schedule,
-        scenario_kwargs=cfg.scenario_kwargs(),
-        start_episode=start_episode,
-        value_net=value_net,
-        buffer=buffer,
-        rng_states=rng_states,
-        initial_jammer=initial_jammer,
-        on_checkpoint=on_checkpoint,
-        adam=adam,
+    start = _read_checkpoint(out, cfg) if resume else None
+    last = valuetrain.train(
+        run_cfg, pairs, cfg.env.without_jammer(), cfg.jammer_schedule(),
+        scenario_kwargs=cfg.scenario_kwargs(), resume=start,
+        on_checkpoint=lambda checkpoint: _write_checkpoint(out, cfg, checkpoint),
     )
     print(
-        f"train: {result.episodes_run} episodes done; model at {model_path}, "
-        f"curve at {curve_path}"
+        f"train: {last.episode - (start.episode if start else 0)} episodes done; model at "
+        f"{out / 'value-model.json'}, curve at {out / 'curve.csv'}"
     )
 
 
-ADAM_MOMENTS = ("m_w", "v_w", "m_b", "v_b")
+# A checkpoint's files in the order they are written; train-state.json, last,
+# records the sha256 of the others.
+CHECKPOINT_FILES = ("value-model.json", "curve.csv", "replay.npz", "adam.npz", "train-state.json")
+
+
+def _write_checkpoint(out: Path, cfg: cfgmod.RunConfig,
+                      checkpoint: valuetrain.Checkpoint) -> None:
+    """Replace the checkpoint in out by this one; _read_checkpoint reads it back."""
+    *files, state_path = (out / name for name in CHECKPOINT_FILES)
+    feats, targets = checkpoint.buffer.arrays()
+    adam = checkpoint.adam
+    _replace_files(list(zip(files, (
+        lambda p: neuro.save_model(checkpoint.value_net, p, digest=cfg.digest),
+        lambda p: valuetrain.write_curve_csv(
+            checkpoint.curve, p, extra_comments=(f"digest={cfg.digest}",)),
+        lambda p: np.savez(p, features=feats, targets=targets),
+        lambda p: np.savez(p, m=adam.m, v=adam.v, step=adam.step),
+    ))))
+    episode, jammer, run_cfg = checkpoint.episode, checkpoint.jammer, cfg.train_run_config()
+    state = {
+        "episode": episode,
+        "epsilon": valuetrain.epsilon(min(episode, run_cfg.total_episodes - 1), run_cfg),
+        "config_digest": _resume_digest(cfg),
+        "jammer": None if jammer is None else {
+            "position": list(jammer.position), "height": jammer.height,
+            "tx_power": jammer.tx_power,
+        },
+        "rng": checkpoint.rng_states,
+        "sha256": {path.name: _sha256(path) for path in files},
+    }
+    # Written last: it names a checkpoint only once all of that checkpoint is in place.
+    _replace_files([(state_path, lambda p: p.write_text(
+        json.dumps(state, sort_keys=True, indent=1) + "\n"))])
+
+
+def _read_checkpoint(out: Path, cfg: cfgmod.RunConfig) -> valuetrain.Checkpoint:
+    """The checkpoint _write_checkpoint left in out, for --resume.
+
+    It must come from a run of the same config (training.total_episodes
+    aside) at no later episode than cfg asks for, and each file must still
+    have the sha256 train-state.json records, so a kill between two
+    replacements cannot resume a mix of two checkpoints.  Any fault is a
+    ConfigError naming its file.
+    """
+    *files, state_path = (out / name for name in CHECKPOINT_FILES)
+    model_path, curve_path, replay_path, adam_path = files
+    run_cfg = cfg.train_run_config()
+    if not state_path.exists():
+        raise ConfigError(f"{state_path}: no checkpoint to resume from")
+    state = _train_state(_read(lambda p: json.loads(p.read_text()), state_path),
+                         str(state_path), _resume_digest(cfg))
+    episode = state["episode"]
+    if episode > run_cfg.total_episodes:
+        raise ConfigError(f"{state_path}: checkpoint is at episode {episode}, past "
+                          f"the {run_cfg.total_episodes} episodes asked for")
+    for path in files:
+        if _sha256(path) != state["sha256"][path.name]:
+            raise ConfigError(f"{path}: not the file {state_path} records (sha256 differs)")
+
+    value_net = _read(neuro.load_model, model_path)
+    data = _read_npz(replay_path, ("features", "targets"))
+    buffer = valuetrain.ReplayBuffer(run_cfg.replay_capacity)
+    _read(lambda p: buffer.extend(data["features"], data["targets"]), replay_path)
+    opt = _read_npz(adam_path, ("m", "v", "step"))
+    if not (opt["m"].shape == opt["v"].shape == value_net.flat.shape and opt["step"].shape == ()):
+        raise ConfigError(f"{adam_path}: moments do not fit the {value_net.flat.size} "
+                          f"parameters of {model_path}")
+    return valuetrain.Checkpoint(
+        episode, value_net, neuro.AdamState(m=opt["m"], v=opt["v"], step=int(opt["step"])),
+        buffer, _read(valuetrain.read_curve_csv, curve_path), state["rng"], state["jammer"],
+    )
+
+
+def _train_state(raw, path: str, config_digest: str) -> dict:
+    """A train-state.json's episode, rng (three PCG64 states), jammer (None or a
+    radio.Jammer) and sha256 (of each other checkpoint file), written under the
+    config of config_digest; a bad field is a ConfigError naming it."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object")
+    episode = _int(raw, "episode", path, lo=0)
+    if raw.get("config_digest") != config_digest:
+        raise ConfigError(f"{path}.config_digest: written under another config (only "
+                          "training.total_episodes may change on --resume)")
+    sha, names = raw.get("sha256"), CHECKPOINT_FILES[:-1]
+    if not isinstance(sha, dict) or not all(isinstance(sha.get(n), str) for n in names):
+        raise ConfigError(f"{path}.sha256: expected a string for each of {names}")
+    rng = {}
+    for key in ("jammer", "scenario", "episode"):
+        try:
+            rng[key] = raw["rng"][key]
+            np.random.PCG64(0).state = rng[key]
+        except (TypeError, KeyError, ValueError):
+            raise ConfigError(f"{path}.rng.{key}: expected a saved PCG64 state") from None
+    if "jammer" not in raw:
+        raise ConfigError(f"{path}.jammer: missing")
+    jam, jpath = raw["jammer"], f"{path}.jammer"
+    if jam is not None:
+        _require_keys(jam, {"position", "height", "tx_power"}, jpath)
+        jam = radio.Jammer(position=_point(jam.get("position"), f"{jpath}.position"),
+                           height=_num(jam, "height", jpath),
+                           tx_power=_num(jam, "tx_power", jpath, lo=0))
+    return {"episode": episode, "rng": rng, "jammer": jam, "sha256": sha}
+
+
+def _resume_digest(cfg: cfgmod.RunConfig) -> str:
+    """cfg's digest with training.total_episodes left out, so --episodes can extend a run."""
+    raw = {**cfg.raw, "training": {**cfg.raw["training"], "total_episodes": None}}
+    return dataclasses.replace(cfg, raw=raw).digest
+
+
+def _sha256(path: Path) -> str:
+    """sha256 of a file, read in chunks: a desk-scale replay.npz is about 100 MB."""
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def _replace_files(writes) -> None:

@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import radio, sinrmap, valuetrain
 
 
@@ -432,32 +430,6 @@ def validate(raw: dict) -> RunConfig:
         evaluation=_validate_evaluation(raw["evaluation"]),
         raw=raw,
     )
-
-
-def train_state(raw, path: str) -> dict:
-    """A train-state.json's episode, buffer_digest, rng (three PCG64 states) and
-    jammer (None or a radio.Jammer), for resuming; a bad field is a ConfigError naming it."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    episode = _int(raw, "episode", path, lo=0)
-    if not isinstance(raw.get("buffer_digest"), str):
-        raise ConfigError(f"{path}.buffer_digest: expected a string")
-    rng = {}
-    for key in ("jammer", "scenario", "episode"):
-        try:
-            rng[key] = raw["rng"][key]
-            np.random.PCG64(0).state = rng[key]
-        except (TypeError, KeyError, ValueError):
-            raise ConfigError(f"{path}.rng.{key}: expected a saved PCG64 state") from None
-    if "jammer" not in raw:
-        raise ConfigError(f"{path}.jammer: missing")
-    jam, jpath = raw["jammer"], f"{path}.jammer"
-    if jam is not None:
-        _require_keys(jam, {"position", "height", "tx_power"}, jpath)
-        jam = radio.Jammer(position=_point(jam.get("position"), f"{jpath}.position"),
-                           height=_num(jam, "height", jpath),
-                           tx_power=_num(jam, "tx_power", jpath, lo=0))
-    return {"episode": episode, "buffer_digest": raw["buffer_digest"], "rng": rng, "jammer": jam}
 
 
 def apply_preset(raw: dict, preset: str) -> dict:

@@ -8,7 +8,6 @@ weights are (fan_in, fan_out) matrices so a batch forward is X @ W + b.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -255,26 +254,15 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Adam moments, held like NetworkParams: m and v are flat vectors in the
-    same layout as params.flat, and m_w, v_w, m_b, v_b are views into them."""
+    """Adam's moments m and v, flat vectors in the layout of params.flat, and its step count."""
 
-    m_w: tuple[np.ndarray, ...]
-    v_w: tuple[np.ndarray, ...]
-    m_b: tuple[np.ndarray, ...]
-    v_b: tuple[np.ndarray, ...]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: np.ndarray = field(init=False, repr=False)
-    v: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.m, self.m_w, self.m_b = _pack(self.m_w, self.m_b)
-        self.v, self.v_w, self.v_b = _pack(self.v_w, self.v_b)
 
     @staticmethod
     def for_params(params: NetworkParams) -> "AdamState":
-        zeros_w = [np.zeros_like(w) for w in params.weights]
-        zeros_b = [np.zeros_like(b) for b in params.biases]
-        return AdamState(m_w=zeros_w, v_w=zeros_w, m_b=zeros_b, v_b=zeros_b)
+        return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def _adam(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
@@ -525,17 +513,6 @@ class RowRing:
         self._rows[:len(at)], self._cols[:len(at)] = self._rows[at], self._cols[at]
         removed, self._start, self._len = self._len - len(at), 0, len(at)
         return removed
-
-    def digest(self) -> str:
-        """sha256 of the entries oldest first, each its row then its scalars as float64.
-
-        Hashed 256 entries at a time, so the copies it makes stay small.
-        """
-        h = hashlib.sha256()
-        for at in range(0, self._len, 256):
-            rows, *cols = self.gather(np.arange(at, min(at + 256, self._len)))
-            h.update(np.column_stack((rows, *cols)))
-        return h.hexdigest()
 
 
 MODEL_FORMAT = "densenet-v1"

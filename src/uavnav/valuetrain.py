@@ -389,11 +389,17 @@ class CurvePoint:
 
 
 @dataclass
-class TrainResult:
+class Checkpoint:
+    """A training run after `episode` episodes: everything the next episode reads,
+    and the curve of every episode so far."""
+
+    episode: int
     value_net: neuro.NetworkParams
-    curve: list[CurvePoint]
+    adam: neuro.AdamState
     buffer: ReplayBuffer
-    episodes_run: int
+    curve: list[CurvePoint]
+    rng_states: dict  # bit-generator state of the "jammer", "scenario" and "episode" streams
+    jammer: radio.Jammer | None  # the last episode's; None before the first
 
 
 def pretrain_value_net(
@@ -426,44 +432,41 @@ def train(
     env_base: radio.RadioEnvironment,
     schedule: JammerSchedule,
     scenario_kwargs: dict | None = None,
-    start_episode: int = 0,
-    value_net: neuro.NetworkParams | None = None,
-    buffer: ReplayBuffer | None = None,
-    rng_states: dict | None = None,
-    initial_jammer: radio.Jammer | None = None,
+    resume: Checkpoint | None = None,
     on_checkpoint=None,
-    adam: neuro.AdamState | None = None,
-) -> TrainResult:
+) -> Checkpoint:
     """Full offline training loop; deterministic under config.seed.
 
-    on_checkpoint(episode, net, buffer, curve, rng_states, jammer, adam) is
-    called every checkpoint_every episodes and at the end; passing those back
-    (with start_episode) resumes the run exactly.
+    Starts from resume when given, training its network, Adam state, buffer
+    and curve in place, and otherwise from a network pretrained on the
+    bootstrap pairs.  Every checkpoint_every episodes and at the end it calls
+    on_checkpoint(checkpoint), whose state is live: the next episode changes
+    it, so copy what is to be kept.  Resuming from a checkpoint gives the
+    bits of the run that made it.  Returns the last checkpoint.
     """
-    if not bootstrap_pairs and value_net is None:
-        raise ValueError("bootstrap set must be non-empty")
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     rng_init, rng_jam, rng_scn, rng_ep = (np.random.default_rng(s) for s in seeds)
     rngs = {"jammer": rng_jam, "scenario": rng_scn, "episode": rng_ep}
-    for key, rng in rngs.items():
-        if rng_states is not None:
-            rng.bit_generator.state = rng_states[key]
-
-    if value_net is None:
+    if resume is None:
+        if not bootstrap_pairs:
+            raise ValueError("bootstrap set must be non-empty")
         value_net = pretrain_value_net(bootstrap_pairs, config, rng_init)
-    if buffer is None:
         buffer = ReplayBuffer(config.replay_capacity)
         buffer.extend([vec for vec, _ in bootstrap_pairs],
                       [TARGET_SCALE * value for _, value in bootstrap_pairs])
+        resume = Checkpoint(0, value_net, neuro.AdamState.for_params(value_net), buffer, [],
+                            {key: rng.bit_generator.state for key, rng in rngs.items()}, None)
+    for key, rng in rngs.items():
+        rng.bit_generator.state = resume.rng_states[key]
 
-    adam = adam or neuro.AdamState.for_params(value_net)
+    value_net, adam, buffer, curve = resume.value_net, resume.adam, resume.buffer, resume.curve
     update = neuro.MinibatchStep(value_net, adam)
-    curve: list[CurvePoint] = []
-    jammer: radio.Jammer | None = initial_jammer
+    jammer = resume.jammer
+    last = resume
     scn_kwargs = dict(scenario_kwargs or {})
     scn_kwargs.setdefault("n_agents", config.agents)
 
-    for episode in range(start_episode, config.total_episodes):
+    for episode in range(resume.episode, config.total_episodes):
         jammer = schedule.jammer_for_episode(episode, rng_jam, jammer)
         env = env_base.with_jammer(jammer)
         # Missions start and end at connected spots of the current environment.
@@ -490,18 +493,12 @@ def train(
                 jammer_power=jammer.tx_power,
             )
         )
-        if on_checkpoint is not None and (
-            (episode + 1) % config.checkpoint_every == 0
-            or episode + 1 == config.total_episodes
-        ):
-            on_checkpoint(
-                episode + 1, value_net, buffer, curve,
-                {key: rng.bit_generator.state for key, rng in rngs.items()}, jammer, adam,
-            )
-    return TrainResult(
-        value_net=value_net, curve=curve, buffer=buffer,
-        episodes_run=config.total_episodes - start_episode,
-    )
+        if (episode + 1) % config.checkpoint_every == 0 or episode + 1 == config.total_episodes:
+            last = Checkpoint(episode + 1, value_net, adam, buffer, curve,
+                              {key: rng.bit_generator.state for key, rng in rngs.items()}, jammer)
+            if on_checkpoint is not None:
+                on_checkpoint(last)
+    return last
 
 
 CURVE_COLUMNS = "episode,accumulated_reward,epsilon,jammer_x,jammer_y,jammer_power"

@@ -14,6 +14,14 @@ def digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def rerecord(path: Path) -> None:
+    """Record path's new sha256 in the train-state.json beside it, as if a checkpoint wrote it."""
+    state_path = path.parent / "train-state.json"
+    state = json.loads(state_path.read_text())
+    state["sha256"][path.name] = digest(path)
+    state_path.write_text(json.dumps(state))
+
+
 def tiny_config(tmp_path, jammer=None, **overrides) -> Path:
     """Small single-station world that every command finishes fast on."""
     raw = json.loads(json.dumps(cfgmod.DEFAULT_CONFIG))
@@ -241,7 +249,8 @@ class TestTrainCommand:
         assert [p.episode for p in curve] == [0, 1, 2, 3]
         state = json.loads((out_dir / "train-state.json").read_text())
         assert state["episode"] == 4
-        assert "buffer_digest" in state and "rng" in state
+        assert set(state["sha256"]) == {"value-model.json", "curve.csv", "replay.npz", "adam.npz"}
+        assert state["sha256"]["adam.npz"] == digest(out_dir / "adam.npz") and "rng" in state
 
     def test_missing_bootstrap_is_validation_error(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
@@ -292,11 +301,24 @@ class TestTrainCommand:
         (out_dir / "adam.npz").unlink()
         assert main(resume) == 2
 
-    @pytest.mark.parametrize("name", ["adam.npz", "replay.npz"])
-    def test_resume_with_unreadable_checkpoint_archive_is_validation_error(self, tmp_path, name):
+    @pytest.mark.parametrize("name", ["adam.npz", "replay.npz", "adam.npz of per-layer moments"])
+    def test_resume_with_unreadable_checkpoint_archive_is_validation_error(
+            self, tmp_path, capsys, name):
         out_dir, resume = self._interrupted_run(tmp_path)
-        (out_dir / name).write_bytes(b"not an npz archive")
+        path = out_dir / name.split()[0]
+        if name.endswith("moments"):  # the layout adam.npz had before it held m and v whole
+            from uavnav import neuro
+
+            net = neuro.load_model(out_dir / "value-model.json")
+            np.savez(path, step=2, **{f"{k}{i}": np.zeros_like(a) for k, arrays in (
+                ("m_w", net.weights), ("v_w", net.weights), ("m_b", net.biases),
+                ("v_b", net.biases)) for i, a in enumerate(arrays)})
+        else:
+            path.write_bytes(b"not an npz archive")
+        rerecord(path)
+        capsys.readouterr()
         assert main(resume) == 2
+        assert path.name in capsys.readouterr().err
 
     def test_resume_with_altered_replay_is_validation_error(self, tmp_path):
         out_dir, resume = self._interrupted_run(tmp_path)
@@ -318,16 +340,26 @@ class TestTrainCommand:
         else:
             feats = feats.ravel()
         np.savez(out_dir / "replay.npz", features=feats, targets=targets)
+        rerecord(out_dir / "replay.npz")
         capsys.readouterr()
         assert main(resume) == 2
         assert "replay.npz" in capsys.readouterr().err
+
+    def test_resume_under_another_config_is_validation_error(self, tmp_path, capsys):
+        out_dir, resume = self._interrupted_run(tmp_path)
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert main([*resume, "--seed", "6"]) == 2
+        assert "train-state.json" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     @pytest.mark.parametrize("key, edit", [
         ("episode", lambda s: s.pop("episode")),
         ("episode", lambda s: s.update(episode="3")),
         ("episode", lambda s: s.update(episode=-1)),
-        ("buffer_digest", lambda s: s.pop("buffer_digest")),
-        ("buffer_digest", lambda s: s.update(buffer_digest=7)),
+        ("config_digest", lambda s: s.pop("config_digest")),
+        ("sha256", lambda s: s.pop("sha256")),
+        ("sha256", lambda s: s["sha256"].update({"adam.npz": 7})),
         ("rng.jammer", lambda s: s["rng"].pop("jammer")),
         ("rng.scenario", lambda s: s["rng"].update(scenario="seed")),
         ("rng.episode", lambda s: s["rng"]["episode"].update(bit_generator="MT19937")),

@@ -13,6 +13,7 @@ change, map training, all three evaluation modes and the coverage raster.
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,8 @@ GOLDEN = {
     "run/value-model.json": "a262f2fd3a5480e38920522d0e3d8397683e428929ab6fc2278615ce98869ed5",
     "run/curve.csv": "dbe5a8f990a022fc8b91581bfc7b36d35f1d882db6759542518a117f36776922",
     "run/replay.npz": "3a1bb13ead8c02e9384d213ca28059dcd7a705605b9ac3e1028b4180414ee00f",
-    "run/train-state.json": "9d5bda38a7ad7a54a95b25631a61b5ee8c6a933e898d8c7462865bd66d1e0773",
-    "run/adam.npz": "9dab03ef1523aa18aa69d5f4192e005d50f011bc232c9d4f22102dfc388b948f",
+    "run/train-state.json": "9ec8a38ef0969df8860bf078ba733ec714ca51b99f8dcb318c70f6a138e48749",
+    "run/adam.npz": "5a7482ed4768eae552897ebc62a46155a984b12fb033beaee3b76673fa600ba7",
     "map.json": "ac2c26068a08833b91f43c362c675fbe75d763e50584f90e5a487e37c607f2f0",
     "acc.csv": "697f62b2ae2bcee666ee5f6bba64338f902fc5748da5b3b4728a40d71d51d4b9",
     "report.json": "65dd850ca19de0c6095d78ed5773560dc8e7c4be956bc8f80a471e36ff39636c",
@@ -147,6 +148,36 @@ def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeyp
     assert main([*train, "--resume"]) == 0
     for name in CHECKPOINT:
         assert digest(tmp_path / name) == GOLDEN[name], name
+
+
+def test_kill_between_two_replacements_is_refused_on_resume(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(golden_config()))
+    boot = tmp_path / "boot.csv"
+    assert main(["bootstrap", "--config", str(cfg), "--preset", "center-1w",
+                 "--out", str(boot)]) == 0
+    train = ["train", "--config", str(cfg), "--bootstrap", str(boot),
+             "--out-dir", str(tmp_path / "run")]
+    real_replace = os.replace
+    moved = []
+
+    def replace_then_die_after_second_model(src, dst):
+        real_replace(src, dst)
+        moved.append(Path(dst).name)
+        if moved.count("value-model.json") == 2:
+            raise Interrupted
+
+    monkeypatch.setattr(os, "replace", replace_then_die_after_second_model)
+    with pytest.raises(Interrupted):
+        main(train)
+    monkeypatch.undo()
+    assert moved == [Path(name).name for name in CHECKPOINT] + ["value-model.json"]
+    assert json.loads((tmp_path / "run" / "train-state.json").read_text())["episode"] == 3
+
+    capsys.readouterr()
+    assert main([*train, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "value-model.json" in err and "Traceback" not in err
 
 
 # Evaluation where the three modes fly apart: the benchmark's navigate config

@@ -287,9 +287,10 @@ class TestFlatLayout:
             per_array_adam_step(weights, biases, grads, ref_state, lr)
         for got, want in zip(params.weights + params.biases, weights + biases):
             assert got.tobytes() == want.tobytes()
-        for k in ("m_w", "v_w", "m_b", "v_b"):
-            for got, want in zip(getattr(state, k), ref_state[k]):
-                assert got.tobytes() == want.tobytes()
+        for k in ("m", "v"):  # each layer's weights then biases, as in params.flat
+            want = np.concatenate([a.ravel() for wb in zip(ref_state[f"{k}_w"], ref_state[f"{k}_b"])
+                                   for a in wb])
+            assert getattr(state, k).tobytes() == want.tobytes()
         assert state.step == steps
 
     def test_layers_are_views_of_the_flat_vector(self, rng):
@@ -322,35 +323,6 @@ class TestFlatLayout:
         twin.weights[0][0, 0] = 5.0
         assert params.weights[0][0, 0] == 1.0
         assert not np.shares_memory(twin.flat, params.flat)
-
-    def test_adam_state_from_separate_arrays_packs_them(self, rng, tmp_path):
-        # cli rebuilds the state this way from adam.npz on --resume.
-        params = init_network(dense_specs(3, (4,), 2), rng)
-        moments = {k: [rng.normal(size=a.shape) for a in arrays] for k, arrays in (
-            ("m_w", params.weights), ("v_w", params.weights),
-            ("m_b", params.biases), ("v_b", params.biases))}
-        state = AdamState(**moments, step=4)
-        for k, arrays in moments.items():
-            for got, given_array in zip(getattr(state, k), arrays):
-                assert got.tobytes() == given_array.tobytes()
-                assert not np.shares_memory(got, given_array)
-            flat = state.m if k.startswith("m") else state.v
-            assert all(np.shares_memory(a, flat) for a in getattr(state, k))
-        state.m_b[0][1] = 9.0
-        assert 9.0 in state.m
-        with pytest.raises(TypeError):
-            state.v_w[0] = np.zeros((3, 4))
-        # The archive of the views holds the same keys and bytes as one of plain arrays.
-        names = {f"{k}{i}" for k in moments for i in range(2)} | {"step"}
-        for name, arrays in (("views", {k: getattr(state, k) for k in moments}),
-                             ("plain", {k: [a.copy() for a in getattr(state, k)]
-                                        for k in moments})):
-            with open(tmp_path / f"{name}.npz", "wb") as f:
-                np.savez(f, step=state.step, **{
-                    f"{k}{i}": a for k, group in arrays.items() for i, a in enumerate(group)})
-            with np.load(tmp_path / f"{name}.npz") as data:
-                assert set(data.files) == names
-        assert (tmp_path / "views.npz").read_bytes() == (tmp_path / "plain.npz").read_bytes()
 
     def test_adam_rejects_state_of_another_network(self, rng):
         params = init_network(dense_specs(2, (3,), 1), rng)

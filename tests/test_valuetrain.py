@@ -1,4 +1,3 @@
-import hashlib
 import math
 from collections import deque
 from dataclasses import replace
@@ -82,16 +81,16 @@ class TestReplayBuffer:
         assert len(buf) == 3
         assert buf.arrays()[1].tolist() == [2.0, 3.0, 4.0]
 
-    def test_sample_shapes_and_digest_stability(self, rng):
+    def test_sample_shapes_and_leaves_the_entries(self, rng):
         buf = ReplayBuffer(capacity=10)
         for i in range(10):
             buf.extend([[i, i + 1.0]], [i * 0.5])
+        before = ring_bytes(buf)
         feats, targets = buf.sample(4, rng)
         assert feats.shape == (4, 2) and targets.shape == (4,)
-        assert buf.digest() == buf.digest()
-        before = buf.digest()
+        assert ring_bytes(buf) == before
         buf.extend([[99.0, 98.0]], [1.0])
-        assert buf.digest() != before
+        assert ring_bytes(buf) != before
 
     @settings(max_examples=150, deadline=None)
     @given(capacity=hst.integers(1, 12), width=hst.integers(1, 4), seed=hst.integers(0, 2**32 - 1),
@@ -106,25 +105,15 @@ class TestReplayBuffer:
                 ref.push(f, t)
             assert len(buf) == len(ref.entries)
             if not len(buf):
-                assert buf.arrays()[1].shape == (0,) and buf.digest() == ref.digest()
+                assert buf.arrays()[1].shape == (0,)
                 continue
             got, want = buf.arrays(), ref.as_arrays()
             assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
             assert got[1].tobytes() == want[1].tobytes()
-            assert buf.digest() == ref.digest()
             draw = int(rng.integers(1, 2 * capacity + 1))
             got = buf.sample(draw, np.random.default_rng(seed + n))
             want = ref.sample(draw, np.random.default_rng(seed + n))
             assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
-
-    def test_digest_of_a_wrapped_ring_longer_than_one_hashed_piece(self, rng):
-        buf, ref = ReplayBuffer(600), DequeReplay(600)
-        for n in (250, 300, 150):  # 700 entries: the ring wraps and the digest takes 3 pieces
-            feats, targets = rng.normal(size=(n, 3)), rng.normal(size=n)
-            buf.extend(feats, targets)
-            for f, t in zip(feats, targets):
-                ref.push(f, t)
-        assert buf._start > 0 and buf.digest() == ref.digest()
 
     def test_arrays_are_read_only_views_a_later_extend_overwrites(self):
         buf = ReplayBuffer(capacity=2)
@@ -148,12 +137,17 @@ class TestReplayBuffer:
     def test_rejects_bad_rows_and_keeps_its_entries(self):
         buf = ReplayBuffer(4)
         buf.extend(np.ones((3, 2)), [0.5, 1.0, 1.5])
-        before = buf.digest()
+        before = ring_bytes(buf)
         for feats, targets in ((np.array([[1.0, math.nan]]), [0.0]), (np.ones((1, 2)), [math.inf]),
                                (np.ones((1, 3)), [0.0]), (np.ones((2, 2)), [0.0])):
             with pytest.raises(ValueError):
                 buf.extend(feats, targets)
-            assert buf.digest() == before and len(buf) == 3
+            assert ring_bytes(buf) == before and len(buf) == 3
+
+
+def ring_bytes(ring):
+    """The bytes of every entry of a ring, oldest first."""
+    return tuple(a.tobytes() for a in ring.arrays())
 
 
 class DequeReplay:
@@ -172,13 +166,6 @@ class DequeReplay:
 
     def as_arrays(self):
         return np.stack([e[0] for e in self.entries]), np.array([e[1] for e in self.entries])
-
-    def digest(self):
-        h = hashlib.sha256()
-        for vec, target in self.entries:
-            h.update(vec.tobytes())
-            h.update(np.float64(target).tobytes())
-        return h.hexdigest()
 
 
 class TestJammerSchedule:
@@ -471,7 +458,7 @@ class TestRunEpisode:
             rng = np.random.default_rng(42)
             buf = ReplayBuffer(1000)
             log = run_episode(zero_value_net(), strong_env, cfg, 1.0, buf, rng, 0.95)
-            logs.append((tuple(log.reward_sums), log.steps, buf.digest()))
+            logs.append((tuple(log.reward_sums), log.steps, ring_bytes(buf)))
         assert logs[0] == logs[1]
 
     def test_single_agent_one_step_arrival(self, strong_env):
@@ -517,8 +504,8 @@ class TestTrain:
                              pretrain_epochs=2, seed=1)
         result = train(cfg, pairs, env, JammerSchedule(change_period=10),
                        scenario_kwargs={"n_agents": 2, "max_episode_steps": 60})
-        assert result.episodes_run == 3
-        assert len(result.curve) == 3
+        assert result.episode == 3
+        assert [p.episode for p in result.curve] == [0, 1, 2]
 
     def test_deterministic_under_seed(self):
         env, pairs = self._tiny_setup()
@@ -533,16 +520,46 @@ class TestTrain:
                 (
                     json.dumps(neuro.to_dict(result.value_net), sort_keys=True),
                     tuple((p.episode, p.mean_reward, p.jammer_x) for p in result.curve),
-                    result.buffer.digest(),
+                    ring_bytes(result.buffer),
                 )
             )
         assert digests[0] == digests[1]
 
+    def test_resume_from_a_kept_checkpoint_gives_the_uninterrupted_bits(self):
+        env, pairs = self._tiny_setup()
+        cfg = TrainRunConfig(total_episodes=5, agents=2, pretrain_epochs=1, checkpoint_every=2,
+                             seed=3)
+        kw = {"scenario_kwargs": {"n_agents": 2, "max_episode_steps": 60}}
+        schedule = JammerSchedule(change_period=3)
+
+        def kept(c):  # a checkpoint's state is live: keep a copy
+            feats, targets = c.buffer.arrays()
+            buffer = ReplayBuffer(cfg.replay_capacity)
+            buffer.extend(feats, targets)
+            adam = neuro.AdamState(c.adam.m.copy(), c.adam.v.copy(), c.adam.step)
+            return valuetrain.Checkpoint(c.episode, c.value_net.copy(), adam, buffer,
+                                         list(c.curve), c.rng_states, c.jammer)
+
+        checkpoints = []
+        whole = train(cfg, pairs, env, schedule, **kw,
+                      on_checkpoint=lambda c: checkpoints.append(kept(c)))
+        assert [c.episode for c in checkpoints] == [2, 4, 5]
+
+        def bits(c):
+            return (c.episode, c.value_net.flat.tobytes(), c.adam.m.tobytes(),
+                    c.adam.v.tobytes(), c.adam.step, c.curve, ring_bytes(c.buffer),
+                    c.rng_states, c.jammer)
+
+        for k in (0, 1):
+            resumed = train(cfg, pairs, env, schedule, **kw, resume=checkpoints[k])
+            assert bits(resumed) == bits(whole) == bits(checkpoints[-1])
+
     def test_rollouts_read_the_trained_net_without_subnormals(self, monkeypatch):
         env, pairs = self._tiny_setup()
-        cfg = TrainRunConfig(total_episodes=2, agents=2, pretrain_epochs=1, seed=4)
-        net = valuetrain.pretrain_value_net(pairs, cfg, np.random.default_rng(0))
-        adam = neuro.AdamState.for_params(net)
+        cfg = TrainRunConfig(total_episodes=3, agents=2, pretrain_epochs=1, seed=4)
+        kw = {"scenario_kwargs": {"n_agents": 2, "max_episode_steps": 60}}
+        start = train(replace(cfg, total_episodes=1), pairs, env, JammerSchedule(), **kw)
+        net, adam = start.value_net, start.adam
         tiny = np.finfo(float).tiny
         for a in (net.flat, adam.m, adam.v):
             a[::3] = tiny / 8  # v stays >= 0
@@ -555,8 +572,7 @@ class TestTrain:
             return real(value_net, *args, **kwargs)
 
         monkeypatch.setattr(valuetrain, "run_episode", spy)
-        result = train(cfg, pairs, env, JammerSchedule(), value_net=net, adam=adam,
-                       scenario_kwargs={"n_agents": 2, "max_episode_steps": 60})
+        result = train(cfg, pairs, env, JammerSchedule(), **kw, resume=start)
         assert result.value_net is net
         assert seen == [(True, 0, 0, 0)] * 2
 

@@ -218,6 +218,26 @@ class TestBootstrapSet:
             assert vec.tobytes() == want_vec.tobytes()
             assert value == want_value
 
+    def test_over_speed_velocity_fails_only_its_episode(self, strong_env, monkeypatch):
+        bad = circle_scenario(n=3, r=12.0)
+        good = [swap_scenario(), circle_scenario()]
+        expected, _ = generate_bootstrap_set(good, strong_env, 0.95)
+        real = orca.orca_velocity
+
+        def too_fast(self_state, neighbors, pref, config, dt):
+            if self_state.destination in bad.destinations:
+                # Along +x, past the 1e-9 slack UavState allows over max_speed.
+                return (self_state.max_speed + 1e-6, 0.0)
+            return real(self_state, neighbors, pref, config, dt)
+
+        monkeypatch.setattr(orca, "orca_velocity", too_fast)
+        pairs, skipped = generate_bootstrap_set([good[0], bad, good[1]], strong_env, 0.95)
+        assert skipped == 1
+        assert len(pairs) == len(expected)
+        for (vec, value), (want_vec, want_value) in zip(pairs, expected):
+            assert vec.tobytes() == want_vec.tobytes()
+            assert value == want_value
+
     def test_export_import_round_trip(self, strong_env, tmp_path):
         from uavnav import neuro
 

@@ -57,10 +57,9 @@ def cmd_bootstrap(cfg: cfgmod.RunConfig, out_path: str) -> None:
     if not pairs:
         raise RuntimeError("bootstrap produced no state-value pairs")
     standardizer = neuro.fit_standardizer(np.stack([p[0] for p in pairs]))
-    orca.write_bootstrap_csv(
-        pairs, out_path, standardizer,
-        extra_comments=(f"digest={cfg.digest}", f"skipped={skipped}"),
-    )
+    _replace_files([(Path(out_path), lambda p: orca.write_bootstrap_csv(
+        pairs, p, standardizer, extra_comments=(f"digest={cfg.digest}", f"skipped={skipped}"),
+    ))])
     print(f"bootstrap: wrote {len(pairs)} pairs ({skipped} episodes skipped) to {out_path}")
 
 

@@ -231,6 +231,35 @@ def preferred_velocity(state: UavState, dt: float, tiebreak_rotation: float = 0.
     return (speed * math.cos(angle), speed * math.sin(angle))
 
 
+def orca_rule(scenarios, config: OrcaConfig, failed: dict):
+    """The ORCA action choice of world.rollout over scenarios: each active agent
+    flies orca_velocity near its preferred velocity, under its own scenario's dt.
+    A choice that raises ValueError or ArithmeticError, or exceeds max_speed,
+    fails its episode b alone: failed[b] keeps the error, and the episode's
+    agents hover (speed 0), with no further solver calls, until rollout drops it.
+    """
+
+    def choose(t, agents):
+        actions = []
+        for b, i, uav, nbs in agents:
+            if b not in failed:
+                dt = scenarios[b].dt
+                try:
+                    pref = preferred_velocity(uav, dt, tiebreak_rotation=1e-3 * (i + 1))
+                    vel = orca_velocity(uav, nbs, pref, config, dt)
+                    speed = math.hypot(*vel)
+                    if speed > uav.max_speed + 1e-9:
+                        raise ValueError(f"|velocity| {speed} exceeds max_speed {uav.max_speed}")
+                    actions.append(Action(speed=speed, heading=math.atan2(vel[1], vel[0])))
+                    continue
+                except (ValueError, ArithmeticError) as exc:
+                    failed[b] = exc
+            actions.append(Action(speed=0.0, heading=uav.orientation))
+        return actions
+
+    return choose
+
+
 def run_orca_episode(
     scenario: ScenarioConfig,
     env: radio.RadioEnvironment,
@@ -238,47 +267,41 @@ def run_orca_episode(
     j_n: int = 4,
     record_states: bool = True,
 ):
-    """Roll one ORCA-driven episode; returns its world.Rollout.
+    """Roll one ORCA-driven episode; returns its world.Rollout, or raises its failure.
 
     Velocities come straight from the reciprocal-avoidance solver, so the
     turn-rate limit is not enforced on bootstrap trajectories.
     """
-    cfg = config or OrcaConfig()
-
-    def choose(t, agents):
-        actions = []
-        for _, i, uav, nbs in agents:
-            pref = preferred_velocity(uav, scenario.dt, tiebreak_rotation=1e-3 * (i + 1))
-            vel = orca_velocity(uav, nbs, pref, cfg, scenario.dt)
-            actions.append(Action(speed=math.hypot(*vel), heading=math.atan2(vel[1], vel[0])))
-        return actions
-
-    return world.rollout([scenario], env, choose, j_n=j_n if record_states else None)[0]
+    failed = {}
+    choose = orca_rule([scenario], config or OrcaConfig(), failed)
+    (run,) = world.rollout([scenario], env, choose, j_n=j_n if record_states else None)
+    if failed:
+        raise failed[0]
+    return run
 
 
 def generate_bootstrap_set(
     scenarios, env: radio.RadioEnvironment, gamma: float, config: OrcaConfig | None = None,
     j_n: int = 4,
 ):
-    """State-value pairs from ORCA rollouts; values are raw discounted returns.
+    """State-value pairs from ORCA rollouts, all episodes in lockstep; values
+    are raw discounted returns.
 
     Returns (pairs, skipped) where pairs is a list of (feature_vector, value)
-    and skipped counts episodes that failed and were dropped.
+    in scenario order and skipped counts episodes that failed and were dropped.
     """
+    failed = {}
+    runs = world.rollout(scenarios, env, orca_rule(scenarios, config or OrcaConfig(), failed),
+                         j_n=j_n)
     pairs: list[tuple[np.ndarray, float]] = []
-    skipped = 0
-    for scenario in scenarios:
-        try:
-            states, rewards, terminals, _ = run_orca_episode(scenario, env, config, j_n)
-        except (ValueError, ArithmeticError):
-            skipped += 1
+    for b, (states, rewards, terminals, _) in enumerate(runs):
+        if b in failed:
             continue
-        for i in range(scenario.num_agents):
-            targets = discounted_returns(rewards[i], gamma)
-            pairs.extend(zip(states[i], targets))
+        for agent_states, agent_rewards in zip(states, rewards):
+            pairs.extend(zip(agent_states, discounted_returns(agent_rewards, gamma)))
         for _, vec in terminals:
             pairs.append((vec, 0.0))
-    return pairs, skipped
+    return pairs, len(failed)
 
 
 BOOTSTRAP_FORMAT = "bootstrap-pairs v1"
@@ -291,10 +314,10 @@ def write_bootstrap_csv(pairs, path, standardizer=None, extra_comments: tuple[st
     lines = [f"# {BOOTSTRAP_FORMAT} features={n_feat} count={len(pairs)}"]
     lines.extend(f"# {c}" for c in extra_comments)
     if standardizer is not None:
-        lines.append("# standardizer-mean " + ",".join(repr(float(v)) for v in standardizer.mean))
-        lines.append("# standardizer-std " + ",".join(repr(float(v)) for v in standardizer.std))
+        lines.append("# standardizer-mean " + ",".join(map(repr, standardizer.mean.tolist())))
+        lines.append("# standardizer-std " + ",".join(map(repr, standardizer.std.tolist())))
     for vec, value in pairs:
-        lines.append(",".join(repr(float(v)) for v in vec) + "," + repr(float(value)))
+        lines.append(",".join(map(repr, vec.tolist())) + "," + repr(float(value)))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -303,7 +326,7 @@ def read_bootstrap_csv(path):
     """Returns (pairs, standardizer_mean_std_or_None)."""
     pairs = []
     mean = std = None
-    n_feat = None
+    n_feat = count = None
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip()
         if not header.startswith(f"# {BOOTSTRAP_FORMAT}"):
@@ -311,6 +334,8 @@ def read_bootstrap_csv(path):
         for part in header[2:].split():
             if part.startswith("features="):
                 n_feat = int(part.split("=", 1)[1])
+            if part.startswith("count="):
+                count = int(part.split("=", 1)[1])
         for line in f:
             line = line.strip()
             if line.startswith("# standardizer-mean "):
@@ -325,5 +350,7 @@ def read_bootstrap_csv(path):
             if n_feat is not None and len(vals) != n_feat + 1:
                 raise ValueError(f"{path}: row has {len(vals) - 1} features, expected {n_feat}")
             pairs.append((np.array(vals[:-1]), vals[-1]))
+    if len(pairs) != count:
+        raise ValueError(f"{path}: {len(pairs)} rows, but the header says count={count}")
     standardizer = (mean, std) if mean is not None and std is not None else None
     return pairs, standardizer

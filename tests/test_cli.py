@@ -229,6 +229,23 @@ class TestBootstrapCommand:
             assert main(["bootstrap", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert digest(outs[0]) == digest(outs[1])
 
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        from uavnav import orca
+
+        cfg_path = tiny_config(tmp_path)
+        out = tmp_path / "boot.csv"
+        assert main(["bootstrap", "--config", str(cfg_path), "--out", str(out)]) == 0
+        before = digest(out)
+
+        def half_written(pairs, path, *args, **kwargs):
+            Path(path).write_text("# bootstrap-pairs v1 features=34 count=1\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(orca, "write_bootstrap_csv", half_written)
+        assert main(["bootstrap", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert digest(out) == before
+        assert sorted(p.name for p in tmp_path.glob("boot*")) == ["boot.csv"]
+
 
 class TestTrainCommand:
     def _bootstrap(self, tmp_path, cfg_path):
@@ -552,6 +569,15 @@ class TestBadInputFiles:
         cfg_path = tiny_config(tmp_path)
         boot = tmp_path / "boot.csv"
         boot.write_text("# bootstrap-pairs v1 features=3 count=1\n1.0,2.0,0.5\n")
+        self._assert_rejected(["train", "--config", str(cfg_path), "--bootstrap", str(boot),
+                               "--out-dir", str(tmp_path / "run")], boot, capsys)
+
+    def test_bootstrap_set_cut_at_a_row_boundary(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path)
+        boot = tmp_path / "boot.csv"
+        assert main(["bootstrap", "--config", str(cfg_path), "--out", str(boot)]) == 0
+        lines = boot.read_text().splitlines(keepends=True)
+        boot.write_text("".join(lines[:len(lines) // 2]))
         self._assert_rejected(["train", "--config", str(cfg_path), "--bootstrap", str(boot),
                                "--out-dir", str(tmp_path / "run")], boot, capsys)
 

@@ -15,7 +15,7 @@ from uavnav.orca import (
 )
 from uavnav.world import ScenarioConfig, UavState
 
-from conftest import single_station_env
+from conftest import random_env, single_station_env
 
 
 def make_state(pos, vel=(0, 0), dest=(50, 0), vmax=6.0, radius=1.0):
@@ -47,6 +47,24 @@ def circle_scenario(n=4, r=15.0, vmax=4.0, radius=0.5, **kw):
         starts=tuple(starts), destinations=tuple(dests),
         radii=(radius,) * n, max_speeds=(vmax,) * n, **kw,
     )
+
+
+# Agents see neighbors only within 4 m, so the fast swap of mixed_scenarios collides.
+SHORT_SIGHTED = OrcaConfig(neighbor_range=4.0)
+
+
+def mixed_scenarios():
+    """Seeded scenarios of 1-4 agents, each with its own dt and n_t, then a
+    swap that collides under SHORT_SIGHTED and one that hits its step cap."""
+    from uavnav.valuetrain import sample_scenario
+
+    rng = np.random.default_rng(16)
+    scenarios = [
+        sample_scenario(rng, n_agents=k, dt=dt, n_t=n_t, speed_range=(3.0, 8.0))
+        for k, dt, n_t in [(1, 0.5, 4), (2, 0.25, 3), (3, 0.5, 1), (4, 0.4, 4)]
+    ]
+    return scenarios + [swap_scenario(gap=30.0, vmax=8.0),
+                        swap_scenario(gap=60.0, vmax=3.0, dt=0.3, max_episode_steps=20)]
 
 
 def rollout_min_pair_distance(scenario, env, config=None):
@@ -233,10 +251,57 @@ class TestBootstrapSet:
         monkeypatch.setattr(orca, "orca_velocity", too_fast)
         pairs, skipped = generate_bootstrap_set([good[0], bad, good[1]], strong_env, 0.95)
         assert skipped == 1
+        with pytest.raises(ValueError, match="exceeds max_speed"):
+            run_orca_episode(bad, strong_env)
         assert len(pairs) == len(expected)
         for (vec, value), (want_vec, want_value) in zip(pairs, expected):
             assert vec.tobytes() == want_vec.tobytes()
             assert value == want_value
+
+    def test_lockstep_equals_one_episode_at_a_time(self):
+        env = random_env(np.random.default_rng(4))
+        scenarios = mixed_scenarios()
+        pairs, skipped = generate_bootstrap_set(scenarios, env, 0.95, SHORT_SIGHTED)
+        expected = []
+        for scenario in scenarios:
+            one, one_skipped = generate_bootstrap_set([scenario], env, 0.95, SHORT_SIGHTED)
+            assert one_skipped == 0
+            expected += one
+        assert skipped == 0
+        assert len({int(vec[-1]) for vec, _ in pairs}) == 3  # every SINR level occurs
+        assert len(pairs) == len(expected)
+        for (vec, value), (want_vec, want_value) in zip(pairs, expected):
+            assert vec.tobytes() == want_vec.tobytes()
+            assert value == want_value
+
+    def test_orca_episode_is_its_part_of_the_lockstep_rollout(self, monkeypatch):
+        env = random_env(np.random.default_rng(4))
+        scenarios = mixed_scenarios()
+        runs = []
+        real_rollout = world.rollout
+
+        def recording_rollout(*args, **kwargs):
+            out = real_rollout(*args, **kwargs)
+            runs.extend(out)
+            return out
+
+        monkeypatch.setattr(world, "rollout", recording_rollout)
+        generate_bootstrap_set(scenarios, env, 0.95, SHORT_SIGHTED)
+        assert len(runs) == len(scenarios)
+        monkeypatch.setattr(world, "rollout", real_rollout)
+        collided = capped = 0
+        for scenario, run in zip(scenarios, runs):
+            alone = run_orca_episode(scenario, env, SHORT_SIGHTED)
+            assert [[f.tobytes() for f in fs] for fs in run.frames] == [
+                [f.tobytes() for f in fs] for fs in alone.frames]
+            assert run.rewards == alone.rewards
+            assert [(i, f.tobytes()) for i, f in run.terminals] == [
+                (i, f.tobytes()) for i, f in alone.terminals]
+            assert run.final == alone.final
+            assert run.final.sinr.tobytes() == alone.final.sinr.tobytes()
+            collided += run.final.any_collision
+            capped += run.final.t == scenario.max_episode_steps and not run.final.all_arrived
+        assert collided == 1 and capped == 1
 
     def test_export_import_round_trip(self, strong_env, tmp_path):
         from uavnav import neuro

@@ -337,6 +337,8 @@ def read_bootstrap_csv(path):
             if part.startswith("count="):
                 count = int(part.split("=", 1)[1])
         for line in f:
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}: last line is cut (no line end)")
             line = line.strip()
             if line.startswith("# standardizer-mean "):
                 mean = np.array([float(v) for v in line.split(" ", 2)[2].split(",")])

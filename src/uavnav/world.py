@@ -593,7 +593,8 @@ def rollout(
     episode b's initial state (flags None) and its state after every step.
     """
     eps = [EpisodeState(uavs=sc.initial_states()) for sc in scenarios]
-    sinr = radio.sinr_many(env, np.array([u.position for ep in eps for u in ep.uavs]))
+    positions = np.array([u.position for ep in eps for u in ep.uavs]).reshape(-1, 2)
+    sinr = radio.sinr_many(env, positions)
     for ep, ep_sinr in zip(eps, np.split(sinr, np.cumsum([len(ep.uavs) for ep in eps])[:-1])):
         ep.sinr = ep_sinr
     rewards = [[[] for _ in range(sc.num_agents)] for sc in scenarios]

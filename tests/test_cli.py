@@ -572,12 +572,15 @@ class TestBadInputFiles:
         self._assert_rejected(["train", "--config", str(cfg_path), "--bootstrap", str(boot),
                                "--out-dir", str(tmp_path / "run")], boot, capsys)
 
-    def test_bootstrap_set_cut_at_a_row_boundary(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cut", [
+        lambda text: "".join(text.splitlines(keepends=True)[:text.count("\n") // 2]),
+        lambda text: text[:-3],  # inside the last row's value
+    ], ids=["at-a-row-boundary", "inside-the-last-row"])
+    def test_cut_bootstrap_set(self, tmp_path, capsys, cut):
         cfg_path = tiny_config(tmp_path)
         boot = tmp_path / "boot.csv"
         assert main(["bootstrap", "--config", str(cfg_path), "--out", str(boot)]) == 0
-        lines = boot.read_text().splitlines(keepends=True)
-        boot.write_text("".join(lines[:len(lines) // 2]))
+        boot.write_text(cut(boot.read_text()))
         self._assert_rejected(["train", "--config", str(cfg_path), "--bootstrap", str(boot),
                                "--out-dir", str(tmp_path / "run")], boot, capsys)
 

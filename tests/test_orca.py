@@ -274,6 +274,9 @@ class TestBootstrapSet:
             assert vec.tobytes() == want_vec.tobytes()
             assert value == want_value
 
+    def test_no_scenarios_give_no_pairs(self, strong_env):
+        assert generate_bootstrap_set([], strong_env, 0.95) == ([], 0)
+
     def test_orca_episode_is_its_part_of_the_lockstep_rollout(self, monkeypatch):
         env = random_env(np.random.default_rng(4))
         scenarios = mixed_scenarios()

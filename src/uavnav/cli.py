@@ -27,6 +27,14 @@ def _rng_for(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(purpose,)))
 
 
+def _check_frame_length(cfg: cfgmod.RunConfig, path, what: str, length: int) -> None:
+    """A file whose agent frames are not world.frame_length(j_n) long is a validation error."""
+    j_n = cfg.world["j_n"]
+    if length != world.frame_length(j_n):
+        raise ConfigError(f"{path}: {what} {length} does not match joint state length "
+                          f"{world.frame_length(j_n)} for j_n={j_n}")
+
+
 def _read(reader, path):
     """reader(path); an input file it cannot parse is a validation error naming it."""
     try:
@@ -66,11 +74,12 @@ def cmd_bootstrap(cfg: cfgmod.RunConfig, out_path: str) -> None:
 def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
               resume: bool = False) -> None:
     """Run offline value-network training, writing model, curve, and checkpoints."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     pairs, _ = _read(orca.read_bootstrap_csv, bootstrap_path)
     if not pairs:
         raise ConfigError(f"{bootstrap_path}: empty bootstrap set")
+    _check_frame_length(cfg, bootstrap_path, "bootstrap row length", len(pairs[0][0]))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     run_cfg = cfg.train_run_config()
     start = _read_checkpoint(out, cfg) if resume else None
     last = valuetrain.train(
@@ -249,11 +258,12 @@ def cmd_trainmap(cfg: cfgmod.RunConfig, measurements_path: str | None, out_path:
     del measurements  # the cloud holds a copy; retraining need not keep both
     model = sinrmap.init_map_model(env, m["k_n"], rng, tuple(m["hidden"]))
     model, curve = sinrmap.retrain(model, cloud, cfg.map_train_config(), rng)
-    sinrmap.save_map_model(model, out_path)
+    writes = []
     if curve_path is not None:
         lines = [f"# digest={cfg.digest}", "epoch,holdout_accuracy"]
         lines += [f"{i},{acc!r}" for i, acc in enumerate(curve)]
-        Path(curve_path).write_text("\n".join(lines) + "\n")
+        writes.append((Path(curve_path), lambda p: p.write_text("\n".join(lines) + "\n")))
+    _replace_files(writes + [(Path(out_path), lambda p: sinrmap.save_map_model(model, p))])
     print(f"trainmap: final holdout accuracy {curve[-1]:.4f}; model at {out_path}")
 
 
@@ -261,12 +271,7 @@ def cmd_eval(cfg: cfgmod.RunConfig, value_path: str, map_path: str | None,
              out_path: str, trajectories_dir: str | None, trials: int | None) -> None:
     """Compare navigation modes on identical seeded scenarios and write the report."""
     value_net = _read(neuro.load_model, value_path)
-    expected = world.frame_length(cfg.world["j_n"])
-    if value_net.input_size != expected:
-        raise ConfigError(
-            f"{value_path}: value net input {value_net.input_size} does not match "
-            f"joint state length {expected} for j_n={cfg.world['j_n']}"
-        )
+    _check_frame_length(cfg, value_path, "value net input", value_net.input_size)
     modes = cfg.evaluation["modes"]
     map_model = None
     if "proposed" in modes:
@@ -290,13 +295,16 @@ def cmd_eval(cfg: cfgmod.RunConfig, value_path: str, map_path: str | None,
         j_n=cfg.world["j_n"], n_speeds=cfg.world["n_speeds"],
         n_headings=cfg.world["n_headings"], modes=modes, trajectories=trajectories,
     )
-    nav.write_report_json(reports, out_path, seed=eval_seed, config_digest=cfg.digest)
+    writes = []
     if trajectories_dir:
         tdir = Path(trajectories_dir)
         tdir.mkdir(parents=True, exist_ok=True)
         for mode, rows in trajectories.items():
-            lines = [f"# digest={cfg.digest}", world.TRAJECTORY_COLUMNS, *rows]
-            (tdir / f"trajectories-{mode}.csv").write_text("\n".join(lines) + "\n")
+            text = "\n".join([f"# digest={cfg.digest}", world.TRAJECTORY_COLUMNS, *rows]) + "\n"
+            writes.append((tdir / f"trajectories-{mode}.csv",
+                           lambda p, text=text: p.write_text(text)))
+    _replace_files(writes + [(Path(out_path), lambda p: nav.write_report_json(
+        reports, p, seed=eval_seed, config_digest=cfg.digest))])
     for mode in modes:
         rep = reports[mode]
         print(
@@ -309,7 +317,8 @@ def cmd_eval(cfg: cfgmod.RunConfig, value_path: str, map_path: str | None,
 def cmd_covmap(cfg: cfgmod.RunConfig, out_path: str, resolution: float) -> None:
     """Rasterize the quantized coverage map of the configured environment."""
     grid = radio.coverage_grid(cfg.env, cfg.arena_bounds(), resolution)
-    radio.write_coverage_csv(grid, out_path, extra_comments=(f"digest={cfg.digest}",))
+    _replace_files([(Path(out_path), lambda p: radio.write_coverage_csv(
+        grid, p, extra_comments=(f"digest={cfg.digest}",)))])
     fractions = " ".join(f"L{k}={grid.level_fraction(k):.3f}" for k in (0, 1, 2))
     print(f"covmap: {grid.nrows}x{grid.ncols} cells, {fractions}, written to {out_path}")
 

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from . import radio, sinrmap, valuetrain
+from . import nav, radio, sinrmap, valuetrain
 
 
 class ConfigError(ValueError):
@@ -402,7 +402,7 @@ def _validate_evaluation(block: dict) -> dict:
     path = "evaluation"
     _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
     modes = block.get("modes")
-    if not isinstance(modes, list) or not modes or any(m not in ("proposed", "outdated", "perfect") for m in modes):
+    if not isinstance(modes, list) or not modes or any(m not in nav.MODES for m in modes):
         raise ConfigError(f"{path}.modes: expected a subset of proposed/outdated/perfect")
     return {
         "trials": _int(block, "trials", path, lo=1),

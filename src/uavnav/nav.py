@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -22,78 +23,48 @@ MODES = ("proposed", "outdated", "perfect")
 
 @dataclass(frozen=True)
 class NavPolicy:
-    """Value network plus exactly one SINR-map source."""
+    """Everything a lookahead decision reads apart from the step itself: the
+    value network, the level map (oracle) it scores candidates on, and the
+    lookahead settings."""
 
     value_net: neuro.NetworkParams
-    mode: str
-    map_model: sinrmap.MapModel | None = None
-    snapshot: radio.RadioEnvironment | None = None
-    _oracle: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    oracle: Callable[[np.ndarray], np.ndarray]
+    gamma: float
+    j_n: int = 4
+    n_speeds: int = 3
+    n_headings: int = 5
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "proposed" and self.map_model is None:
+    def choose_actions(self, states, neighbors, t: int, scenario: ScenarioConfig) -> list[Action]:
+        # Looked up in the module at call time, so a patched navigate_step sees every decision.
+        return navigate_step(self, states, neighbors, t, scenario)
+
+
+def mode_oracle(mode: str, env_truth: radio.RadioEnvironment,
+                map_model: sinrmap.MapModel | None = None):
+    """The level map an evaluation mode reads in env_truth: the learned map
+    (proposed), the jammer-free levels (outdated) or the true levels (perfect)."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "proposed":
+        if map_model is None:
             raise ValueError("proposed mode needs a map model")
-        if self.mode == "outdated" and self.snapshot is None:
-            raise ValueError("outdated mode needs an environment snapshot")
-
-    @staticmethod
-    def learned(value_net, map_model: sinrmap.MapModel) -> "NavPolicy":
-        return NavPolicy(value_net=value_net, mode="proposed", map_model=map_model)
-
-    @staticmethod
-    def perfect(value_net) -> "NavPolicy":
-        return NavPolicy(value_net=value_net, mode="perfect")
-
-    @staticmethod
-    def outdated(value_net, snapshot: radio.RadioEnvironment) -> "NavPolicy":
-        if snapshot.jammer is not None and snapshot.jammer.active:
-            snapshot = snapshot.without_jammer()
-        return NavPolicy(value_net=value_net, mode="outdated", snapshot=snapshot)
-
-    def sinr_oracle(self, env_truth: radio.RadioEnvironment):
-        """The level map this policy reads in env_truth, built once per environment."""
-        if self._oracle[0] is not env_truth:
-            if self.mode == "proposed":
-                oracle = sinrmap.learned_oracle(
-                    self.map_model, env_truth.stations, env_truth.uav_altitude
-                )
-            else:
-                truth = env_truth if self.mode == "perfect" else self.snapshot
-                oracle = valuetrain.ground_truth_oracle(truth)
-            object.__setattr__(self, "_oracle", (env_truth, oracle))
-        return self._oracle[1]
-
-    def choose_actions(self, states, neighbors, env_truth, t, scenario, gamma,
-                       j_n=4, n_speeds=3, n_headings=5) -> list[Action]:
-        return navigate_step(
-            self, states, neighbors, env_truth, t, scenario, gamma, j_n, n_speeds, n_headings,
-        )
+        return sinrmap.learned_oracle(map_model, env_truth.stations, env_truth.uav_altitude)
+    if mode == "outdated":
+        return world.ground_truth_oracle(env_truth.without_jammer())
+    return world.ground_truth_oracle(env_truth)
 
 
-def navigate_step(
-    policy: NavPolicy,
-    states,
-    neighbors,
-    env_truth: radio.RadioEnvironment,
-    t: int,
-    scenario: ScenarioConfig,
-    gamma: float,
-    j_n: int = 4,
-    n_speeds: int = 3,
-    n_headings: int = 5,
-):
+def navigate_step(policy: NavPolicy, states, neighbors, t: int, scenario: ScenarioConfig):
     """Greedy one-step-lookahead Actions of a step's active agents (states, with
-    neighbors[a] seen by states[a]) from one valuetrain.lookahead_index call,
-    using the policy's map source.
+    neighbors[a] seen by states[a]) from one valuetrain.lookahead_index call
+    on the policy's level map.
     """
     if any(s.arrived for s in states):
         raise ValueError("agent already arrived")
-    speeds, headings = world.action_grids(states, scenario, n_speeds, n_headings)
+    speeds, headings = world.action_grids(states, scenario, policy.n_speeds, policy.n_headings)
     ks = valuetrain.lookahead_index(
         policy.value_net, states, neighbors, speeds, headings,
-        policy.sinr_oracle(env_truth), gamma, t, scenario, j_n=j_n,
+        policy.oracle, policy.gamma, t, scenario, j_n=policy.j_n,
     )
     return [Action(speed=float(s[k]), heading=float(h[k]))
             for s, h, k in zip(speeds, headings, ks)]
@@ -143,12 +114,10 @@ class MetricsReport:
 
 
 def run_trial(policy, scenario: ScenarioConfig, env_truth: radio.RadioEnvironment,
-              gamma: float, j_n: int = 4, n_speeds: int = 3, n_headings: int = 5,
               trajectory: list | None = None) -> TrialLog:
     """Roll out one scenario to arrival, collision, or the step cap: a one-trial
     run_evaluation, its trajectory rows numbered episode 0."""
-    return run_evaluation(policy, env_truth, 1, 0, gamma, scenarios=[scenario], j_n=j_n,
-                          n_speeds=n_speeds, n_headings=n_headings,
+    return run_evaluation(policy, env_truth, 1, 0, scenarios=[scenario],
                           trajectory=trajectory).per_trial[0]
 
 
@@ -157,24 +126,19 @@ def run_evaluation(
     env_truth: radio.RadioEnvironment,
     trials: int,
     seed: int,
-    gamma: float,
     scenario_kwargs: dict | None = None,
     scenarios: list | None = None,
-    j_n: int = 4,
-    n_speeds: int = 3,
-    n_headings: int = 5,
     trajectory: list | None = None,
 ) -> MetricsReport:
     """Seeded evaluation, all trials in lockstep; scenarios come from an explicit
     list (cycled) or the seeded sampler, so identical seeds give identical reports.
     Trajectory rows are appended in trial order.
 
-    policy needs a choose_actions(states, neighbors, env, t, scenario, gamma,
-    j_n, n_speeds, n_headings) method that returns one action per state;
-    NavPolicy provides the lookahead one.  Each step calls it once per group
-    of agents whose scenarios agree on ScenarioConfig.step_fields, which one
-    lookahead call needs; a group's agents may see different numbers of
-    neighbors.
+    policy needs a choose_actions(states, neighbors, t, scenario) method that
+    returns one action per state; NavPolicy provides the lookahead one.  Each
+    step calls it once for the active agents of every live trial, which may
+    see different numbers of neighbors.  One lookahead call needs its agents'
+    scenarios to agree on ScenarioConfig.step_fields, so the trials must too.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -183,20 +147,12 @@ def run_evaluation(
     if not scenarios:
         raise ValueError("scenarios is an empty list; give at least one scenario or None")
     batch = [scenarios[trial % len(scenarios)] for trial in range(trials)]
+    if len({sc.step_fields for sc in batch}) > 1:
+        raise ValueError(f"the trials' scenarios differ in {ScenarioConfig.STEP_FIELDS}")
 
     def choose(t, agents):
-        groups: dict[tuple, list[int]] = {}
-        for k, (b, _, _, _) in enumerate(agents):
-            groups.setdefault(batch[b].step_fields, []).append(k)
-        actions = [None] * len(agents)
-        for ks in groups.values():
-            picked = policy.choose_actions(
-                [agents[k][2] for k in ks], [agents[k][3] for k in ks], env_truth, t,
-                batch[agents[ks[0]][0]], gamma, j_n, n_speeds, n_headings,
-            )
-            for k, act in zip(ks, picked, strict=True):
-                actions[k] = act
-        return actions
+        return policy.choose_actions([uav for _, _, uav, _ in agents],
+                                     [nbs for _, _, _, nbs in agents], t, batch[0])
 
     rows: list[list[str]] = [[] for _ in batch]
 
@@ -248,25 +204,16 @@ def compare_modes(
     trajectories: dict | None = None,
 ) -> dict[str, MetricsReport]:
     """Evaluate the selected modes on one seeded scenario stream, sampled once."""
-    if "proposed" in modes and map_model is None:
-        raise ValueError("proposed mode requested without a map model")
-    snapshot = env_truth.without_jammer()
+    oracles = {mode: mode_oracle(mode, env_truth, map_model) for mode in modes}
     scenarios = sample_scenarios(env_truth, trials, seed, scenario_kwargs)
     out = {}
     for mode in modes:
-        if mode == "proposed":
-            policy = NavPolicy.learned(value_net, map_model)
-        elif mode == "outdated":
-            policy = NavPolicy.outdated(value_net, snapshot)
-        else:
-            policy = NavPolicy.perfect(value_net)
+        policy = NavPolicy(value_net, oracles[mode], gamma, j_n, n_speeds, n_headings)
         rows = None
         if trajectories is not None:
             rows = trajectories.setdefault(mode, [])
-        out[mode] = run_evaluation(
-            policy, env_truth, trials, seed, gamma, scenarios=scenarios, j_n=j_n,
-            n_speeds=n_speeds, n_headings=n_headings, trajectory=rows,
-        )
+        out[mode] = run_evaluation(policy, env_truth, trials, seed, scenarios=scenarios,
+                                   trajectory=rows)
     return out
 
 

@@ -336,6 +336,8 @@ def read_bootstrap_csv(path):
                 n_feat = int(part.split("=", 1)[1])
             if part.startswith("count="):
                 count = int(part.split("=", 1)[1])
+        if n_feat is None or count is None:
+            raise ValueError(f"{path}: header lacks features= or count=")
         for line in f:
             if not line.endswith("\n"):
                 raise ValueError(f"{path}: last line is cut (no line end)")
@@ -349,7 +351,7 @@ def read_bootstrap_csv(path):
             if not line or line.startswith("#"):
                 continue
             vals = [float(v) for v in line.split(",")]
-            if n_feat is not None and len(vals) != n_feat + 1:
+            if len(vals) != n_feat + 1:
                 raise ValueError(f"{path}: row has {len(vals) - 1} features, expected {n_feat}")
             pairs.append((np.array(vals[:-1]), vals[-1]))
     if len(pairs) != count:

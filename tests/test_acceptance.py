@@ -78,28 +78,14 @@ def preset_maps(desk_run):
     return maps
 
 
-class _RecordingPolicy:
-    """Lookahead policy that logs every radio-map query position."""
+def _recording_oracle(oracle, log):
+    """oracle, logging every radio-map query position."""
 
-    def __init__(self, value_net, oracle, log):
-        self.value_net = value_net
-        self._oracle = oracle
-        self._log = log
+    def recording(positions):
+        log.append(np.asarray(positions, dtype=float).reshape(-1, 2))
+        return oracle(positions)
 
-    def choose_actions(self, states, neighbors, env, t, scenario, gamma,
-                       j_n=4, n_speeds=3, n_headings=5):
-        def recording(positions):
-            self._log.append(np.asarray(positions, dtype=float).reshape(-1, 2))
-            return self._oracle(positions)
-
-        grids = [world.action_grid(s, scenario, n_speeds, n_headings) for s in states]
-        speeds, headings = (np.array(axis) for axis in zip(*grids))
-        ks = valuetrain.lookahead_index(
-            self.value_net, states, neighbors, speeds, headings, recording, gamma, t, scenario,
-            j_n=j_n,
-        )
-        return [world.Action(speed=float(s[k]), heading=float(h[k]))
-                for s, h, k in zip(speeds, headings, ks)]
+    return recording
 
 
 def perfect_fit_map(model, value_net, env, trials, seed, gamma, scenario_kwargs,
@@ -113,9 +99,8 @@ def perfect_fit_map(model, value_net, env, trials, seed, gamma, scenario_kwargs,
     for _ in range(rounds):
         log: list = []
         inner = sinrmap.learned_oracle(model, env.stations, env.uav_altitude)
-        policy = _RecordingPolicy(value_net, inner, log)
-        nav.run_evaluation(policy, env, trials, seed, gamma,
-                           scenario_kwargs=scenario_kwargs)
+        policy = nav.NavPolicy(value_net, _recording_oracle(inner, log), gamma)
+        nav.run_evaluation(policy, env, trials, seed, scenario_kwargs=scenario_kwargs)
         pts = np.unique(np.vstack(log), axis=0)
         labels = np.asarray(truth(pts), dtype=int)
         feats = sinrmap.featurize_many(pts, triples, env.uav_altitude, model.k_n)

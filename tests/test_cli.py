@@ -22,6 +22,12 @@ def rerecord(path: Path) -> None:
     state_path.write_text(json.dumps(state))
 
 
+def failing_writer(obj, path, *args, **kwargs):
+    """A writer of obj to path that dies half way."""
+    Path(path).write_text("half")
+    raise OSError("disk full")
+
+
 def tiny_config(tmp_path, jammer=None, **overrides) -> Path:
     """Small single-station world that every command finishes fast on."""
     raw = json.loads(json.dumps(cfgmod.DEFAULT_CONFIG))
@@ -204,6 +210,17 @@ class TestCovmap:
         for out in outs:
             main(["covmap", "--config", str(cfg_path), "--out", str(out)])
         assert digest(outs[0]) == digest(outs[1])
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        cfg_path = tiny_config(tmp_path)
+        out = tmp_path / "cov.csv"
+        assert main(["covmap", "--config", str(cfg_path), "--out", str(out)]) == 0
+        before = digest(out)
+        monkeypatch.setattr(radio, "write_coverage_csv", failing_writer)
+        assert main(["covmap", "--config", str(cfg_path), "--out", str(out),
+                     "--resolution", "4"]) == 3
+        assert digest(out) == before
+        assert sorted(p.name for p in tmp_path.glob("cov*")) == ["cov.csv"]
 
 
 class TestBootstrapCommand:
@@ -483,6 +500,19 @@ class TestTrainmapCommand:
             ds.append((digest(out), digest(curve)))
         assert ds[0] == ds[1]
 
+    def test_failed_write_keeps_the_previous_files(self, tmp_path, monkeypatch):
+        from uavnav import sinrmap
+
+        cfg_path = tiny_config(tmp_path)
+        argv = ["trainmap", "--config", str(cfg_path), "--out", str(tmp_path / "map.json"),
+                "--curve", str(tmp_path / "acc.csv")]
+        assert main(argv) == 0
+        before = {p.name: digest(p) for p in tmp_path.glob("*")}
+        # Another seed: every output would differ, the curve (written first) included.
+        monkeypatch.setattr(sinrmap, "save_map_model", failing_writer)
+        assert main(argv + ["--seed", "778"]) == 3
+        assert {p.name: digest(p) for p in tmp_path.glob("*")} == before
+
 
 class TestEvalCommand:
     @pytest.fixture
@@ -547,6 +577,23 @@ class TestEvalCommand:
             ds.append(digest(out))
         assert ds[0] == ds[1]
 
+    def test_failed_write_keeps_the_previous_files(self, artifacts, tmp_path, monkeypatch):
+        from uavnav import nav
+
+        cfg_path, value, map_path = artifacts
+        out, tdir = tmp_path / "eval", tmp_path / "eval" / "trajs"
+        out.mkdir()
+        argv = ["eval", "--config", str(cfg_path), "--value-model", str(value),
+                "--map-model", str(map_path), "--out", str(out / "report.json"),
+                "--trajectories", str(tdir)]
+        assert main(argv) == 0
+        before = {str(p): digest(p) for p in out.rglob("*.*")}
+        assert len(before) == 4
+        # One trial: every output would differ, the trajectories (written first) included.
+        monkeypatch.setattr(nav, "write_report_json", failing_writer)
+        assert main(argv + ["--trials", "1"]) == 3
+        assert {str(p): digest(p) for p in out.rglob("*.*")} == before
+
 
 class TestBadInputFiles:
     """An input file the readers cannot parse is a validation error (exit 2) naming it."""
@@ -569,6 +616,22 @@ class TestBadInputFiles:
         cfg_path = tiny_config(tmp_path)
         boot = tmp_path / "boot.csv"
         boot.write_text("# bootstrap-pairs v1 features=3 count=1\n1.0,2.0,0.5\n")
+        self._assert_rejected(["train", "--config", str(cfg_path), "--bootstrap", str(boot),
+                               "--out-dir", str(tmp_path / "run")], boot, capsys)
+
+    def test_bootstrap_set_of_another_j_n(self, tmp_path, capsys):
+        (tmp_path / "j2").mkdir()
+        boot, run = tmp_path / "boot.csv", tmp_path / "run"
+        j_n_2 = tiny_config(tmp_path / "j2", **{"world.j_n": 2})
+        assert main(["bootstrap", "--config", str(j_n_2), "--out", str(boot)]) == 0
+        self._assert_rejected(["train", "--config", str(tiny_config(tmp_path)), "--bootstrap",
+                               str(boot), "--out-dir", str(run)], boot, capsys)
+        assert not run.exists()
+
+    def test_bootstrap_header_without_feature_count(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path)
+        boot = tmp_path / "boot.csv"
+        boot.write_text("# bootstrap-pairs v1 count=2\n1.0,2.0,0.5\n1.0,0.5\n")
         self._assert_rejected(["train", "--config", str(cfg_path), "--bootstrap", str(boot),
                                "--out-dir", str(tmp_path / "run")], boot, capsys)
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from uavnav import nav, neuro, radio, sinrmap, valuetrain, world
-from uavnav.nav import MetricsReport, NavPolicy, compare_modes, navigate_step, run_evaluation
+from uavnav.nav import (
+    MetricsReport, NavPolicy, compare_modes, mode_oracle, navigate_step, run_evaluation,
+)
 from uavnav.world import Action, ScenarioConfig
 
 from conftest import single_station_env
@@ -36,38 +38,41 @@ def trained_constant_map(env, rng, k_n=2, samples=2000, epochs=30):
 class StraightPolicy:
     """Always full speed at the current heading; ignores everything else."""
 
-    def choose_actions(self, states, neighbors, env, t, scenario, gamma,
-                       j_n=4, n_speeds=3, n_headings=5):
+    def choose_actions(self, states, neighbors, t, scenario):
         return [Action(speed=state.max_speed, heading=state.orientation) for state in states]
 
 
-class TestNavPolicy:
-    def test_mode_validation(self):
-        net = zero_value_net()
-        with pytest.raises(ValueError):
-            NavPolicy(value_net=net, mode="bogus")
-        with pytest.raises(ValueError):
-            NavPolicy(value_net=net, mode="proposed")
-        with pytest.raises(ValueError):
-            NavPolicy(value_net=net, mode="outdated")
+def mode_policy(net, mode, env, map_model=None, gamma=0.95):
+    """The policy that compare_modes flies in mode."""
+    return NavPolicy(net, mode_oracle(mode, env, map_model), gamma)
 
-    def test_outdated_strips_jammer(self):
+
+class TestModeOracle:
+    def test_mode_validation(self, strong_env):
+        with pytest.raises(ValueError):
+            mode_oracle("bogus", strong_env)
+        with pytest.raises(ValueError):
+            mode_oracle("proposed", strong_env)
+
+    def test_outdated_reads_jammer_free_levels(self):
         env = single_station_env(jammer=radio.Jammer(position=(1, 1), tx_power=2.0))
-        pol = NavPolicy.outdated(zero_value_net(), env)
-        assert pol.snapshot.jammer is None
+        clean = world.ground_truth_oracle(env.without_jammer())
+        points = np.array([[x, y] for x in range(-20, 21, 5) for y in range(-20, 21, 5)], float)
+        assert (mode_oracle("outdated", env)(points) == clean(points)).all()
+        assert (mode_oracle("perfect", env)(points) != clean(points)).any()
 
 
 class TestNavigateStep:
     def test_perfect_mode_equals_trainer_lookahead(self, strong_env, rng):
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
-        pol = NavPolicy.perfect(net)
+        pol = mode_policy(net, "perfect", strong_env)
         sc = valuetrain.sample_scenario(np.random.default_rng(2), n_agents=1)
         st = sc.initial_states()[0]
         space = world.sample_action_space(st, sc, 3, 5)
         expected = valuetrain.lookahead_select(
             net, st, [], space, valuetrain.ground_truth_oracle(strong_env), 0.95, 0, sc
         )
-        (got,) = navigate_step(pol, [st], [[]], strong_env, 0, sc, 0.95)
+        (got,) = navigate_step(pol, [st], [[]], 0, sc)
         assert got.speed == expected.speed and got.heading == expected.heading
 
     def test_learned_mode_matches_perfect_on_uniform_field(self, strong_env, rng):
@@ -77,9 +82,9 @@ class TestNavigateStep:
         sc = valuetrain.sample_scenario(np.random.default_rng(3), n_agents=1)
         st = sc.initial_states()[0]
         for t in range(4):
-            (a1,) = navigate_step(NavPolicy.learned(net, model), [st], [[]], strong_env, t, sc,
-                                  0.95)
-            (a2,) = navigate_step(NavPolicy.perfect(net), [st], [[]], strong_env, t, sc, 0.95)
+            (a1,) = navigate_step(mode_policy(net, "proposed", strong_env, model), [st], [[]],
+                                  t, sc)
+            (a2,) = navigate_step(mode_policy(net, "perfect", strong_env), [st], [[]], t, sc)
             assert a1.speed == a2.speed and a1.heading == a2.heading
             st = world.propagate(st, a1, sc.dt, sc.arrival_tolerance)
 
@@ -87,11 +92,10 @@ class TestNavigateStep:
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
         clean = single_station_env(tx_power=1e6)
         jammed = clean.with_jammer(radio.Jammer(position=(5.0, 0.0), tx_power=1e9))
-        pol = NavPolicy.outdated(net, jammed)
         sc = valuetrain.sample_scenario(np.random.default_rng(4), n_agents=1)
         st = sc.initial_states()[0]
-        (a_clean,) = navigate_step(pol, [st], [[]], clean, 0, sc, 0.95)
-        (a_jammed,) = navigate_step(pol, [st], [[]], jammed, 0, sc, 0.95)
+        (a_clean,) = navigate_step(mode_policy(net, "outdated", clean), [st], [[]], 0, sc)
+        (a_jammed,) = navigate_step(mode_policy(net, "outdated", jammed), [st], [[]], 0, sc)
         assert a_clean.speed == a_jammed.speed and a_clean.heading == a_jammed.heading
 
     def test_rejects_arrived_agent(self, strong_env):
@@ -100,20 +104,18 @@ class TestNavigateStep:
         st = sc.initial_states()[0]
         st = world.propagate(st, Action(4.0, 0.0), 10.0, arrival_tolerance=100.0)
         with pytest.raises(ValueError):
-            navigate_step(NavPolicy.perfect(zero_value_net()), [st], [[]], strong_env, 0, sc,
-                          0.95)
+            navigate_step(mode_policy(zero_value_net(), "perfect", strong_env), [st], [[]], 0, sc)
 
 
 class TestRunEvaluation:
     def test_trivial_scenario_full_success(self, strong_env):
         # Destination adjacent: the arrival reward dominates even a stub net.
-        pol = NavPolicy.perfect(zero_value_net())
+        pol = mode_policy(zero_value_net(), "perfect", strong_env)
         adjacent = ScenarioConfig(
             starts=((0.0, 0.0),), destinations=((1.5, 0.0),),
             radii=(0.5,), max_speeds=(4.0,), max_episode_steps=20,
         )
-        rep = run_evaluation(pol, strong_env, trials=4, seed=5, gamma=0.95,
-                             scenarios=[adjacent])
+        rep = run_evaluation(pol, strong_env, trials=4, seed=5, scenarios=[adjacent])
         assert rep.success_rate == 1.0
         assert rep.disconnection_rate == 0.0
         assert rep.collision_rate == 0.0
@@ -126,15 +128,15 @@ class TestRunEvaluation:
                 destinations=((10.0, 0.0), (-10.0, 0.0)),
                 radii=(0.5, 0.5), max_speeds=(4.0, 4.0), max_episode_steps=60,
             )
-            logs.append(nav.run_trial(StraightPolicy(), sc, strong_env, 0.95))
+            logs.append(nav.run_trial(StraightPolicy(), sc, strong_env))
         rep = MetricsReport.from_trials(logs)
         assert rep.collision_rate == 1.0
         assert rep.success_rate == 0.0
 
     def test_rates_are_exact_rationals_and_recomputable(self, strong_env):
-        pol = NavPolicy.perfect(zero_value_net())
+        pol = mode_policy(zero_value_net(), "perfect", strong_env)
         rep = run_evaluation(
-            pol, strong_env, trials=5, seed=8, gamma=0.95,
+            pol, strong_env, trials=5, seed=8,
             scenario_kwargs={"n_agents": 2, "max_episode_steps": 50},
         )
         succ = sum(sum(log.successes()) for log in rep.per_trial)
@@ -147,9 +149,9 @@ class TestRunEvaluation:
 
     def test_deterministic_reports(self, strong_env, rng):
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
-        pol = NavPolicy.perfect(net)
+        pol = mode_policy(net, "perfect", strong_env)
         reps = [
-            run_evaluation(pol, strong_env, trials=3, seed=11, gamma=0.95,
+            run_evaluation(pol, strong_env, trials=3, seed=11,
                            scenario_kwargs={"n_agents": 2, "max_episode_steps": 60})
             for _ in range(2)
         ]
@@ -176,8 +178,8 @@ class TestCompareModes:
             compare_modes(zero_value_net(), None, strong_env, trials=1, seed=1, gamma=0.9)
 
     def test_report_json_round_trip(self, strong_env, tmp_path):
-        pol = NavPolicy.perfect(zero_value_net())
-        rep = run_evaluation(pol, strong_env, trials=2, seed=3, gamma=0.95,
+        pol = mode_policy(zero_value_net(), "perfect", strong_env)
+        rep = run_evaluation(pol, strong_env, trials=2, seed=3,
                              scenario_kwargs={"n_agents": 1, "max_episode_steps": 40})
         path = tmp_path / "report.json"
         nav.write_report_json({"perfect": rep}, path, seed=3, config_digest="beef")
@@ -187,9 +189,9 @@ class TestCompareModes:
         assert data["modes"]["perfect"]["success_rate"] == rep.success_rate
 
     def test_trajectory_rows_schema(self, strong_env):
-        pol = NavPolicy.perfect(zero_value_net())
+        pol = mode_policy(zero_value_net(), "perfect", strong_env)
         rows = []
-        run_evaluation(pol, strong_env, trials=1, seed=4, gamma=0.95,
+        run_evaluation(pol, strong_env, trials=1, seed=4,
                        scenario_kwargs={"n_agents": 2, "max_episode_steps": 30},
                        trajectory=rows)
         assert rows
@@ -200,7 +202,7 @@ class TestCompareModes:
 
 class RecklessLookahead:
     """A policy's lookahead, except that agents whose top speed is RECKLESS fly
-    straight at it; logs the step, neighbor counts and dt of every call."""
+    straight at it; logs the step and neighbor counts of every call."""
 
     RECKLESS = 7.25
 
@@ -208,11 +210,9 @@ class RecklessLookahead:
         self.inner = inner
         self.calls = []
 
-    def choose_actions(self, states, neighbors, env, t, scenario, gamma,
-                       j_n=4, n_speeds=3, n_headings=5):
-        self.calls.append((t, tuple(len(nbs) for nbs in neighbors), scenario.dt))
-        picked = self.inner.choose_actions(states, neighbors, env, t, scenario, gamma,
-                                           j_n, n_speeds, n_headings)
+    def choose_actions(self, states, neighbors, t, scenario):
+        self.calls.append((t, tuple(len(nbs) for nbs in neighbors)))
+        picked = self.inner.choose_actions(states, neighbors, t, scenario)
         return [Action(speed=s.max_speed, heading=s.orientation) if s.max_speed == self.RECKLESS
                 else a for s, a in zip(states, picked)]
 
@@ -233,25 +233,27 @@ class TestLockstep:
         )
         sampled = valuetrain.sample_scenario(np.random.default_rng(7), n_agents=3,
                                              max_episode_steps=40)
-        other_dt = valuetrain.sample_scenario(np.random.default_rng(8), n_agents=2, dt=0.4,
-                                              max_episode_steps=40)
-        return [head_on, capped, staggered, sampled, other_dt]
+        return [head_on, capped, staggered, sampled]
+
+    ENV = single_station_env(tx_power=2.0, jammer=radio.Jammer(position=(10.0, 5.0),
+                                                               tx_power=0.5))
+
+    def policy(self, rng):
+        net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
+        return RecklessLookahead(mode_policy(net, "perfect", self.ENV))
 
     def test_lockstep_equals_one_trial_at_a_time(self, rng):
-        env = single_station_env(tx_power=2.0, jammer=radio.Jammer(position=(10.0, 5.0),
-                                                                   tx_power=0.5))
-        net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
+        env = self.ENV
         scenarios = self.scenarios()
-        policy = RecklessLookahead(NavPolicy.perfect(net))
+        policy = self.policy(rng)
         rows: list = []
-        rep = run_evaluation(policy, env, trials=7, seed=0, gamma=0.95,
-                             scenarios=scenarios, trajectory=rows)
+        rep = run_evaluation(policy, env, trials=7, seed=0, scenarios=scenarios, trajectory=rows)
         one_rows: list = []
         logs = []
         for trial in range(7):
             trial_rows: list = []
-            logs.append(nav.run_trial(RecklessLookahead(NavPolicy.perfect(net)),
-                                      scenarios[trial % 5], env, 0.95, trajectory=trial_rows))
+            logs.append(nav.run_trial(RecklessLookahead(policy.inner), scenarios[trial % 4], env,
+                                      trajectory=trial_rows))
             # run_trial numbers its rows episode 0; renumber them as trial.
             one_rows += [f"{trial}," + row.split(",", 1)[1] for row in trial_rows]
         assert rep == MetricsReport.from_trials(logs)
@@ -261,7 +263,7 @@ class TestLockstep:
         head_on, capped, staggered = rep.per_trial[:3]
         assert all(head_on.collided) and head_on.steps < max(log.steps for log in logs)
         assert capped.steps == 3 and not any(capped.arrived)
-        assert rep.per_trial[5:] == rep.per_trial[:2]  # the list is cycled
+        assert rep.per_trial[4:] == rep.per_trial[:3]  # the list is cycled
         first_step = {}  # (episode, agent, flag) -> first step at which the flag is set
         for row in rows:
             episode, t, agent, *_, arrived, collided, _ = row.split(",")
@@ -270,21 +272,43 @@ class TestLockstep:
                     first_step.setdefault((episode, agent, flag), int(t))
         assert head_on.steps == first_step["0", "0", "collided"]  # it stopped right after
         assert len({first_step["2", agent, "arrived"] for agent in "012"}) == 3
-        # One call per step and dt; agents with different neighbor counts share it.
-        dts_by_step: dict = {}
-        for t, _, dt in policy.calls:
-            dts_by_step.setdefault(t, []).append(dt)
-        assert all(len(dts) == len(set(dts)) for dts in dts_by_step.values())
-        assert any(sorted(dts) == [0.4, 0.5] for dts in dts_by_step.values())
-        assert any(len(set(counts)) >= 3 for _, counts, _ in policy.calls)
+        # Agents with different neighbor counts share a call.
+        assert any(len(set(counts)) >= 3 for _, counts in policy.calls)
+
+    def test_one_decision_call_per_step_covers_every_active_agent(self, rng):
+        policy = self.policy(rng)
+        rows: list = []
+        run_evaluation(policy, self.ENV, trials=7, seed=0, scenarios=self.scenarios(),
+                       trajectory=rows)
+        # A trial's rows at t hold its state before step t; it flew step t if
+        # it has rows at t + 1, and its agents not yet arrived then chose.
+        parsed = [row.split(",") for row in rows]
+        flown = {(episode, int(t) - 1) for episode, t, *_ in parsed}
+        steps = max(t for _, t in flown) + 1
+        active = [0] * steps
+        for episode, t, *_, arrived, _, _ in parsed:
+            if (episode, int(t)) in flown and arrived == "0":
+                active[int(t)] += 1
+        assert [t for t, _ in policy.calls] == list(range(steps))
+        assert [len(counts) for _, counts in policy.calls] == active
+
+    def test_scenarios_of_other_step_fields_rejected(self, rng):
+        sampled = self.scenarios()[-1]
+        other_dt = valuetrain.sample_scenario(np.random.default_rng(8), n_agents=2, dt=0.4,
+                                              max_episode_steps=40)
+        assert sampled.step_fields != other_dt.step_fields
+        with pytest.raises(ValueError, match="differ in"):
+            run_evaluation(self.policy(rng), self.ENV, trials=2, seed=0,
+                           scenarios=[sampled, other_dt])
 
     def test_empty_scenario_list_rejected(self, strong_env):
         with pytest.raises(ValueError, match="scenarios is an empty list"):
-            run_evaluation(NavPolicy.perfect(zero_value_net()), strong_env, trials=2, seed=1,
-                           gamma=0.95, scenarios=[])
+            run_evaluation(mode_policy(zero_value_net(), "perfect", strong_env), strong_env,
+                           trials=2, seed=1, scenarios=[])
 
     def test_group_key_covers_every_scenario_field_a_decision_reads(self, rng):
-        """Agents share a lookahead call when their scenarios agree on
+        """All trials of an evaluation share one lookahead call per step, which
+        run_evaluation allows only when their scenarios agree on
         ScenarioConfig.STEP_FIELDS, so one decision must read no other field."""
         sc = valuetrain.sample_scenario(np.random.default_rng(9), n_agents=3)
         read = set()
@@ -297,8 +321,8 @@ class TestLockstep:
         ep = world.EpisodeState(uavs=sc.initial_states())
         env = single_station_env(jammer=radio.Jammer(position=(10.0, 5.0), tx_power=0.5))
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
-        for policy in (NavPolicy.perfect(net), NavPolicy.outdated(net, env)):
+        for mode in ("perfect", "outdated"):
             for t in (0, 1):
-                navigate_step(policy, ep.uavs, [ep.neighbors_of(i) for i in range(3)], env, t,
-                              Recording(), 0.95)
+                navigate_step(mode_policy(net, mode, env), ep.uavs,
+                              [ep.neighbors_of(i) for i in range(3)], t, Recording())
         assert read and read <= set(ScenarioConfig.STEP_FIELDS)

@@ -261,9 +261,17 @@ class TestActionSpace:
             one_s, one_h = world.action_grid(st, cfg, n_speeds, n_headings)
             assert s.tobytes() == one_s.tobytes() and h.tobytes() == one_h.tobytes()
 
-    @given(hst.lists(hst.floats(-100.0, 100.0), min_size=1, max_size=20))
+    @settings(max_examples=500)
+    @given(hst.lists(hst.one_of(hst.floats(-100.0, 100.0),
+                                hst.floats(allow_nan=False, allow_infinity=False)),
+                     min_size=1, max_size=20))
     @example([math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 0.0, -0.0, 2 * math.pi])
+    @example([math.nextafter(s * math.pi, d) for s in (1, -1) for d in (-math.inf, math.inf)]
+             + [k * 2 * math.pi for k in (-1e6, -3, -1, 1, 3, 1e6)])
     def test_wrap_angles_matches_scalar(self, angles):
+        """Bit for bit, not a last-ulp twin: np.mod is math.fmod plus the +2*pi
+        fix-up that wrap_angle applies, and a zero remainder (+0.0 from np.mod,
+        either sign from fmod) takes wrap_angle's <= 0 branch either way."""
         got = world.wrap_angles(np.array(angles))
         assert got.tobytes() == np.array([wrap_angle(a) for a in angles]).tobytes()
 
@@ -726,9 +734,10 @@ class TestRolloutRecordsTrueLevels:
 
     def test_initial_trajectory_rows(self):
         rows = []
-        policy = nav.NavPolicy.perfect(neuro.init_network(
-            neuro.dense_specs(34, (8,), 1, "relu", "tanh"), np.random.default_rng(2)))
-        nav.run_trial(policy, self.SCENARIO, self.ENV, 0.95, trajectory=rows)
+        policy = nav.NavPolicy(neuro.init_network(
+            neuro.dense_specs(34, (8,), 1, "relu", "tanh"), np.random.default_rng(2)),
+            world.ground_truth_oracle(self.ENV), 0.95)
+        nav.run_trial(policy, self.SCENARIO, self.ENV, trajectory=rows)
         sinr = radio.sinr_many(self.ENV, np.array(self.SCENARIO.starts))
         levels = radio.quantize_many(sinr, self.ENV)
         first = [row.split(",") for row in rows if row.split(",")[1] == "0"]

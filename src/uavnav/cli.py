@@ -60,7 +60,7 @@ def cmd_bootstrap(cfg: cfgmod.RunConfig, out_path: str) -> None:
         for _ in range(t["bootstrap_episodes"])
     ]
     pairs, skipped = orca.generate_bootstrap_set(
-        scenarios, env, t["gamma"], orca_cfg, j_n=cfg.world["j_n"]
+        scenarios, cfg.step_rules(), env, t["gamma"], orca_cfg, j_n=cfg.world["j_n"]
     )
     if not pairs:
         raise RuntimeError("bootstrap produced no state-value pairs")
@@ -83,7 +83,7 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
     run_cfg = cfg.train_run_config()
     start = _read_checkpoint(out, cfg) if resume else None
     last = valuetrain.train(
-        run_cfg, pairs, cfg.env.without_jammer(), cfg.jammer_schedule(),
+        run_cfg, pairs, cfg.env.without_jammer(), cfg.jammer_schedule(), cfg.step_rules(),
         scenario_kwargs=cfg.scenario_kwargs(), resume=start,
         on_checkpoint=lambda checkpoint: _write_checkpoint(out, cfg, checkpoint),
     )
@@ -290,10 +290,9 @@ def cmd_eval(cfg: cfgmod.RunConfig, value_path: str, map_path: str | None,
     eval_seed = cfg.seed + cfg.evaluation["seed_offset"]
     trajectories: dict | None = {} if trajectories_dir else None
     reports = nav.compare_modes(
-        value_net, map_model, cfg.env, n_trials, eval_seed, cfg.training["gamma"],
-        scenario_kwargs=cfg.scenario_kwargs(eval_mode=True),
-        j_n=cfg.world["j_n"], n_speeds=cfg.world["n_speeds"],
-        n_headings=cfg.world["n_headings"], modes=modes, trajectories=trajectories,
+        value_net, map_model, cfg.env, cfg.step_rules(eval_mode=True), n_trials, eval_seed,
+        cfg.training["gamma"], scenario_kwargs=cfg.scenario_kwargs(), j_n=cfg.world["j_n"],
+        modes=modes, trajectories=trajectories,
     )
     writes = []
     if trajectories_dir:

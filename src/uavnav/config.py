@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from . import nav, radio, sinrmap, valuetrain
+from . import nav, radio, sinrmap, valuetrain, world
 
 
 class ConfigError(ValueError):
@@ -204,19 +204,23 @@ class RunConfig:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    def scenario_kwargs(self, eval_mode: bool = False) -> dict:
+    def scenario_kwargs(self) -> dict:
+        """valuetrain.sample_scenario's mission parameters from the world block."""
         w = self.world
-        same = ("position_bound", "min_travel", "min_separation", "dt", "n_t",
-                "turn_rate_limit", "arrival_tolerance", "movement_penalty")
         return {
-            **{k: w[k] for k in same},
+            **{k: w[k] for k in ("position_bound", "min_travel", "min_separation")},
             "n_agents": w["agents"],
             "radius": w["agent_radius"],
             "speed_range": tuple(w["speed_range"]),
-            "max_episode_steps": (
-                self.evaluation["max_episode_steps"] if eval_mode else w["max_episode_steps"]
-            ),
         }
+
+    def step_rules(self, eval_mode: bool = False) -> world.StepRules:
+        """Every StepRules field from the world block; with eval_mode the step cap
+        is evaluation.max_episode_steps."""
+        w = self.world
+        if eval_mode:
+            w = {**w, "max_episode_steps": self.evaluation["max_episode_steps"]}
+        return world.StepRules(**{f.name: w[f.name] for f in fields(world.StepRules)})
 
     def train_run_config(self) -> valuetrain.TrainRunConfig:
         """Every TrainRunConfig field from the world and training blocks of the same name."""
@@ -404,6 +408,8 @@ def _validate_evaluation(block: dict) -> dict:
     modes = block.get("modes")
     if not isinstance(modes, list) or not modes or any(m not in nav.MODES for m in modes):
         raise ConfigError(f"{path}.modes: expected a subset of proposed/outdated/perfect")
+    if len(set(modes)) != len(modes):
+        raise ConfigError(f"{path}.modes: each mode may appear once, got {modes}")
     return {
         "trials": _int(block, "trials", path, lo=1),
         "seed_offset": _int(block, "seed_offset", path, lo=0),

@@ -16,27 +16,25 @@ from typing import Callable
 import numpy as np
 
 from . import neuro, radio, sinrmap, valuetrain, world
-from .world import Action, EpisodeState, ScenarioConfig
+from .world import Action, EpisodeState, ScenarioConfig, StepRules
 
 MODES = ("proposed", "outdated", "perfect")
 
 
 @dataclass(frozen=True)
 class NavPolicy:
-    """Everything a lookahead decision reads apart from the step itself: the
-    value network, the level map (oracle) it scores candidates on, and the
+    """Everything a lookahead decision reads apart from the step and its rules:
+    the value network, the level map (oracle) it scores candidates on, and the
     lookahead settings."""
 
     value_net: neuro.NetworkParams
     oracle: Callable[[np.ndarray], np.ndarray]
     gamma: float
     j_n: int = 4
-    n_speeds: int = 3
-    n_headings: int = 5
 
-    def choose_actions(self, states, neighbors, t: int, scenario: ScenarioConfig) -> list[Action]:
+    def choose_actions(self, states, neighbors, t: int, rules: StepRules) -> list[Action]:
         # Looked up in the module at call time, so a patched navigate_step sees every decision.
-        return navigate_step(self, states, neighbors, t, scenario)
+        return navigate_step(self, states, neighbors, t, rules)
 
 
 def mode_oracle(mode: str, env_truth: radio.RadioEnvironment,
@@ -54,17 +52,17 @@ def mode_oracle(mode: str, env_truth: radio.RadioEnvironment,
     return world.ground_truth_oracle(env_truth)
 
 
-def navigate_step(policy: NavPolicy, states, neighbors, t: int, scenario: ScenarioConfig):
+def navigate_step(policy: NavPolicy, states, neighbors, t: int, rules: StepRules):
     """Greedy one-step-lookahead Actions of a step's active agents (states, with
     neighbors[a] seen by states[a]) from one valuetrain.lookahead_index call
     on the policy's level map.
     """
     if any(s.arrived for s in states):
         raise ValueError("agent already arrived")
-    speeds, headings = world.action_grids(states, scenario, policy.n_speeds, policy.n_headings)
+    speeds, headings = world.action_grids(states, rules)
     ks = valuetrain.lookahead_index(
         policy.value_net, states, neighbors, speeds, headings,
-        policy.oracle, policy.gamma, t, scenario, j_n=policy.j_n,
+        policy.oracle, policy.gamma, t, rules, j_n=policy.j_n,
     )
     return [Action(speed=float(s[k]), heading=float(h[k]))
             for s, h, k in zip(speeds, headings, ks)]
@@ -113,32 +111,32 @@ class MetricsReport:
         )
 
 
-def run_trial(policy, scenario: ScenarioConfig, env_truth: radio.RadioEnvironment,
-              trajectory: list | None = None) -> TrialLog:
+def run_trial(policy, scenario: ScenarioConfig, rules: StepRules,
+              env_truth: radio.RadioEnvironment, trajectory: list | None = None) -> TrialLog:
     """Roll out one scenario to arrival, collision, or the step cap: a one-trial
     run_evaluation, its trajectory rows numbered episode 0."""
-    return run_evaluation(policy, env_truth, 1, 0, scenarios=[scenario],
+    return run_evaluation(policy, env_truth, rules, 1, 0, scenarios=[scenario],
                           trajectory=trajectory).per_trial[0]
 
 
 def run_evaluation(
     policy,
     env_truth: radio.RadioEnvironment,
+    rules: StepRules,
     trials: int,
     seed: int,
     scenario_kwargs: dict | None = None,
     scenarios: list | None = None,
     trajectory: list | None = None,
 ) -> MetricsReport:
-    """Seeded evaluation, all trials in lockstep; scenarios come from an explicit
-    list (cycled) or the seeded sampler, so identical seeds give identical reports.
-    Trajectory rows are appended in trial order.
+    """Seeded evaluation under rules, all trials in lockstep; scenarios come from
+    an explicit list (cycled) or the seeded sampler, so identical seeds give
+    identical reports.  Trajectory rows are appended in trial order.
 
-    policy needs a choose_actions(states, neighbors, t, scenario) method that
+    policy needs a choose_actions(states, neighbors, t, rules) method that
     returns one action per state; NavPolicy provides the lookahead one.  Each
     step calls it once for the active agents of every live trial, which may
-    see different numbers of neighbors.  One lookahead call needs its agents'
-    scenarios to agree on ScenarioConfig.step_fields, so the trials must too.
+    see different numbers of neighbors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -147,12 +145,10 @@ def run_evaluation(
     if not scenarios:
         raise ValueError("scenarios is an empty list; give at least one scenario or None")
     batch = [scenarios[trial % len(scenarios)] for trial in range(trials)]
-    if len({sc.step_fields for sc in batch}) > 1:
-        raise ValueError(f"the trials' scenarios differ in {ScenarioConfig.STEP_FIELDS}")
 
     def choose(t, agents):
         return policy.choose_actions([uav for _, _, uav, _ in agents],
-                                     [nbs for _, _, _, nbs in agents], t, batch[0])
+                                     [nbs for _, _, _, nbs in agents], t, rules)
 
     rows: list[list[str]] = [[] for _ in batch]
 
@@ -170,7 +166,7 @@ def run_evaluation(
             rows[b].append(world.format_trajectory_row(
                 b, ep.t, i, uav, db, int(levels[i]), arrived[i], collided[i], disconnected[i]))
 
-    runs = world.rollout(batch, env_truth, choose,
+    runs = world.rollout(batch, rules, env_truth, choose,
                          observe=None if trajectory is None else record)
     if trajectory is not None:
         trajectory.extend(row for trial_rows in rows for row in trial_rows)
@@ -193,26 +189,25 @@ def compare_modes(
     value_net: neuro.NetworkParams,
     map_model: sinrmap.MapModel | None,
     env_truth: radio.RadioEnvironment,
+    rules: StepRules,
     trials: int,
     seed: int,
     gamma: float,
     scenario_kwargs: dict | None = None,
     j_n: int = 4,
-    n_speeds: int = 3,
-    n_headings: int = 5,
     modes=MODES,
     trajectories: dict | None = None,
 ) -> dict[str, MetricsReport]:
-    """Evaluate the selected modes on one seeded scenario stream, sampled once."""
+    """Evaluate the selected modes under rules on one seeded scenario stream, sampled once."""
     oracles = {mode: mode_oracle(mode, env_truth, map_model) for mode in modes}
     scenarios = sample_scenarios(env_truth, trials, seed, scenario_kwargs)
     out = {}
     for mode in modes:
-        policy = NavPolicy(value_net, oracles[mode], gamma, j_n, n_speeds, n_headings)
+        policy = NavPolicy(value_net, oracles[mode], gamma, j_n)
         rows = None
         if trajectories is not None:
             rows = trajectories.setdefault(mode, [])
-        out[mode] = run_evaluation(policy, env_truth, trials, seed, scenarios=scenarios,
+        out[mode] = run_evaluation(policy, env_truth, rules, trials, seed, scenarios=scenarios,
                                    trajectory=rows)
     return out
 

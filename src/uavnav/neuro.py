@@ -109,10 +109,6 @@ class NetworkParams:
     def output_size(self) -> int:
         return self.specs[-1].output_size
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(specs=self.specs, weights=self.weights, biases=self.biases,
-                             standardizer=self.standardizer)
-
 
 def flush_subnormals(*arrays: np.ndarray) -> None:
     """Set every subnormal entry of the given float arrays to 0.0, in place.

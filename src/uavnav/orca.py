@@ -16,7 +16,7 @@ import numpy as np
 
 from . import radio, world
 from .valuetrain import discounted_returns
-from .world import Action, ScenarioConfig, UavState
+from .world import Action, ScenarioConfig, StepRules, UavState
 from .world import to_agent_frame  # noqa: F401  (bench/spans.py traces it here)
 
 EPS = 1e-10
@@ -38,12 +38,6 @@ class HalfPlane:
     def direction(self) -> tuple[float, float]:
         # The directed line whose left side is the permitted half-plane.
         return (self.normal[1], -self.normal[0])
-
-    def permits(self, velocity, tol: float = 1e-12) -> bool:
-        return (
-            (velocity[0] - self.point[0]) * self.normal[0]
-            + (velocity[1] - self.point[1]) * self.normal[1]
-        ) >= -tol
 
 
 @dataclass(frozen=True)
@@ -231,19 +225,19 @@ def preferred_velocity(state: UavState, dt: float, tiebreak_rotation: float = 0.
     return (speed * math.cos(angle), speed * math.sin(angle))
 
 
-def orca_rule(scenarios, config: OrcaConfig, failed: dict):
-    """The ORCA action choice of world.rollout over scenarios: each active agent
-    flies orca_velocity near its preferred velocity, under its own scenario's dt.
+def orca_rule(rules: StepRules, config: OrcaConfig, failed: dict):
+    """The ORCA action choice of world.rollout under rules: each active agent
+    flies orca_velocity near its preferred velocity, over one step of rules.dt.
     A choice that raises ValueError or ArithmeticError, or exceeds max_speed,
     fails its episode b alone: failed[b] keeps the error, and the episode's
     agents hover (speed 0), with no further solver calls, until rollout drops it.
     """
+    dt = rules.dt
 
     def choose(t, agents):
         actions = []
         for b, i, uav, nbs in agents:
             if b not in failed:
-                dt = scenarios[b].dt
                 try:
                     pref = preferred_velocity(uav, dt, tiebreak_rotation=1e-3 * (i + 1))
                     vel = orca_velocity(uav, nbs, pref, config, dt)
@@ -262,6 +256,7 @@ def orca_rule(scenarios, config: OrcaConfig, failed: dict):
 
 def run_orca_episode(
     scenario: ScenarioConfig,
+    rules: StepRules,
     env: radio.RadioEnvironment,
     config: OrcaConfig | None = None,
     j_n: int = 4,
@@ -273,16 +268,16 @@ def run_orca_episode(
     turn-rate limit is not enforced on bootstrap trajectories.
     """
     failed = {}
-    choose = orca_rule([scenario], config or OrcaConfig(), failed)
-    (run,) = world.rollout([scenario], env, choose, j_n=j_n if record_states else None)
+    choose = orca_rule(rules, config or OrcaConfig(), failed)
+    (run,) = world.rollout([scenario], rules, env, choose, j_n=j_n if record_states else None)
     if failed:
         raise failed[0]
     return run
 
 
 def generate_bootstrap_set(
-    scenarios, env: radio.RadioEnvironment, gamma: float, config: OrcaConfig | None = None,
-    j_n: int = 4,
+    scenarios, rules: StepRules, env: radio.RadioEnvironment, gamma: float,
+    config: OrcaConfig | None = None, j_n: int = 4,
 ):
     """State-value pairs from ORCA rollouts, all episodes in lockstep; values
     are raw discounted returns.
@@ -291,7 +286,7 @@ def generate_bootstrap_set(
     in scenario order and skipped counts episodes that failed and were dropped.
     """
     failed = {}
-    runs = world.rollout(scenarios, env, orca_rule(scenarios, config or OrcaConfig(), failed),
+    runs = world.rollout(scenarios, rules, env, orca_rule(rules, config or OrcaConfig(), failed),
                          j_n=j_n)
     pairs: list[tuple[np.ndarray, float]] = []
     for b, (states, rewards, terminals, _) in enumerate(runs):

@@ -235,17 +235,6 @@ class CoverageGrid:
     def ncols(self) -> int:
         return self.levels.shape[1]
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        return (
-            self.xmin + (col + 0.5) * self.resolution,
-            self.ymin + (row + 0.5) * self.resolution,
-        )
-
-    def cell_of(self, position) -> tuple[int, int]:
-        col = int((position[0] - self.xmin) // self.resolution)
-        row = int((position[1] - self.ymin) // self.resolution)
-        return row, col
-
     def level_fraction(self, level: int) -> float:
         return float(np.count_nonzero(self.levels == level)) / self.levels.size
 

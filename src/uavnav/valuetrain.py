@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neuro, radio, world
-from .world import Action, ScenarioConfig, UavState, ground_truth_oracle
+from .world import Action, ScenarioConfig, StepRules, UavState, ground_truth_oracle
 from .world import to_agent_frame  # noqa: F401  (bench/spans.py traces it here)
 
 TARGET_SCALE = 0.25  # keeps worst-case returns out of the tanh saturation zone
@@ -91,8 +91,6 @@ class TrainRunConfig:
     epsilon_decay_fraction: float = 0.4
     agents: int = 4
     j_n: int = 4
-    n_speeds: int = 3
-    n_headings: int = 5
     replay_capacity: int = 100000
     batch_size: int = 200
     learning_rate: float = 1e-3
@@ -138,7 +136,7 @@ def lookahead_select(
     sinr_oracle,
     gamma: float,
     t: int,
-    config: ScenarioConfig,
+    rules: StepRules,
     j_n: int = 4,
     reward_scale: float = TARGET_SCALE,
 ) -> Action:
@@ -146,7 +144,7 @@ def lookahead_select(
     speeds = np.array([[a.speed for a in action_space]])
     headings = np.array([[a.heading for a in action_space]])
     k = lookahead_index(
-        value_net, [self_state], [neighbors], speeds, headings, sinr_oracle, gamma, t, config,
+        value_net, [self_state], [neighbors], speeds, headings, sinr_oracle, gamma, t, rules,
         j_n, reward_scale,
     )
     return action_space[int(k[0])]
@@ -161,7 +159,7 @@ def lookahead_index(
     sinr_oracle,
     gamma: float,
     t: int,
-    config: ScenarioConfig,
+    rules: StepRules,
     j_n: int = 4,
     reward_scale: float = TARGET_SCALE,
 ) -> np.ndarray:
@@ -178,7 +176,7 @@ def lookahead_index(
     """
     if speeds.shape[-1] == 0:
         raise ValueError("empty action space")
-    dt = config.dt
+    dt = rules.dt
     start = np.array([s.position for s in states])
     dest = np.array([s.destination for s in states])
     radii = np.array([s.radius for s in states])
@@ -198,7 +196,7 @@ def lookahead_index(
     frac = np.clip(frac, 0.0, 1.0)
     closest_x, closest_y = px + frac * seg[..., 0], py + frac * seg[..., 1]
     miss = np.hypot(closest_x - dest[:, 0:1], closest_y - dest[:, 1:2])
-    arrived = miss <= config.arrival_tolerance
+    arrived = miss <= rules.arrival_tolerance
     positions = np.where(arrived[..., None], dest[:, None, :], raw_pos)
     state_vel = np.where(arrived[..., None], 0.0, vel)
 
@@ -230,7 +228,7 @@ def lookahead_index(
         coll = np.minimum(coll, ramp.min(axis=1))
 
     rewards = world.transition_rewards(
-        levels, t % config.n_t == 0, coll, arrived, config.movement_penalty
+        levels, t % rules.n_t == 0, coll, arrived, rules.movement_penalty
     )
     moved = np.concatenate([obs[..., 0:2] + obs[..., 2:4] * dt, obs[..., 2:5]], axis=-1)
     feature_rows = world.agent_frame_rows(
@@ -270,12 +268,6 @@ def sample_scenario(
     min_separation: float = 5.0,
     radius: float = 0.5,
     speed_range: tuple[float, float] = (4.0, 8.0),
-    dt: float = 0.5,
-    n_t: int = 4,
-    turn_rate_limit: float = math.pi / 3.0,
-    max_episode_steps: int = 120,
-    arrival_tolerance: float = 0.5,
-    movement_penalty: float = -0.05,
     position_ok=None,
 ) -> ScenarioConfig:
     """Random starts and destinations with pairwise separation and a travel floor.
@@ -320,12 +312,6 @@ def sample_scenario(
         destinations=tuple(dests),
         radii=(radius,) * n_agents,
         max_speeds=speeds,
-        dt=dt,
-        n_t=n_t,
-        turn_rate_limit=turn_rate_limit,
-        max_episode_steps=max_episode_steps,
-        arrival_tolerance=arrival_tolerance,
-        movement_penalty=movement_penalty,
     )
 
 
@@ -333,13 +319,12 @@ def run_episode(
     value_net: neuro.NetworkParams,
     env: radio.RadioEnvironment,
     scenario: ScenarioConfig,
+    rules: StepRules,
     eps: float,
     buffer: ReplayBuffer | None,
     rng: np.random.Generator,
     gamma: float,
     j_n: int = 4,
-    n_speeds: int = 3,
-    n_headings: int = 5,
 ) -> EpisodeLog:
     """One epsilon-greedy episode; visited states get scaled return-to-go targets."""
     oracle = ground_truth_oracle(env)
@@ -347,22 +332,21 @@ def run_episode(
     def choose(t, agents):
         # The exploration coins are drawn in agent order first; the greedy
         # agents then share one lookahead, which draws nothing.
-        speeds, headings = world.action_grids([uav for _, _, uav, _ in agents], scenario,
-                                              n_speeds, n_headings)
+        speeds, headings = world.action_grids([uav for _, _, uav, _ in agents], rules)
         n = speeds.shape[1]
         picks = [int(rng.integers(n)) if rng.random() <= eps else None for _ in agents]
         greedy = [a for a, k in enumerate(picks) if k is None]
         if greedy:
             ks = lookahead_index(
                 value_net, [agents[a][2] for a in greedy], [agents[a][3] for a in greedy],
-                speeds[greedy], headings[greedy], oracle, gamma, t, scenario, j_n=j_n,
+                speeds[greedy], headings[greedy], oracle, gamma, t, rules, j_n=j_n,
             )
             for a, k in zip(greedy, ks):
                 picks[a] = int(k)
         return [Action(speed=float(s[k]), heading=float(h[k]))
                 for s, h, k in zip(speeds, headings, picks)]
 
-    (run,) = world.rollout([scenario], env, choose, j_n=None if buffer is None else j_n)
+    (run,) = world.rollout([scenario], rules, env, choose, j_n=None if buffer is None else j_n)
     if buffer is not None:
         # Agent by agent: its visited states, then its terminal state.
         terminals = dict(run.terminals)
@@ -431,11 +415,13 @@ def train(
     bootstrap_pairs,
     env_base: radio.RadioEnvironment,
     schedule: JammerSchedule,
+    rules: StepRules,
     scenario_kwargs: dict | None = None,
     resume: Checkpoint | None = None,
     on_checkpoint=None,
 ) -> Checkpoint:
-    """Full offline training loop; deterministic under config.seed.
+    """Full offline training loop, every episode under rules; deterministic
+    under config.seed.
 
     Starts from resume when given, training its network, Adam state, buffer
     and curve in place, and otherwise from a network pretrained on the
@@ -476,10 +462,8 @@ def train(
         eps = epsilon(episode, config)
         # Keeps the rollout's forward passes off x86's slow path for subnormals.
         neuro.flush_subnormals(value_net.flat, adam.m, adam.v)
-        log = run_episode(
-            value_net, env, scenario, eps, buffer, rng_ep,
-            config.gamma, j_n=config.j_n, n_speeds=config.n_speeds, n_headings=config.n_headings,
-        )
+        log = run_episode(value_net, env, scenario, rules, eps, buffer, rng_ep, config.gamma,
+                          j_n=config.j_n)
         for _ in range(config.updates_per_episode):
             feats, targets = buffer.sample(config.batch_size, rng_ep)
             update(feats, targets[:, None], config.l2, config.learning_rate)

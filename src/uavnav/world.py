@@ -80,30 +80,44 @@ class StepFlags(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    """Episode-level parameters shared by all agents."""
+class StepRules:
+    """The rules of every step of a run: kinematics (dt, turn_rate_limit),
+    connectivity gating (every n_t steps), the step cap, arrival, scoring
+    (movement_penalty) and the n_speeds x n_headings action grid."""
 
-    starts: tuple[tuple[float, float], ...]
-    destinations: tuple[tuple[float, float], ...]
-    radii: tuple[float, ...]
-    max_speeds: tuple[float, ...]
     dt: float = 0.5
     n_t: int = 4
     turn_rate_limit: float = math.pi / 3.0
     max_episode_steps: int = 120
     arrival_tolerance: float = 0.5
     movement_penalty: float = -0.05
+    n_speeds: int = 3
+    n_headings: int = 5
 
     def __post_init__(self):
-        n = len(self.starts)
-        if not (len(self.destinations) == len(self.radii) == len(self.max_speeds) == n):
-            raise ValueError("starts/destinations/radii/max_speeds lengths differ")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.n_t < 1:
             raise ValueError("n_t must be >= 1")
         if self.max_episode_steps < 1:
             raise ValueError("max_episode_steps must be >= 1")
+        if self.n_speeds < 2 or self.n_headings < 3:
+            raise ValueError("need n_speeds >= 2 and n_headings >= 3")
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """One mission: each agent's start, destination, radius and speed limit."""
+
+    starts: tuple[tuple[float, float], ...]
+    destinations: tuple[tuple[float, float], ...]
+    radii: tuple[float, ...]
+    max_speeds: tuple[float, ...]
+
+    def __post_init__(self):
+        n = len(self.starts)
+        if not (len(self.destinations) == len(self.radii) == len(self.max_speeds) == n):
+            raise ValueError("starts/destinations/radii/max_speeds lengths differ")
         for i in range(n):
             for j in range(i + 1, n):
                 gap = math.hypot(
@@ -112,17 +126,9 @@ class ScenarioConfig:
                 if gap <= self.radii[i] + self.radii[j]:
                     raise ValueError(f"starts of agents {i} and {j} overlap")
 
-    # The fields that one step's action choice reads (action_grid and
-    # valuetrain.lookahead_index); agents of scenarios equal in them can share one.
-    STEP_FIELDS = ("dt", "turn_rate_limit", "n_t", "arrival_tolerance", "movement_penalty")
-
     @property
     def num_agents(self) -> int:
         return len(self.starts)
-
-    @property
-    def step_fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.STEP_FIELDS)
 
     def initial_states(self) -> list[UavState]:
         out = []
@@ -282,51 +288,43 @@ def agent_frame_rows(
 
 
 @lru_cache(maxsize=64)
-def _grid_axes(max_speed: float, max_turn: float, n_speeds: int, n_headings: int):
+def _grid_axes(max_speed: float, rules: StepRules):
     """Speed levels and heading offsets of the action grid (read-only arrays)."""
-    speeds = np.linspace(0.0, max_speed, n_speeds)
-    offsets = np.linspace(-max_turn, max_turn, n_headings)
+    max_turn = rules.dt * rules.turn_rate_limit
+    speeds = np.linspace(0.0, max_speed, rules.n_speeds)
+    offsets = np.linspace(-max_turn, max_turn, rules.n_headings)
     if not np.isclose(offsets, 0.0).any():
         offsets[np.argmin(np.abs(offsets))] = 0.0
-    speeds = np.repeat(speeds, n_headings)
-    offsets = np.tile(offsets, n_speeds)
+    speeds = np.repeat(speeds, rules.n_headings)
+    offsets = np.tile(offsets, rules.n_speeds)
     speeds.flags.writeable = offsets.flags.writeable = False
     return speeds, offsets
 
 
-def action_grids(
-    states, config: ScenarioConfig, n_speeds: int = 3, n_headings: int = 5
-) -> tuple[np.ndarray, np.ndarray]:
+def action_grids(states, rules: StepRules) -> tuple[np.ndarray, np.ndarray]:
     """Speed x heading grids of A states obeying the speed and turn-rate limits.
 
     Returns (speeds, headings), each (A, n_speeds * n_headings), speed-major.
     Every grid contains the hover action (speed 0) and the keep-heading
     action: with an even heading count the grid point closest to the current
-    heading is snapped onto it.  The axes are cached per speed limit, turn
-    limit and grid size; only the wrap around each current orientation is
-    computed here, for all states at once.
+    heading is snapped onto it.  The axes are cached per speed limit and
+    rules; only the wrap around each current orientation is computed here,
+    for all states at once.
     """
-    if n_speeds < 2 or n_headings < 3:
-        raise ValueError("need n_speeds >= 2 and n_headings >= 3")
-    max_turn = config.dt * config.turn_rate_limit
-    axes = [_grid_axes(s.max_speed, max_turn, n_speeds, n_headings) for s in states]
+    axes = [_grid_axes(s.max_speed, rules) for s in states]
     orientations = np.array([[s.orientation] for s in states])
     return np.array([speeds for speeds, _ in axes]), wrap_angles(orientations + axes[0][1])
 
 
-def action_grid(
-    state: UavState, config: ScenarioConfig, n_speeds: int = 3, n_headings: int = 5
-) -> tuple[np.ndarray, np.ndarray]:
+def action_grid(state: UavState, rules: StepRules) -> tuple[np.ndarray, np.ndarray]:
     """action_grids of one state: its (speeds, headings) rows."""
-    speeds, headings = action_grids([state], config, n_speeds, n_headings)
+    speeds, headings = action_grids([state], rules)
     return speeds[0], headings[0]
 
 
-def sample_action_space(
-    state: UavState, config: ScenarioConfig, n_speeds: int = 3, n_headings: int = 5
-) -> list[Action]:
+def sample_action_space(state: UavState, rules: StepRules) -> list[Action]:
     """action_grid as a list of Actions, in the same order."""
-    speeds, headings = action_grid(state, config, n_speeds, n_headings)
+    speeds, headings = action_grid(state, rules)
     return [Action(speed=float(s), heading=float(h)) for s, h in zip(speeds, headings)]
 
 
@@ -385,9 +383,9 @@ def transition_rewards(levels, gated, collision, arrived, movement_penalty):
     """Reward of each transition, elementwise: the connectivity band of the
     post-step SINR level on a gated step, plus the collision penalty (the
     worst collision_ramp over the agent's pairs, 0.0 without one), the
-    arrival bonus where the step arrives, and the movement penalty.  gated
-    and movement_penalty are one value for all transitions or one each;
-    levels may be None when no transition is gated.
+    arrival bonus where the step arrives, and the movement penalty (one
+    value for all transitions).  gated is one value for all transitions or
+    one each; levels may be None when no transition is gated.
     """
     conn = 0.0 if levels is None else np.where(gated, CONNECTIVITY_BANDS[levels], 0.0)
     return conn + collision + ARRIVAL_BONUS * arrived + movement_penalty
@@ -429,11 +427,11 @@ def step_all(
     states: list[EpisodeState],
     actions: list[list[Action | None]],
     env: radio.RadioEnvironment,
-    scenarios: list[ScenarioConfig],
+    rules: StepRules,
 ) -> tuple[list[EpisodeState], list[list[float]], list[StepFlags]]:
-    """Advance the agents of every episode simultaneously: episode b takes
-    actions[b] under scenarios[b].  Returns per episode its new state, each
-    agent's reward total (transition_rewards) and the step's flags.
+    """Advance the agents of every episode simultaneously under rules: episode
+    b takes actions[b].  Returns per episode its new state, each agent's
+    reward total (transition_rewards) and the step's flags.
 
     Arrived agents get None actions, hold position and get reward 0.0; they
     are excluded from collision checks.  Collision pairs are detected by
@@ -443,28 +441,26 @@ def step_all(
     all episodes' agents are each one array operation, so an episode gets
     the bits of a step with it alone.
     """
-    if not len(states) == len(actions) == len(scenarios):
-        raise ValueError("states, actions and scenarios lengths differ")
+    if len(states) != len(actions):
+        raise ValueError("states and actions lengths differ")
     # Per row, every episode's agents in episode-major order: the state before
-    # and after the step, the commanded velocity, whether its episode's step
-    # checks connectivity, and its episode's movement penalty.
+    # and after the step, the commanded velocity and whether its episode's
+    # step checks connectivity.
     uavs: list[UavState] = []
     nxt: list[UavState] = []
     seg_vel: list[tuple[float, float]] = []
     gated: list[bool] = []
-    penalty: list[float] = []
     spans: list[tuple[int, int]] = []  # each episode's rows
     pairs: list[tuple[int, int]] = []  # rows of the agent pairs active in the step
     closest: list[float] = []
-    for state, acts, config in zip(states, actions, scenarios):
+    for state, acts in zip(states, actions):
         prev = state.uavs
         if len(acts) != len(prev):
             raise ValueError(f"expected {len(prev)} actions, got {len(acts)}")
         first = len(uavs)
         spans.append((first, first + len(prev)))
         uavs += prev
-        gated += [state.t % config.n_t == 0] * len(prev)
-        penalty += [config.movement_penalty] * len(prev)
+        gated += [state.t % rules.n_t == 0] * len(prev)
         for i, (uav, act) in enumerate(zip(prev, acts)):
             if uav.arrived and act is not None:
                 raise ValueError(f"agent {i} already arrived but got an action")
@@ -474,7 +470,7 @@ def step_all(
                 nxt.append(uav)
                 seg_vel.append((0.0, 0.0))
             else:
-                nxt.append(propagate(uav, act, config.dt, config.arrival_tolerance))
+                nxt.append(propagate(uav, act, rules.dt, rules.arrival_tolerance))
                 # Collision segments use the commanded motion even when the agent
                 # snaps onto its destination and reports zero velocity afterwards.
                 seg_vel.append(act.velocity())
@@ -488,7 +484,7 @@ def step_all(
         pairs += ep_pairs
         closest += [
             segment_closest_approach(uavs[i].position, seg_vel[i], uavs[j].position, seg_vel[j],
-                                     config.dt)
+                                     rules.dt)
             for i, j in ep_pairs
         ]
 
@@ -514,7 +510,8 @@ def step_all(
         disconnected = (levels == 0) & gated & np.array(acting)
     else:
         levels, disconnected = None, np.zeros(len(nxt), dtype=bool)
-    totals = transition_rewards(levels, gated, np.array(worst_pair), arrived, np.array(penalty))
+    totals = transition_rewards(levels, gated, np.array(worst_pair), arrived,
+                                rules.movement_penalty)
     rewards = [r if a else 0.0 for r, a in zip(totals.tolist(), acting)]
 
     new_states, step_rewards, flags = [], [], []
@@ -572,19 +569,21 @@ class Rollout(NamedTuple):
 
 def rollout(
     scenarios: list[ScenarioConfig],
+    rules: StepRules,
     env: radio.RadioEnvironment,
     choose,
     j_n: int | None = None,
     observe=None,
 ) -> list[Rollout]:
     """The episode loop of bootstrap, training and evaluation: one episode per
-    scenario, stepping in lockstep.
+    scenario, stepping in lockstep under rules.
 
     Every step, choose(t, agents) returns one action per active agent of every
     live episode, given as (b, i, uav, neighbors) in episode-then-agent order
     (neighbors: the other active agents' observables); one step_all call then
     advances every live episode.  An episode leaves the batch when all its
-    agents have arrived, at its step cap, or right after its first collision.
+    agents have arrived or right after its first collision; every episode
+    stops at the step cap.
     With j_n given, each active agent's frame is recorded before it acts, and
     after a collision-free episode so is the terminal frame of each arrived
     agent; their SINR levels quantize the episode's own SINR
@@ -604,7 +603,7 @@ def rollout(
             observe(b, ep, None)
     live = list(range(len(scenarios)))
     t = 0
-    while live:
+    while live and t < rules.max_episode_steps:
         agents = []
         for b in live:
             ep = eps[b]
@@ -618,8 +617,7 @@ def rollout(
         actions: dict[int, list[Action | None]] = {b: [None] * len(eps[b].uavs) for b in live}
         for (b, i, _, _), act in zip(agents, choose(t, agents), strict=True):
             actions[b][i] = act
-        stepped = step_all([eps[b] for b in live], [actions[b] for b in live], env,
-                           [scenarios[b] for b in live])
+        stepped = step_all([eps[b] for b in live], [actions[b] for b in live], env, rules)
         for b, ep, step_rewards, flags in zip(live, *stepped):
             eps[b] = ep
             for i, act in enumerate(actions[b]):
@@ -628,8 +626,7 @@ def rollout(
             if observe is not None:
                 observe(b, ep, flags)
         t += 1
-        live = [b for b in live if not (eps[b].all_arrived or eps[b].any_collision
-                                        or t >= scenarios[b].max_episode_steps)]
+        live = [b for b in live if not (eps[b].all_arrived or eps[b].any_collision)]
     runs = []
     for b, ep in enumerate(eps):
         # Arrived terminals carry zero future value and anchor the value net there.

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ def _recording_oracle(oracle, log):
     return recording
 
 
-def perfect_fit_map(model, value_net, env, trials, seed, gamma, scenario_kwargs,
+def perfect_fit_map(model, value_net, env, rules, trials, seed, gamma, scenario_kwargs,
                     rng, rounds=8):
     """Refine the map until it reproduces the ground truth at every queried
     position of the evaluation stream (the degenerate-equality construction:
@@ -100,7 +101,7 @@ def perfect_fit_map(model, value_net, env, trials, seed, gamma, scenario_kwargs,
         log: list = []
         inner = sinrmap.learned_oracle(model, env.stations, env.uav_altitude)
         policy = nav.NavPolicy(value_net, _recording_oracle(inner, log), gamma)
-        nav.run_evaluation(policy, env, trials, seed, scenario_kwargs=scenario_kwargs)
+        nav.run_evaluation(policy, env, rules, trials, seed, scenario_kwargs=scenario_kwargs)
         pts = np.unique(np.vstack(log), axis=0)
         labels = np.asarray(truth(pts), dtype=int)
         feats = sinrmap.featurize_many(pts, triples, env.uav_altitude, model.k_n)
@@ -233,8 +234,8 @@ class TestCriterion05OrcaSafety:
                     destinations=((dx, dy), (-dx, -dy)),
                     radii=(0.5, 0.5),
                     max_speeds=(float(rng.uniform(3, 6)),) * 2,
-                    max_episode_steps=300,
                 )
+                rules = world.StepRules(max_episode_steps=300)
             else:
                 r = float(rng.uniform(10, 18))
                 phase = float(rng.uniform(0, math.pi / 2))
@@ -247,9 +248,9 @@ class TestCriterion05OrcaSafety:
                     destinations=tuple((-x, -y) for x, y in pts),
                     radii=(0.5,) * 4,
                     max_speeds=(float(rng.uniform(3, 6)),) * 4,
-                    max_episode_steps=400,
                 )
-            _, _, _, ep = orca.run_orca_episode(scenario, strong_env, record_states=False)
+                rules = world.StepRules(max_episode_steps=400)
+            _, _, _, ep = orca.run_orca_episode(scenario, rules, strong_env, record_states=False)
             runs += 1
             if ep.any_collision or not ep.all_arrived:
                 collisions += 1
@@ -387,15 +388,15 @@ class TestCriterion09TableOrdering:
         cfg = desk_run["config"]
         value_net = desk_run["value_net"]
         eval_seed = cfg.seed + cfg.evaluation["seed_offset"]
-        kwargs = cfg.scenario_kwargs(eval_mode=True)
+        kwargs = cfg.scenario_kwargs()
         kwargs["n_agents"] = 4  # 200 trials x 4 agents = 800 agent-trials per cell
         lines = []
         all_ok = True
         for preset in ("center-1w", "southeast-1w"):
             env = cfgmod.load(desk_run["config_path"], preset=preset).env
             reports = nav.compare_modes(
-                value_net, preset_maps[preset], env, trials=200, seed=eval_seed,
-                gamma=cfg.training["gamma"], scenario_kwargs=kwargs,
+                value_net, preset_maps[preset], env, cfg.step_rules(eval_mode=True), trials=200,
+                seed=eval_seed, gamma=cfg.training["gamma"], scenario_kwargs=kwargs,
             )
             s = {m: reports[m].success_rate for m in nav.MODES}
             d = {m: reports[m].disconnection_rate for m in nav.MODES}
@@ -423,15 +424,16 @@ class TestCriterion10JammerOffDegeneracy:
         cfg = desk_run["config"]
         env = cfg.env.without_jammer()
         eval_seed = cfg.seed + cfg.evaluation["seed_offset"]
-        kwargs = cfg.scenario_kwargs(eval_mode=True)
+        kwargs = cfg.scenario_kwargs()
+        rules = cfg.step_rules(eval_mode=True)
         fitted, converged = perfect_fit_map(
-            sinrmap.MapModel(preset_maps["none"].network.copy(), preset_maps["none"].k_n,
+            sinrmap.MapModel(replace(preset_maps["none"].network), preset_maps["none"].k_n,
                              preset_maps["none"].env),
-            desk_run["value_net"], env, 100, eval_seed, cfg.training["gamma"], kwargs,
+            desk_run["value_net"], env, rules, 100, eval_seed, cfg.training["gamma"], kwargs,
             np.random.default_rng(cfg.seed),
         )
         reports = nav.compare_modes(
-            desk_run["value_net"], fitted, env, trials=100, seed=eval_seed,
+            desk_run["value_net"], fitted, env, rules, trials=100, seed=eval_seed,
             gamma=cfg.training["gamma"], scenario_kwargs=kwargs,
         )
         dicts = {

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,20 @@ class TestConfigValidation:
         c = cfgmod.load(None, seed=1)
         assert a.digest == b.digest
         assert a.digest != c.digest
+
+    def test_step_rules_take_the_step_cap_of_the_command(self, tmp_path):
+        """Training and bootstrap fly to world.max_episode_steps, evaluation to
+        evaluation.max_episode_steps; every other rule comes from the world block."""
+        from uavnav import world
+
+        cfg = cfgmod.load(tiny_config(tmp_path, **{"world.max_episode_steps": 70,
+                                                   "evaluation.max_episode_steps": 90}))
+        train, evaluation = cfg.step_rules(), cfg.step_rules(eval_mode=True)
+        assert train.max_episode_steps == 70
+        assert evaluation.max_episode_steps == 90
+        for f in fields(world.StepRules):
+            if f.name != "max_episode_steps":
+                assert getattr(train, f.name) == getattr(evaluation, f.name) == cfg.world[f.name]
 
     def test_syntax_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -688,6 +703,16 @@ class TestBadInputFiles:
                      "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert str(map_path) in err and "jammer-free environment" in err
+
+    def test_repeated_evaluation_mode_rejected(self, tmp_path, capsys):
+        """A mode listed twice would be flown twice into one trajectory file."""
+        value = self._value_model(tmp_path, tiny_config(tmp_path))
+        cfg_path = tiny_config(tmp_path, **{"evaluation.modes": ["perfect", "perfect"]})
+        rc = main(["eval", "--config", str(cfg_path), "--value-model", str(value),
+                   "--out", str(tmp_path / "r.json"), "--trajectories", str(tmp_path / "t")])
+        assert rc == 2
+        assert "evaluation.modes" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "t").exists()
 
     def test_zero_trials_rejected(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path, **{"evaluation.modes": ["perfect"]})

@@ -8,9 +8,12 @@ from uavnav import nav, neuro, radio, sinrmap, valuetrain, world
 from uavnav.nav import (
     MetricsReport, NavPolicy, compare_modes, mode_oracle, navigate_step, run_evaluation,
 )
-from uavnav.world import Action, ScenarioConfig
+from uavnav.world import Action, ScenarioConfig, StepRules
 
 from conftest import single_station_env
+
+
+RULES = StepRules()
 
 
 def zero_value_net(input_size=34):
@@ -38,7 +41,7 @@ def trained_constant_map(env, rng, k_n=2, samples=2000, epochs=30):
 class StraightPolicy:
     """Always full speed at the current heading; ignores everything else."""
 
-    def choose_actions(self, states, neighbors, t, scenario):
+    def choose_actions(self, states, neighbors, t, rules):
         return [Action(speed=state.max_speed, heading=state.orientation) for state in states]
 
 
@@ -68,11 +71,11 @@ class TestNavigateStep:
         pol = mode_policy(net, "perfect", strong_env)
         sc = valuetrain.sample_scenario(np.random.default_rng(2), n_agents=1)
         st = sc.initial_states()[0]
-        space = world.sample_action_space(st, sc, 3, 5)
+        space = world.sample_action_space(st, RULES)
         expected = valuetrain.lookahead_select(
-            net, st, [], space, valuetrain.ground_truth_oracle(strong_env), 0.95, 0, sc
+            net, st, [], space, valuetrain.ground_truth_oracle(strong_env), 0.95, 0, RULES
         )
-        (got,) = navigate_step(pol, [st], [[]], 0, sc)
+        (got,) = navigate_step(pol, [st], [[]], 0, RULES)
         assert got.speed == expected.speed and got.heading == expected.heading
 
     def test_learned_mode_matches_perfect_on_uniform_field(self, strong_env, rng):
@@ -83,10 +86,10 @@ class TestNavigateStep:
         st = sc.initial_states()[0]
         for t in range(4):
             (a1,) = navigate_step(mode_policy(net, "proposed", strong_env, model), [st], [[]],
-                                  t, sc)
-            (a2,) = navigate_step(mode_policy(net, "perfect", strong_env), [st], [[]], t, sc)
+                                  t, RULES)
+            (a2,) = navigate_step(mode_policy(net, "perfect", strong_env), [st], [[]], t, RULES)
             assert a1.speed == a2.speed and a1.heading == a2.heading
-            st = world.propagate(st, a1, sc.dt, sc.arrival_tolerance)
+            st = world.propagate(st, a1, RULES.dt, RULES.arrival_tolerance)
 
     def test_outdated_mode_ignores_jammer(self, rng):
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
@@ -94,8 +97,8 @@ class TestNavigateStep:
         jammed = clean.with_jammer(radio.Jammer(position=(5.0, 0.0), tx_power=1e9))
         sc = valuetrain.sample_scenario(np.random.default_rng(4), n_agents=1)
         st = sc.initial_states()[0]
-        (a_clean,) = navigate_step(mode_policy(net, "outdated", clean), [st], [[]], 0, sc)
-        (a_jammed,) = navigate_step(mode_policy(net, "outdated", jammed), [st], [[]], 0, sc)
+        (a_clean,) = navigate_step(mode_policy(net, "outdated", clean), [st], [[]], 0, RULES)
+        (a_jammed,) = navigate_step(mode_policy(net, "outdated", jammed), [st], [[]], 0, RULES)
         assert a_clean.speed == a_jammed.speed and a_clean.heading == a_jammed.heading
 
     def test_rejects_arrived_agent(self, strong_env):
@@ -104,7 +107,8 @@ class TestNavigateStep:
         st = sc.initial_states()[0]
         st = world.propagate(st, Action(4.0, 0.0), 10.0, arrival_tolerance=100.0)
         with pytest.raises(ValueError):
-            navigate_step(mode_policy(zero_value_net(), "perfect", strong_env), [st], [[]], 0, sc)
+            navigate_step(mode_policy(zero_value_net(), "perfect", strong_env), [st], [[]], 0,
+                          RULES)
 
 
 class TestRunEvaluation:
@@ -113,9 +117,10 @@ class TestRunEvaluation:
         pol = mode_policy(zero_value_net(), "perfect", strong_env)
         adjacent = ScenarioConfig(
             starts=((0.0, 0.0),), destinations=((1.5, 0.0),),
-            radii=(0.5,), max_speeds=(4.0,), max_episode_steps=20,
+            radii=(0.5,), max_speeds=(4.0,),
         )
-        rep = run_evaluation(pol, strong_env, trials=4, seed=5, scenarios=[adjacent])
+        rep = run_evaluation(pol, strong_env, StepRules(max_episode_steps=20), trials=4, seed=5,
+                             scenarios=[adjacent])
         assert rep.success_rate == 1.0
         assert rep.disconnection_rate == 0.0
         assert rep.collision_rate == 0.0
@@ -126,9 +131,10 @@ class TestRunEvaluation:
             sc = ScenarioConfig(
                 starts=((-10.0, 0.0), (10.0, 0.0)),
                 destinations=((10.0, 0.0), (-10.0, 0.0)),
-                radii=(0.5, 0.5), max_speeds=(4.0, 4.0), max_episode_steps=60,
+                radii=(0.5, 0.5), max_speeds=(4.0, 4.0),
             )
-            logs.append(nav.run_trial(StraightPolicy(), sc, strong_env))
+            logs.append(nav.run_trial(StraightPolicy(), sc, StepRules(max_episode_steps=60),
+                                      strong_env))
         rep = MetricsReport.from_trials(logs)
         assert rep.collision_rate == 1.0
         assert rep.success_rate == 0.0
@@ -136,8 +142,8 @@ class TestRunEvaluation:
     def test_rates_are_exact_rationals_and_recomputable(self, strong_env):
         pol = mode_policy(zero_value_net(), "perfect", strong_env)
         rep = run_evaluation(
-            pol, strong_env, trials=5, seed=8,
-            scenario_kwargs={"n_agents": 2, "max_episode_steps": 50},
+            pol, strong_env, StepRules(max_episode_steps=50), trials=5, seed=8,
+            scenario_kwargs={"n_agents": 2},
         )
         succ = sum(sum(log.successes()) for log in rep.per_trial)
         disc = sum(sum(log.disconnected) for log in rep.per_trial)
@@ -151,8 +157,8 @@ class TestRunEvaluation:
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
         pol = mode_policy(net, "perfect", strong_env)
         reps = [
-            run_evaluation(pol, strong_env, trials=3, seed=11,
-                           scenario_kwargs={"n_agents": 2, "max_episode_steps": 60})
+            run_evaluation(pol, strong_env, StepRules(max_episode_steps=60), trials=3, seed=11,
+                           scenario_kwargs={"n_agents": 2})
             for _ in range(2)
         ]
         assert nav.report_to_dict({"perfect": reps[0]}, 11) == nav.report_to_dict(
@@ -165,8 +171,8 @@ class TestCompareModes:
         model, _ = trained_constant_map(strong_env, rng)
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
         reports = compare_modes(
-            net, model, strong_env, trials=3, seed=21, gamma=0.95,
-            scenario_kwargs={"n_agents": 2, "max_episode_steps": 80},
+            net, model, strong_env, StepRules(max_episode_steps=80), trials=3, seed=21,
+            gamma=0.95, scenario_kwargs={"n_agents": 2},
         )
         base = nav.report_to_dict({"m": reports["perfect"]}, 21)["modes"]["m"]
         for mode in ("proposed", "outdated"):
@@ -175,12 +181,12 @@ class TestCompareModes:
 
     def test_proposed_requires_map(self, strong_env):
         with pytest.raises(ValueError):
-            compare_modes(zero_value_net(), None, strong_env, trials=1, seed=1, gamma=0.9)
+            compare_modes(zero_value_net(), None, strong_env, RULES, trials=1, seed=1, gamma=0.9)
 
     def test_report_json_round_trip(self, strong_env, tmp_path):
         pol = mode_policy(zero_value_net(), "perfect", strong_env)
-        rep = run_evaluation(pol, strong_env, trials=2, seed=3,
-                             scenario_kwargs={"n_agents": 1, "max_episode_steps": 40})
+        rep = run_evaluation(pol, strong_env, StepRules(max_episode_steps=40), trials=2, seed=3,
+                             scenario_kwargs={"n_agents": 1})
         path = tmp_path / "report.json"
         nav.write_report_json({"perfect": rep}, path, seed=3, config_digest="beef")
         data = json.loads(path.read_text())
@@ -191,9 +197,8 @@ class TestCompareModes:
     def test_trajectory_rows_schema(self, strong_env):
         pol = mode_policy(zero_value_net(), "perfect", strong_env)
         rows = []
-        run_evaluation(pol, strong_env, trials=1, seed=4,
-                       scenario_kwargs={"n_agents": 2, "max_episode_steps": 30},
-                       trajectory=rows)
+        run_evaluation(pol, strong_env, StepRules(max_episode_steps=30), trials=1, seed=4,
+                       scenario_kwargs={"n_agents": 2}, trajectory=rows)
         assert rows
         n_cols = len(world.TRAJECTORY_COLUMNS.split(","))
         for row in rows:
@@ -210,29 +215,31 @@ class RecklessLookahead:
         self.inner = inner
         self.calls = []
 
-    def choose_actions(self, states, neighbors, t, scenario):
+    def choose_actions(self, states, neighbors, t, rules):
         self.calls.append((t, tuple(len(nbs) for nbs in neighbors)))
-        picked = self.inner.choose_actions(states, neighbors, t, scenario)
+        picked = self.inner.choose_actions(states, neighbors, t, rules)
         return [Action(speed=s.max_speed, heading=s.orientation) if s.max_speed == self.RECKLESS
                 else a for s, a in zip(states, picked)]
 
 
 class TestLockstep:
+    RULES = StepRules(max_episode_steps=40)
+
     def scenarios(self):
         fast = RecklessLookahead.RECKLESS
         head_on = ScenarioConfig(
             starts=((-10.0, 0.0), (10.0, 0.0)), destinations=((10.0, 0.0), (-10.0, 0.0)),
-            radii=(0.5, 0.5), max_speeds=(fast, fast), max_episode_steps=60,
+            radii=(0.5, 0.5), max_speeds=(fast, fast),
         )
-        capped = ScenarioConfig(starts=((0.0, 0.0),), destinations=((60.0, 0.0),),
-                                radii=(0.5,), max_speeds=(4.0,), max_episode_steps=3)
+        # 200 m at 4 m/s takes 100 steps of 0.5 s: it flies to the step cap.
+        capped = ScenarioConfig(starts=((0.0, 0.0),), destinations=((200.0, 0.0),),
+                                radii=(0.5,), max_speeds=(4.0,))
         staggered = ScenarioConfig(
             starts=((0.0, 0.0), (0.0, 10.0), (0.0, 20.0)),
             destinations=((5.0, 0.0), (15.0, 10.0), (25.0, 20.0)),
-            radii=(0.5,) * 3, max_speeds=(fast,) * 3, max_episode_steps=60,
+            radii=(0.5,) * 3, max_speeds=(fast,) * 3,
         )
-        sampled = valuetrain.sample_scenario(np.random.default_rng(7), n_agents=3,
-                                             max_episode_steps=40)
+        sampled = valuetrain.sample_scenario(np.random.default_rng(7), n_agents=3)
         return [head_on, capped, staggered, sampled]
 
     ENV = single_station_env(tx_power=2.0, jammer=radio.Jammer(position=(10.0, 5.0),
@@ -247,13 +254,14 @@ class TestLockstep:
         scenarios = self.scenarios()
         policy = self.policy(rng)
         rows: list = []
-        rep = run_evaluation(policy, env, trials=7, seed=0, scenarios=scenarios, trajectory=rows)
+        rep = run_evaluation(policy, env, self.RULES, trials=7, seed=0, scenarios=scenarios,
+                             trajectory=rows)
         one_rows: list = []
         logs = []
         for trial in range(7):
             trial_rows: list = []
-            logs.append(nav.run_trial(RecklessLookahead(policy.inner), scenarios[trial % 4], env,
-                                      trajectory=trial_rows))
+            logs.append(nav.run_trial(RecklessLookahead(policy.inner), scenarios[trial % 4],
+                                      self.RULES, env, trajectory=trial_rows))
             # run_trial numbers its rows episode 0; renumber them as trial.
             one_rows += [f"{trial}," + row.split(",", 1)[1] for row in trial_rows]
         assert rep == MetricsReport.from_trials(logs)
@@ -262,7 +270,7 @@ class TestLockstep:
         # The batch holds what the lockstep loop has to get right.
         head_on, capped, staggered = rep.per_trial[:3]
         assert all(head_on.collided) and head_on.steps < max(log.steps for log in logs)
-        assert capped.steps == 3 and not any(capped.arrived)
+        assert capped.steps == self.RULES.max_episode_steps and not any(capped.arrived)
         assert rep.per_trial[4:] == rep.per_trial[:3]  # the list is cycled
         first_step = {}  # (episode, agent, flag) -> first step at which the flag is set
         for row in rows:
@@ -278,8 +286,8 @@ class TestLockstep:
     def test_one_decision_call_per_step_covers_every_active_agent(self, rng):
         policy = self.policy(rng)
         rows: list = []
-        run_evaluation(policy, self.ENV, trials=7, seed=0, scenarios=self.scenarios(),
-                       trajectory=rows)
+        run_evaluation(policy, self.ENV, self.RULES, trials=7, seed=0,
+                       scenarios=self.scenarios(), trajectory=rows)
         # A trial's rows at t hold its state before step t; it flew step t if
         # it has rows at t + 1, and its agents not yet arrived then chose.
         parsed = [row.split(",") for row in rows]
@@ -292,37 +300,7 @@ class TestLockstep:
         assert [t for t, _ in policy.calls] == list(range(steps))
         assert [len(counts) for _, counts in policy.calls] == active
 
-    def test_scenarios_of_other_step_fields_rejected(self, rng):
-        sampled = self.scenarios()[-1]
-        other_dt = valuetrain.sample_scenario(np.random.default_rng(8), n_agents=2, dt=0.4,
-                                              max_episode_steps=40)
-        assert sampled.step_fields != other_dt.step_fields
-        with pytest.raises(ValueError, match="differ in"):
-            run_evaluation(self.policy(rng), self.ENV, trials=2, seed=0,
-                           scenarios=[sampled, other_dt])
-
     def test_empty_scenario_list_rejected(self, strong_env):
         with pytest.raises(ValueError, match="scenarios is an empty list"):
             run_evaluation(mode_policy(zero_value_net(), "perfect", strong_env), strong_env,
-                           trials=2, seed=1, scenarios=[])
-
-    def test_group_key_covers_every_scenario_field_a_decision_reads(self, rng):
-        """All trials of an evaluation share one lookahead call per step, which
-        run_evaluation allows only when their scenarios agree on
-        ScenarioConfig.STEP_FIELDS, so one decision must read no other field."""
-        sc = valuetrain.sample_scenario(np.random.default_rng(9), n_agents=3)
-        read = set()
-
-        class Recording:
-            def __getattr__(self, name):
-                read.add(name)
-                return getattr(sc, name)
-
-        ep = world.EpisodeState(uavs=sc.initial_states())
-        env = single_station_env(jammer=radio.Jammer(position=(10.0, 5.0), tx_power=0.5))
-        net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
-        for mode in ("perfect", "outdated"):
-            for t in (0, 1):
-                navigate_step(mode_policy(net, mode, env), ep.uavs,
-                              [ep.neighbors_of(i) for i in range(3)], t, Recording())
-        assert read and read <= set(ScenarioConfig.STEP_FIELDS)
+                           RULES, trials=2, seed=1, scenarios=[])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import hypothesis.strategies as hst
 import numpy as np
@@ -319,7 +320,7 @@ class TestFlatLayout:
                                standardizer=Standardizer.identity(2))
         w[0][0, 0] = 5.0
         assert params.weights[0][0, 0] == 1.0
-        twin = params.copy()
+        twin = replace(params)  # the constructor copies the arrays
         twin.weights[0][0, 0] = 5.0
         assert params.weights[0][0, 0] == 1.0
         assert not np.shares_memory(twin.flat, params.flat)
@@ -490,7 +491,7 @@ class TestLeanTraining:
         x = rng.normal(size=(n, n_in)) * 3
         y = rng.normal(size=n) if flat_targets else rng.normal(size=(n, 1))
         params = init_network(specs, rng, fit_standardizer(x))
-        twin = params.copy()
+        twin = replace(params)  # the constructor copies the arrays
         adam, twin_adam = AdamState.for_params(params), AdamState.for_params(twin)
         cfg = TrainConfig(learning_rate=float(rng.uniform(1e-4, 0.05)), batch_size=batch,
                           l2_coefficient=l2, epochs=epochs)

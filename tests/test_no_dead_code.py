@@ -1,4 +1,5 @@
-"""Every module-level function and class in src/uavnav is used by src/uavnav.
+"""Every module-level function and class in src/uavnav, and every method of
+those classes apart from dunders, is used by src/uavnav.
 
 A name counts as used when a Name or Attribute node anywhere in the package
 refers to it.  Code that only tests or the benchmark call is deleted, or
@@ -35,13 +36,22 @@ ALLOWED = {
 }
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def module_level_definitions() -> dict[str, str]:
-    """Name -> module file of every top-level function and class."""
+    """Name -> module file of every top-level function and class, and of every
+    method (not a dunder) defined in such a class's body."""
     out = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, DEFINITIONS):
                 out[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, DEFINITIONS) and not (
+                            item.name.startswith("__") and item.name.endswith("__")):
+                        out[item.name] = path.name
     return out
 
 

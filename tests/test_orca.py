@@ -13,7 +13,7 @@ from uavnav.orca import (
     preferred_velocity,
     run_orca_episode,
 )
-from uavnav.world import ScenarioConfig, UavState
+from uavnav.world import ScenarioConfig, StepRules, UavState
 
 from conftest import random_env, single_station_env
 
@@ -25,19 +25,20 @@ def make_state(pos, vel=(0, 0), dest=(50, 0), vmax=6.0, radius=1.0):
     )
 
 
-def swap_scenario(gap=20.0, vmax=4.0, radius=0.5, **kw):
-    kw.setdefault("max_episode_steps", 200)
+# A step cap that every swap and circle below reaches its destinations within.
+RULES = StepRules(max_episode_steps=300)
+
+
+def swap_scenario(gap=20.0, vmax=4.0, radius=0.5):
     return ScenarioConfig(
         starts=((-gap / 2, 0.0), (gap / 2, 0.0)),
         destinations=((gap / 2, 0.0), (-gap / 2, 0.0)),
         radii=(radius, radius),
         max_speeds=(vmax, vmax),
-        **kw,
     )
 
 
-def circle_scenario(n=4, r=15.0, vmax=4.0, radius=0.5, **kw):
-    kw.setdefault("max_episode_steps", 300)
+def circle_scenario(n=4, r=15.0, vmax=4.0, radius=0.5):
     starts, dests = [], []
     for k in range(n):
         a = 2 * math.pi * k / n
@@ -45,32 +46,35 @@ def circle_scenario(n=4, r=15.0, vmax=4.0, radius=0.5, **kw):
         dests.append((-r * math.cos(a), -r * math.sin(a)))
     return ScenarioConfig(
         starts=tuple(starts), destinations=tuple(dests),
-        radii=(radius,) * n, max_speeds=(vmax,) * n, **kw,
+        radii=(radius,) * n, max_speeds=(vmax,) * n,
     )
 
 
-# Agents see neighbors only within 4 m, so the fast swap of mixed_scenarios collides.
+# Agents see neighbors only within 4 m, so the fast swap of mixed_groups collides.
 SHORT_SIGHTED = OrcaConfig(neighbor_range=4.0)
 
 
-def mixed_scenarios():
-    """Seeded scenarios of 1-4 agents, each with its own dt and n_t, then a
-    swap that collides under SHORT_SIGHTED and one that hits its step cap."""
+def mixed_groups():
+    """(rules, scenarios) groups, each flown in one lockstep rollout: seeded
+    scenarios of 1-4 agents under three dt and n_t pairs, a swap that
+    collides under SHORT_SIGHTED and one that hits its step cap."""
     from uavnav.valuetrain import sample_scenario
 
     rng = np.random.default_rng(16)
-    scenarios = [
-        sample_scenario(rng, n_agents=k, dt=dt, n_t=n_t, speed_range=(3.0, 8.0))
-        for k, dt, n_t in [(1, 0.5, 4), (2, 0.25, 3), (3, 0.5, 1), (4, 0.4, 4)]
+    one, two, three, four = (sample_scenario(rng, n_agents=k, speed_range=(3.0, 8.0))
+                             for k in (1, 2, 3, 4))
+    return [
+        (StepRules(n_t=4), [one, four, swap_scenario(gap=30.0, vmax=8.0)]),
+        (StepRules(dt=0.25, n_t=3), [two]),
+        (StepRules(n_t=1), [three]),
+        (StepRules(dt=0.3, max_episode_steps=20), [swap_scenario(gap=60.0, vmax=3.0)]),
     ]
-    return scenarios + [swap_scenario(gap=30.0, vmax=8.0),
-                        swap_scenario(gap=60.0, vmax=3.0, dt=0.3, max_episode_steps=20)]
 
 
-def rollout_min_pair_distance(scenario, env, config=None):
-    """Continuous closest approach between any pair over a full ORCA rollout."""
-    _, _, _, ep = run_orca_episode(scenario, env, config)
-    return ep
+def permits(hp, velocity, tol=1e-12) -> bool:
+    """Whether velocity lies in the permitted half-plane hp (up to tol)."""
+    return ((velocity[0] - hp.point[0]) * hp.normal[0]
+            + (velocity[1] - hp.point[1]) * hp.normal[1]) >= -tol
 
 
 class TestHalfPlane:
@@ -84,7 +88,7 @@ class TestHalfPlane:
         me = make_state((0, 0), vel=(0, 0))
         nb = (10.0, 0.0, 0.0, 0.0, 1.0)
         hp = orca_halfplane(me, nb, tau=2.0, dt=0.5)
-        assert hp.permits(me.velocity)
+        assert permits(hp, me.velocity)
 
     def test_head_on_pair_mirror_symmetric(self):
         a = make_state((0, 0), vel=(2, 0))
@@ -115,7 +119,7 @@ class TestHalfPlane:
         nb = (1.0, 0.0, 0.0, 0.0, 1.0)  # overlapping discs (combined radius 2)
         hp = orca_halfplane(me, nb, tau=2.0, dt=0.5)
         # Escape half-plane must exclude staying put.
-        assert not hp.permits((0.0, 0.0))
+        assert not permits(hp, (0.0, 0.0))
         # The permitted side points away from the neighbor.
         assert hp.normal[0] < 0
 
@@ -164,13 +168,13 @@ class TestOrcaVelocity:
 class TestRollouts:
     def test_two_agent_swap_no_collision(self, strong_env):
         scenario = swap_scenario()
-        _, _, _, ep = run_orca_episode(scenario, strong_env)
+        _, _, _, ep = run_orca_episode(scenario, RULES, strong_env)
         assert ep.all_arrived
         assert not ep.any_collision
 
     def test_four_agent_circle_no_collision(self, strong_env):
         scenario = circle_scenario()
-        _, _, _, ep = run_orca_episode(scenario, strong_env)
+        _, _, _, ep = run_orca_episode(scenario, RULES, strong_env)
         assert ep.all_arrived
         assert not ep.any_collision
 
@@ -181,9 +185,10 @@ class TestBootstrapSet:
         dist, vmax, dt, gamma = 30.0, 4.0, 0.5, 0.9
         scenario = ScenarioConfig(
             starts=((0.0, 0.0),), destinations=((dist, 0.0),),
-            radii=(0.5,), max_speeds=(vmax,), dt=dt, movement_penalty=-0.05,
+            radii=(0.5,), max_speeds=(vmax,),
         )
-        pairs, skipped = generate_bootstrap_set([scenario], strong_env, gamma)
+        rules = StepRules(dt=dt, movement_penalty=-0.05)
+        pairs, skipped = generate_bootstrap_set([scenario], rules, strong_env, gamma)
         assert skipped == 0
         n_steps = math.ceil(dist / (vmax * dt))
         assert len(pairs) == n_steps + 1  # visited states + arrived terminal
@@ -195,7 +200,7 @@ class TestBootstrapSet:
 
     def test_two_agent_swap_zero_collisions_recorded(self, strong_env):
         pairs, skipped = generate_bootstrap_set(
-            [swap_scenario()], strong_env, 0.95
+            [swap_scenario()], RULES, strong_env, 0.95
         )
         assert skipped == 0
         # Collision reward never fires at -1 in any stored return: with gamma<1
@@ -206,8 +211,9 @@ class TestBootstrapSet:
         from uavnav.valuetrain import sample_scenario
 
         scenarios = [sample_scenario(rng, n_agents=3) for _ in range(5)]
-        pairs, _ = generate_bootstrap_set(scenarios, strong_env, 0.95)
-        cap = scenarios[0].max_episode_steps
+        rules = StepRules()
+        pairs, _ = generate_bootstrap_set(scenarios, rules, strong_env, 0.95)
+        cap = rules.max_episode_steps
         floor = -(cap * 2.05)  # loose floor: worst per-step penalty is > -2.05
         assert all(floor <= v <= 2.0 for _, v in pairs)
         assert all(len(vec) == 9 + 6 * 4 + 1 for vec, _ in pairs)
@@ -215,7 +221,7 @@ class TestBootstrapSet:
     def test_failing_episode_is_skipped_and_the_others_kept(self, strong_env, monkeypatch):
         bad = circle_scenario(n=3, r=12.0)
         good = [swap_scenario(), circle_scenario()]
-        expected, skipped = generate_bootstrap_set(good, strong_env, 0.95)
+        expected, skipped = generate_bootstrap_set(good, RULES, strong_env, 0.95)
         assert skipped == 0 and expected
         real = orca.orca_velocity
         calls = []
@@ -229,7 +235,8 @@ class TestBootstrapSet:
             return real(self_state, neighbors, pref, config, dt)
 
         monkeypatch.setattr(orca, "orca_velocity", failing)
-        pairs, skipped = generate_bootstrap_set([good[0], bad, good[1]], strong_env, 0.95)
+        pairs, skipped = generate_bootstrap_set([good[0], bad, good[1]], RULES, strong_env,
+                                                0.95)
         assert skipped == 1 and len(calls) == 8
         assert len(pairs) == len(expected)
         for (vec, value), (want_vec, want_value) in zip(pairs, expected):
@@ -239,7 +246,7 @@ class TestBootstrapSet:
     def test_over_speed_velocity_fails_only_its_episode(self, strong_env, monkeypatch):
         bad = circle_scenario(n=3, r=12.0)
         good = [swap_scenario(), circle_scenario()]
-        expected, _ = generate_bootstrap_set(good, strong_env, 0.95)
+        expected, _ = generate_bootstrap_set(good, RULES, strong_env, 0.95)
         real = orca.orca_velocity
 
         def too_fast(self_state, neighbors, pref, config, dt):
@@ -249,10 +256,11 @@ class TestBootstrapSet:
             return real(self_state, neighbors, pref, config, dt)
 
         monkeypatch.setattr(orca, "orca_velocity", too_fast)
-        pairs, skipped = generate_bootstrap_set([good[0], bad, good[1]], strong_env, 0.95)
+        pairs, skipped = generate_bootstrap_set([good[0], bad, good[1]], RULES, strong_env,
+                                                0.95)
         assert skipped == 1
         with pytest.raises(ValueError, match="exceeds max_speed"):
-            run_orca_episode(bad, strong_env)
+            run_orca_episode(bad, RULES, strong_env)
         assert len(pairs) == len(expected)
         for (vec, value), (want_vec, want_value) in zip(pairs, expected):
             assert vec.tobytes() == want_vec.tobytes()
@@ -260,26 +268,29 @@ class TestBootstrapSet:
 
     def test_lockstep_equals_one_episode_at_a_time(self):
         env = random_env(np.random.default_rng(4))
-        scenarios = mixed_scenarios()
-        pairs, skipped = generate_bootstrap_set(scenarios, env, 0.95, SHORT_SIGHTED)
-        expected = []
-        for scenario in scenarios:
-            one, one_skipped = generate_bootstrap_set([scenario], env, 0.95, SHORT_SIGHTED)
-            assert one_skipped == 0
-            expected += one
-        assert skipped == 0
-        assert len({int(vec[-1]) for vec, _ in pairs}) == 3  # every SINR level occurs
-        assert len(pairs) == len(expected)
-        for (vec, value), (want_vec, want_value) in zip(pairs, expected):
-            assert vec.tobytes() == want_vec.tobytes()
-            assert value == want_value
+        levels = set()
+        for rules, scenarios in mixed_groups():
+            pairs, skipped = generate_bootstrap_set(scenarios, rules, env, 0.95, SHORT_SIGHTED)
+            expected = []
+            for scenario in scenarios:
+                one, one_skipped = generate_bootstrap_set([scenario], rules, env, 0.95,
+                                                          SHORT_SIGHTED)
+                assert one_skipped == 0
+                expected += one
+            assert skipped == 0
+            levels |= {int(vec[-1]) for vec, _ in pairs}
+            assert len(pairs) == len(expected)
+            for (vec, value), (want_vec, want_value) in zip(pairs, expected):
+                assert vec.tobytes() == want_vec.tobytes()
+                assert value == want_value
+        assert len(levels) == 3  # every SINR level occurs
 
     def test_no_scenarios_give_no_pairs(self, strong_env):
-        assert generate_bootstrap_set([], strong_env, 0.95) == ([], 0)
+        assert generate_bootstrap_set([], RULES, strong_env, 0.95) == ([], 0)
 
     def test_orca_episode_is_its_part_of_the_lockstep_rollout(self, monkeypatch):
         env = random_env(np.random.default_rng(4))
-        scenarios = mixed_scenarios()
+        groups = mixed_groups()
         runs = []
         real_rollout = world.rollout
 
@@ -289,12 +300,14 @@ class TestBootstrapSet:
             return out
 
         monkeypatch.setattr(world, "rollout", recording_rollout)
-        generate_bootstrap_set(scenarios, env, 0.95, SHORT_SIGHTED)
-        assert len(runs) == len(scenarios)
+        for rules, scenarios in groups:
+            generate_bootstrap_set(scenarios, rules, env, 0.95, SHORT_SIGHTED)
+        flown = [(rules, scenario) for rules, scenarios in groups for scenario in scenarios]
+        assert len(runs) == len(flown)
         monkeypatch.setattr(world, "rollout", real_rollout)
         collided = capped = 0
-        for scenario, run in zip(scenarios, runs):
-            alone = run_orca_episode(scenario, env, SHORT_SIGHTED)
+        for (rules, scenario), run in zip(flown, runs):
+            alone = run_orca_episode(scenario, rules, env, SHORT_SIGHTED)
             assert [[f.tobytes() for f in fs] for fs in run.frames] == [
                 [f.tobytes() for f in fs] for fs in alone.frames]
             assert run.rewards == alone.rewards
@@ -303,13 +316,13 @@ class TestBootstrapSet:
             assert run.final == alone.final
             assert run.final.sinr.tobytes() == alone.final.sinr.tobytes()
             collided += run.final.any_collision
-            capped += run.final.t == scenario.max_episode_steps and not run.final.all_arrived
+            capped += run.final.t == rules.max_episode_steps and not run.final.all_arrived
         assert collided == 1 and capped == 1
 
     def test_export_import_round_trip(self, strong_env, tmp_path):
         from uavnav import neuro
 
-        pairs, _ = generate_bootstrap_set([swap_scenario()], strong_env, 0.95)
+        pairs, _ = generate_bootstrap_set([swap_scenario()], RULES, strong_env, 0.95)
         std = neuro.fit_standardizer(np.stack([p[0] for p in pairs]))
         path = tmp_path / "boot.csv"
         orca.write_bootstrap_csv(pairs, path, std, extra_comments=("digest=xyz",))

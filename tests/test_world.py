@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import hypothesis.strategies as hst
 import numpy as np
@@ -11,6 +11,7 @@ from uavnav.world import (
     Action,
     EpisodeState,
     ScenarioConfig,
+    StepRules,
     UavState,
     collision_ramp,
     propagate,
@@ -25,9 +26,12 @@ from uavnav.world import (
 from conftest import single_station_env
 
 
-def step_one(state, actions, env, cfg):
+RULES = StepRules()
+
+
+def step_one(state, actions, env, rules=RULES):
     """step_all on a batch of one episode."""
-    (nxt,), (rewards,), (flags,) = step_all([state], [actions], env, [cfg])
+    (nxt,), (rewards,), (flags,) = step_all([state], [actions], env, rules)
     return nxt, rewards, flags
 
 
@@ -38,11 +42,11 @@ def make_state(pos=(0, 0), vel=(0, 0), dest=(50, 0), vmax=6.0, radius=0.5, orien
     )
 
 
-def two_agent_config(starts, dests, vmax=6.0, **kw):
+def two_agent_config(starts, dests, vmax=6.0):
     n = len(starts)
     return ScenarioConfig(
         starts=tuple(starts), destinations=tuple(dests),
-        radii=(0.5,) * n, max_speeds=(vmax,) * n, **kw,
+        radii=(0.5,) * n, max_speeds=(vmax,) * n,
     )
 
 
@@ -180,25 +184,24 @@ class TestAgentFrame:
 class TestActionSpace:
     def test_grid_size_and_required_members(self):
         st = make_state(vmax=4.0, orientation=0.3)
-        cfg = two_agent_config([(0, 0)], [(50, 0)])
-        space = sample_action_space(st, cfg, n_speeds=2, n_headings=3)
+        space = sample_action_space(st, StepRules(n_speeds=2, n_headings=3))
         assert len(space) == 6
         assert any(a.speed == 0.0 and a.heading == pytest.approx(0.3) for a in space)
 
     def test_heading_extremes(self):
         st = make_state(orientation=0.0)
-        cfg = two_agent_config([(0, 0)], [(50, 0)], turn_rate_limit=math.pi / 3, dt=0.5)
-        space = sample_action_space(st, cfg, n_speeds=2, n_headings=3)
+        rules = StepRules(turn_rate_limit=math.pi / 3, dt=0.5, n_speeds=2, n_headings=3)
+        space = sample_action_space(st, rules)
         headings = sorted({a.heading for a in space})
         assert headings[0] == pytest.approx(-math.pi / 6)
         assert headings[-1] == pytest.approx(math.pi / 6)
 
     def test_constraints_hold_for_all_actions(self, rng):
-        cfg = two_agent_config([(0, 0)], [(50, 0)], turn_rate_limit=1.2, dt=0.4)
+        rules = StepRules(turn_rate_limit=1.2, dt=0.4, n_speeds=4, n_headings=6)
         for _ in range(50):
             ori = float(rng.uniform(-math.pi, math.pi))
             st = make_state(vmax=float(rng.uniform(1, 9)), orientation=ori)
-            space = sample_action_space(st, cfg, n_speeds=4, n_headings=6)
+            space = sample_action_space(st, rules)
             assert len(space) == 24
             for a in space:
                 assert 0.0 <= a.speed <= st.max_speed + 1e-12
@@ -206,12 +209,6 @@ class TestActionSpace:
                 assert turn <= 1.2 * 0.4 + 1e-9
             # keep-heading action present even with an even heading count
             assert any(a.heading == pytest.approx(wrap_angle(ori)) for a in space)
-
-    def test_rejects_tiny_grids(self):
-        st = make_state()
-        cfg = two_agent_config([(0, 0)], [(50, 0)])
-        with pytest.raises(ValueError):
-            sample_action_space(st, cfg, n_speeds=1, n_headings=3)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -226,10 +223,11 @@ class TestActionSpace:
         self, orientation, vmax, dt, turn_rate, n_speeds, n_headings
     ):
         st = make_state(vmax=vmax, orientation=orientation)
-        cfg = two_agent_config([(0, 0)], [(50, 0)], dt=dt, turn_rate_limit=turn_rate)
-        speeds, headings = world.action_grid(st, cfg, n_speeds, n_headings)
+        rules = StepRules(dt=dt, turn_rate_limit=turn_rate, n_speeds=n_speeds,
+                          n_headings=n_headings)
+        speeds, headings = world.action_grid(st, rules)
         # The per-action scalar construction, bit for bit.
-        max_turn = cfg.dt * cfg.turn_rate_limit
+        max_turn = rules.dt * rules.turn_rate_limit
         offsets = np.linspace(-max_turn, max_turn, n_headings)
         if not np.isclose(offsets, 0.0).any():
             offsets[np.argmin(np.abs(offsets))] = 0.0
@@ -239,7 +237,7 @@ class TestActionSpace:
             for o in offsets
         ]
         assert np.column_stack([speeds, headings]).tobytes() == np.array(expected).tobytes()
-        space = sample_action_space(st, cfg, n_speeds, n_headings)
+        space = sample_action_space(st, rules)
         assert [(a.speed, a.heading) for a in space] == expected
 
     @settings(max_examples=100, deadline=None)
@@ -254,11 +252,12 @@ class TestActionSpace:
     def test_action_grids_equal_per_state_grids(self, agents, dt, turn_rate, n_speeds,
                                                 n_headings):
         states = [make_state(vmax=v, orientation=o) for v, o in agents]
-        cfg = two_agent_config([(0, 0)], [(50, 0)], dt=dt, turn_rate_limit=turn_rate)
-        speeds, headings = world.action_grids(states, cfg, n_speeds, n_headings)
+        rules = StepRules(dt=dt, turn_rate_limit=turn_rate, n_speeds=n_speeds,
+                          n_headings=n_headings)
+        speeds, headings = world.action_grids(states, rules)
         assert speeds.shape == headings.shape == (len(states), n_speeds * n_headings)
         for st, s, h in zip(states, speeds, headings):
-            one_s, one_h = world.action_grid(st, cfg, n_speeds, n_headings)
+            one_s, one_h = world.action_grid(st, rules)
             assert s.tobytes() == one_s.tobytes() and h.tobytes() == one_h.tobytes()
 
     @settings(max_examples=500)
@@ -303,11 +302,10 @@ class TestPropagate:
         assert out.arrived and out.position == (1.0, 0.0)
 
     def test_speed_limit_preserved(self, rng):
-        cfg = two_agent_config([(0, 0)], [(50, 0)])
         for _ in range(50):
             st = make_state(vmax=float(rng.uniform(1, 9)))
-            for a in sample_action_space(st, cfg, 3, 5):
-                out = propagate(st, a, cfg.dt)
+            for a in sample_action_space(st, RULES):
+                out = propagate(st, a, RULES.dt)
                 assert math.hypot(*out.velocity) <= st.max_speed + 1e-12
 
 
@@ -386,20 +384,20 @@ class TestStepAll:
         ep = EpisodeState(uavs=cfg.initial_states())
         # Full-speed head-on: they swap sides within one step, crossing mid-segment.
         actions = [Action(8.0, 0.0), Action(8.0, math.pi)]
-        ep2, rewards, flags = step_one(ep, actions, strong_env, cfg)
+        ep2, rewards, flags = step_one(ep, actions, strong_env)
         assert flags.collided.tolist() == [True, True]
-        assert rewards == [0.0 + -1.0 + 0.0 + cfg.movement_penalty] * 2
+        assert rewards == [0.0 + -1.0 + 0.0 + RULES.movement_penalty] * 2
         assert ep2.any_collision
 
     def test_straight_run_arrives_in_kinematic_steps(self, strong_env):
         dist, vmax, dt = 30.0, 4.0, 0.5
-        cfg = two_agent_config([(0, 0)], [(dist, 0)], vmax=vmax, dt=dt)
+        cfg = two_agent_config([(0, 0)], [(dist, 0)], vmax=vmax)
         ep = EpisodeState(uavs=cfg.initial_states())
         expected_steps = math.ceil(dist / (vmax * dt))
         steps = 0
         while not ep.all_arrived:
             ep, _, _ = step_one(ep, [Action(vmax, 0.0)] if not ep.uavs[0].arrived else [None],
-                                strong_env, cfg)
+                                strong_env, StepRules(dt=dt))
             steps += 1
             assert steps <= expected_steps
         assert steps == expected_steps
@@ -408,37 +406,37 @@ class TestStepAll:
         env = single_station_env(tx_power=1e-9)  # hopeless coverage
         cfg = two_agent_config([(0, 0)], [(40, 0)])
         ep = EpisodeState(uavs=cfg.initial_states())
-        ep, rewards, flags = step_one(ep, [Action(4.0, 0.0)], env, cfg)  # t=0 gated
+        ep, rewards, flags = step_one(ep, [Action(4.0, 0.0)], env)  # t=0 gated
         assert flags.disconnected.tolist() == [True]
-        assert rewards == [-1.0 + 0.0 + 0.0 + cfg.movement_penalty]
+        assert rewards == [-1.0 + 0.0 + 0.0 + RULES.movement_penalty]
         assert ep.ever_disconnected == [True]
-        ep, rewards, flags = step_one(ep, [Action(4.0, 0.0)], env, cfg)  # t=1 not gated
+        ep, rewards, flags = step_one(ep, [Action(4.0, 0.0)], env)  # t=1 not gated
         assert flags.disconnected.tolist() == [False]
-        assert rewards == [cfg.movement_penalty]
+        assert rewards == [RULES.movement_penalty]
         assert ep.ever_disconnected == [True]
 
     def test_arrived_agents_hold_and_are_ignored(self, strong_env):
         cfg = two_agent_config([(0, 0), (10, 0)], [(0.5, 0), (-40, 0)], vmax=4.0)
         ep = EpisodeState(uavs=cfg.initial_states())
-        ep, rewards, flags = step_one(ep, [Action(4.0, 0.0), Action(4.0, math.pi)], strong_env,
-                                      cfg)
+        ep, rewards, flags = step_one(ep, [Action(4.0, 0.0), Action(4.0, math.pi)],
+                                      strong_env)
         assert flags.arrived.tolist() == [True, False]
-        assert rewards[0] == 0.0 + 0.0 + world.ARRIVAL_BONUS + cfg.movement_penalty
+        assert rewards[0] == 0.0 + 0.0 + world.ARRIVAL_BONUS + RULES.movement_penalty
         # Arrived agent 0 sits at its destination; agent 1 passes right through it.
         for _ in range(3):
-            ep, rewards, flags = step_one(ep, [None, Action(4.0, math.pi)], strong_env, cfg)
+            ep, rewards, flags = step_one(ep, [None, Action(4.0, math.pi)], strong_env)
             assert flags.arrived.tolist() == [True, False]
             assert flags.collided.tolist() == [False, False]
-            assert rewards == [0.0, cfg.movement_penalty]
+            assert rewards == [0.0, RULES.movement_penalty]
         assert ep.uavs[0].position == (0.5, 0.0)
 
     def test_action_count_and_none_mismatch_rejected(self, strong_env):
         cfg = two_agent_config([(0, 0), (10, 0)], [(40, 0), (-40, 0)])
         ep = EpisodeState(uavs=cfg.initial_states())
         with pytest.raises(ValueError):
-            step_one(ep, [Action(1.0, 0.0)], strong_env, cfg)
+            step_one(ep, [Action(1.0, 0.0)], strong_env)
         with pytest.raises(ValueError):
-            step_one(ep, [Action(1.0, 0.0), None], strong_env, cfg)
+            step_one(ep, [Action(1.0, 0.0), None], strong_env)
 
     def test_deterministic(self, strong_env):
         cfg = two_agent_config([(0, 0), (10, 5)], [(40, 0), (-40, 5)])
@@ -446,7 +444,7 @@ class TestStepAll:
         for _ in range(2):
             ep = EpisodeState(uavs=cfg.initial_states())
             ep, rewards, _ = step_one(
-                ep, [Action(3.0, 0.1), Action(2.0, math.pi - 0.1)], strong_env, cfg
+                ep, [Action(3.0, 0.1), Action(2.0, math.pi - 0.1)], strong_env
             )
             runs.append((tuple(ep.uavs[0].position), rewards))
         assert runs[0] == runs[1]
@@ -481,24 +479,24 @@ class TestStepAllCollisionProperty:
         actions = [Action(v, h) for _, _, _, v, h in agents]
         ep = EpisodeState(uavs=cfg.initial_states())
         env = single_station_env(tx_power=1e6)
-        ep2, rewards, flags = step_one(ep, actions, env, cfg)
+        ep2, rewards, flags = step_one(ep, actions, env)
         levels = radio.quantize_many(ep2.sinr, env)
         for i in range(len(agents)):
             dists = {
                 j: segment_closest_approach(starts[i], actions[i].velocity(), starts[j],
-                                            actions[j].velocity(), cfg.dt)
+                                            actions[j].velocity(), RULES.dt)
                 for j in range(len(agents)) if j != i
             }
             worst = min(0.0, min(float(collision_ramp(d - radii[i] - radii[j]))
                                  for j, d in dists.items()))
             conn = float(world.CONNECTIVITY_BANDS[levels[i]])  # t = 0 is gated
-            assert rewards[i] == conn + worst + 0.0 + cfg.movement_penalty
+            assert rewards[i] == conn + worst + 0.0 + RULES.movement_penalty
             assert flags.collided[i] == any(
                 d <= radii[i] + radii[j] for j, d in dists.items()
             )
 
 
-def reference_step_terms(state, actions, nxt, sinr_next, env, cfg):
+def reference_step_terms(state, actions, nxt, sinr_next, env, rules):
     """Per agent, the scalar reward terms of its step (connectivity, collision,
     arrival, movement), or None for an agent that had arrived before the step.
 
@@ -513,7 +511,7 @@ def reference_step_terms(state, actions, nxt, sinr_next, env, cfg):
             out.append(None)
             continue
         s = float(sinr_next[i])
-        if state.t % cfg.n_t != 0:
+        if state.t % rules.n_t != 0:
             conn = 0.0
         elif s < env.sinr_threshold:
             conn = -1.0
@@ -526,18 +524,19 @@ def reference_step_terms(state, actions, nxt, sinr_next, env, cfg):
             if j == i or other.arrived:
                 continue
             d = segment_closest_approach(uav.position, actions[i].velocity(), other.position,
-                                         actions[j].velocity(), cfg.dt)
+                                         actions[j].velocity(), rules.dt)
             gap = d - uav.radius - other.radius
             pen = -1.0 if gap <= 0.0 else -(1.0 - gap / 0.2) if gap <= 0.2 else 0.0
             worst = min(worst, pen)
-        out.append((conn, worst, 2.0 if nxt[i].arrived else 0.0, cfg.movement_penalty))
+        out.append((conn, worst, 2.0 if nxt[i].arrived else 0.0, rules.movement_penalty))
     return out
 
 
-def random_step(rng, n, **scenario_kw):
+def random_step(rng, n, **rules_kw):
     """One random joint step of n agents within a few metres of each other:
     about a quarter have arrived and hold, half the others head straight for
-    their nearby destination.  Returns (state, actions, scenario)."""
+    their nearby destination.  Returns (state, actions, rules), the rules
+    with a random movement penalty."""
     center = rng.uniform(-60.0, 60.0, 2)
     # Radii off a round grid keep the ramp's low bits busy.
     radii = tuple(float(r) for r in rng.uniform(0.3, 0.8, n))
@@ -549,8 +548,8 @@ def random_step(rng, n, **scenario_kw):
             starts.append(p)
     dests = [tuple(np.add(p, rng.uniform(-3.0, 3.0, 2))) for p in starts]
     cfg = ScenarioConfig(starts=tuple(starts), destinations=tuple(dests),
-                         radii=radii, max_speeds=(6.0,) * n,
-                         movement_penalty=float(rng.uniform(-0.1, 0.0)), **scenario_kw)
+                         radii=radii, max_speeds=(6.0,) * n)
+    rules = StepRules(movement_penalty=float(rng.uniform(-0.1, 0.0)), **rules_kw)
     held = rng.random(n) < 0.25
     uavs = [replace(u, position=u.destination, arrived=True) if h else u
             for u, h in zip(cfg.initial_states(), held)]
@@ -559,7 +558,7 @@ def random_step(rng, n, **scenario_kw):
         float(rng.uniform(0.0, 6.0)),
         u.orientation if rng.random() < 0.5 else float(rng.uniform(-math.pi, math.pi)),
     ) for u, h in zip(uavs, held)]
-    return state, actions, cfg
+    return state, actions, rules
 
 
 class TestStepAllRewardsBitForBit:
@@ -570,10 +569,10 @@ class TestStepAllRewardsBitForBit:
                               "band, ramp and arrival"), 0)
         seen_levels = set()
         for _ in range(3000):
-            state, actions, cfg = random_step(rng, int(rng.integers(1, 5)))
+            state, actions, rules = random_step(rng, int(rng.integers(1, 5)))
             held = np.array([a is None for a in actions])
-            nxt, rewards, _ = step_one(state, actions, env, cfg)
-            terms = reference_step_terms(state, actions, nxt.uavs, nxt.sinr, env, cfg)
+            nxt, rewards, _ = step_one(state, actions, env, rules)
+            terms = reference_step_terms(state, actions, nxt.uavs, nxt.sinr, env, rules)
             expected = [0.0 if k is None else k[0] + k[1] + k[2] + k[3] for k in terms]
             assert rewards == expected
             assert [r.hex() for r in rewards] == [e.hex() for e in expected]
@@ -584,7 +583,7 @@ class TestStepAllRewardsBitForBit:
             seen["band, ramp and arrival"] += any(k[0] and -1.0 < k[1] < 0.0 and k[2]
                                                   for k in live)
             seen["held"] += bool(held.any())
-            seen["gated" if state.t % cfg.n_t == 0 else "ungated"] += 1
+            seen["gated" if state.t % rules.n_t == 0 else "ungated"] += 1
             seen_levels.update(radio.quantize_many(nxt.sinr, env)[~held].tolist())
         assert min(seen.values()) > 0, seen
         assert seen_levels == {0, 1, 2}
@@ -596,20 +595,20 @@ class TestStepAllBatch:
     ENV = single_station_env(jammer=radio.Jammer(position=(20.0, 0.0), tx_power=1e-4))
 
     @settings(max_examples=150, deadline=None)
-    @given(episodes=hst.lists(
-        hst.tuples(hst.integers(1, 4), hst.sampled_from((0.3, 0.5, 0.8)), hst.integers(1, 4),
-                   hst.integers(0, 2**32 - 1)),
-        min_size=1, max_size=6,
-    ))
-    def test_batch_equals_one_episode_at_a_time(self, episodes):
+    @given(
+        dt=hst.sampled_from((0.3, 0.5, 0.8)), n_t=hst.integers(1, 4),
+        episodes=hst.lists(hst.tuples(hst.integers(1, 4), hst.integers(0, 2**32 - 1)),
+                           min_size=1, max_size=6),
+    )
+    def test_batch_equals_one_episode_at_a_time(self, dt, n_t, episodes):
         steps = [random_step(np.random.default_rng(seed), n, dt=dt, n_t=n_t)
-                 for n, dt, n_t, seed in episodes]
-        states, actions, scenarios = (list(part) for part in zip(*steps))
-        batch = step_all(states, actions, self.ENV, scenarios)
+                 for n, seed in episodes]
+        states, actions, _ = (list(part) for part in zip(*steps))
+        rules = steps[0][2]
+        batch = step_all(states, actions, self.ENV, rules)
         assert [len(part) for part in batch] == [len(steps)] * 3
         for b, (nxt, rewards, flags) in enumerate(zip(*batch)):
-            one, one_rewards, one_flags = step_one(states[b], actions[b], self.ENV,
-                                                   scenarios[b])
+            one, one_rewards, one_flags = step_one(states[b], actions[b], self.ENV, rules)
             assert nxt == one  # agents, t and the ever-flags
             assert nxt.sinr.tobytes() == one.sinr.tobytes()
             assert [r.hex() for r in rewards] == [r.hex() for r in one_rewards]
@@ -618,23 +617,23 @@ class TestStepAllBatch:
                 assert got.tobytes() == want.tobytes()
 
     def test_batch_reaches_every_case(self):
-        """The drawn steps mix arrived agents, contacts, gated and ungated
-        steps, and scenarios apart in dt, n_t and movement penalty."""
+        """The drawn steps mix arrived agents, contacts, and gated and ungated
+        episodes."""
         rng = np.random.default_rng(5)
-        steps = [random_step(rng, 4, dt=dt, n_t=n_t) for dt, n_t in ((0.3, 1), (0.8, 3)) * 3]
-        states, actions, scenarios = (list(part) for part in zip(*steps))
-        nxt, _, flags = step_all(states, actions, self.ENV, scenarios)
+        steps = [random_step(rng, 4, dt=0.8, n_t=3) for _ in range(6)]
+        states, actions, _ = (list(part) for part in zip(*steps))
+        rules = steps[0][2]
+        nxt, _, flags = step_all(states, actions, self.ENV, rules)
         assert any(a is None for acts in actions for a in acts)
         assert any(f.collided.any() for f in flags)
-        assert {s.t % sc.n_t == 0 for s, sc in zip(states, scenarios)} == {True, False}
-        assert len({sc.movement_penalty for sc in scenarios}) == len(scenarios)
+        assert {s.t % rules.n_t == 0 for s in states} == {True, False}
         assert all(ep.t == s.t + 1 for ep, s in zip(nxt, states))
 
     def test_length_mismatch_rejected(self, strong_env):
         cfg = two_agent_config([(0, 0)], [(40, 0)])
         ep = EpisodeState(uavs=cfg.initial_states())
         with pytest.raises(ValueError, match="lengths differ"):
-            step_all([ep, ep], [[Action(1.0, 0.0)]], strong_env, [cfg, cfg])
+            step_all([ep, ep], [[Action(1.0, 0.0)]], strong_env, RULES)
 
 
 class TestScenarioConfig:
@@ -653,6 +652,20 @@ class TestScenarioConfig:
         cfg = two_agent_config([(0, 0)], [(0, 30)])
         st = cfg.initial_states()[0]
         assert st.orientation == pytest.approx(math.pi / 2)
+
+    def test_holds_only_the_mission(self):
+        assert [f.name for f in fields(ScenarioConfig)] == [
+            "starts", "destinations", "radii", "max_speeds"]
+
+
+class TestStepRules:
+    @pytest.mark.parametrize("bad", [
+        {"dt": 0.0}, {"dt": -0.5}, {"n_t": 0}, {"max_episode_steps": 0},
+        {"n_speeds": 1}, {"n_headings": 2},
+    ], ids=["zero-dt", "negative-dt", "zero-n_t", "zero-step-cap", "one-speed", "two-headings"])
+    def test_rejects_bad_rules(self, bad):
+        with pytest.raises(ValueError):
+            StepRules(**bad)
 
 
 class TestTrajectoryFormat:
@@ -677,8 +690,9 @@ class TestRolloutRecordsTrueLevels:
     SCENARIO = ScenarioConfig(
         starts=((-18.0, -10.0), (-20.0, 0.0), (-1.5, 25.0)),
         destinations=((-38.0, -10.0), (-40.0, 0.0), (0.0, 25.0)),
-        radii=(0.5,) * 3, max_speeds=(4.0,) * 3, max_episode_steps=20,
+        radii=(0.5,) * 3, max_speeds=(4.0,) * 3,
     )
+    RULES = StepRules(max_episode_steps=20)
 
     def spy_frames(self, monkeypatch):
         made = {}  # id(frame) -> (position, frame); holding the frame keeps its id unique
@@ -715,7 +729,7 @@ class TestRolloutRecordsTrueLevels:
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"),
                                  np.random.default_rng(2))
         buf = valuetrain.ReplayBuffer(1000)
-        log = valuetrain.run_episode(net, self.ENV, self.SCENARIO, 0.5, buf,
+        log = valuetrain.run_episode(net, self.ENV, self.SCENARIO, self.RULES, 0.5, buf,
                                      np.random.default_rng(1), 0.95)
         assert any(log.arrived)
         (run,) = runs
@@ -728,7 +742,7 @@ class TestRolloutRecordsTrueLevels:
 
     def test_orca_episode(self, monkeypatch):
         made = self.spy_frames(monkeypatch)
-        run = orca.run_orca_episode(self.SCENARIO, self.ENV)
+        run = orca.run_orca_episode(self.SCENARIO, self.RULES, self.ENV)
         assert all(u.arrived for u in run.final.uavs)
         self.check(run, made)
 
@@ -737,7 +751,7 @@ class TestRolloutRecordsTrueLevels:
         policy = nav.NavPolicy(neuro.init_network(
             neuro.dense_specs(34, (8,), 1, "relu", "tanh"), np.random.default_rng(2)),
             world.ground_truth_oracle(self.ENV), 0.95)
-        nav.run_trial(policy, self.SCENARIO, self.ENV, trajectory=rows)
+        nav.run_trial(policy, self.SCENARIO, self.RULES, self.ENV, trajectory=rows)
         sinr = radio.sinr_many(self.ENV, np.array(self.SCENARIO.starts))
         levels = radio.quantize_many(sinr, self.ENV)
         first = [row.split(",") for row in rows if row.split(",")[1] == "0"]

@@ -54,11 +54,8 @@ def cmd_bootstrap(cfg: cfgmod.RunConfig, out_path: str) -> None:
     orca_cfg = orca.OrcaConfig(
         time_horizon=t["orca_time_horizon"], neighbor_range=t["orca_neighbor_range"]
     )
-    ok = valuetrain.coverage_predicate(env)
-    scenarios = [
-        valuetrain.sample_scenario(rng, position_ok=ok, **cfg.scenario_kwargs())
-        for _ in range(t["bootstrap_episodes"])
-    ]
+    missions = cfg.missions()
+    scenarios = [missions.sample(rng, env) for _ in range(t["bootstrap_episodes"])]
     pairs, skipped = orca.generate_bootstrap_set(
         scenarios, cfg.step_rules(), env, t["gamma"], orca_cfg, j_n=cfg.world["j_n"]
     )
@@ -84,7 +81,7 @@ def cmd_train(cfg: cfgmod.RunConfig, bootstrap_path: str, out_dir: str,
     start = _read_checkpoint(out, cfg) if resume else None
     last = valuetrain.train(
         run_cfg, pairs, cfg.env.without_jammer(), cfg.jammer_schedule(), cfg.step_rules(),
-        scenario_kwargs=cfg.scenario_kwargs(), resume=start,
+        cfg.missions(), resume=start,
         on_checkpoint=lambda checkpoint: _write_checkpoint(out, cfg, checkpoint),
     )
     print(
@@ -290,9 +287,9 @@ def cmd_eval(cfg: cfgmod.RunConfig, value_path: str, map_path: str | None,
     eval_seed = cfg.seed + cfg.evaluation["seed_offset"]
     trajectories: dict | None = {} if trajectories_dir else None
     reports = nav.compare_modes(
-        value_net, map_model, cfg.env, cfg.step_rules(eval_mode=True), n_trials, eval_seed,
-        cfg.training["gamma"], scenario_kwargs=cfg.scenario_kwargs(), j_n=cfg.world["j_n"],
-        modes=modes, trajectories=trajectories,
+        value_net, map_model, cfg.env, cfg.step_rules(eval_mode=True), cfg.missions(),
+        n_trials, eval_seed, cfg.training["gamma"], j_n=cfg.world["j_n"], modes=modes,
+        trajectories=trajectories,
     )
     writes = []
     if trajectories_dir:

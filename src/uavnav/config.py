@@ -204,15 +204,13 @@ class RunConfig:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    def scenario_kwargs(self) -> dict:
-        """valuetrain.sample_scenario's mission parameters from the world block."""
+    def missions(self) -> valuetrain.MissionRules:
+        """The mission draw from the world block."""
         w = self.world
-        return {
+        return valuetrain.MissionRules(
+            n_agents=w["agents"], radius=w["agent_radius"], speed_range=tuple(w["speed_range"]),
             **{k: w[k] for k in ("position_bound", "min_travel", "min_separation")},
-            "n_agents": w["agents"],
-            "radius": w["agent_radius"],
-            "speed_range": tuple(w["speed_range"]),
-        }
+        )
 
     def step_rules(self, eval_mode: bool = False) -> world.StepRules:
         """Every StepRules field from the world block; with eval_mode the step cap
@@ -252,7 +250,6 @@ class RunConfig:
 
 def _validate_environment(block: dict) -> radio.RadioEnvironment:
     path = "environment"
-    _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
     fallback = DEFAULT_CONFIG[path]["station_defaults"]
     station_fields = fallback.keys()
     defaults = block.get("station_defaults") or {}
@@ -311,7 +308,6 @@ def _validate_environment(block: dict) -> radio.RadioEnvironment:
 
 def _validate_world(block: dict) -> dict:
     path = "world"
-    _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
     out = {
         "arena_half_extent": _num(block, "arena_half_extent", path, lo=0, strict_lo=True),
         "position_bound": _num(block, "position_bound", path, lo=0, strict_lo=True),
@@ -338,12 +334,13 @@ def _validate_world(block: dict) -> dict:
     out["speed_range"] = [float(sr[0]), float(sr[1])]
     if out["min_travel"] > 2 * out["position_bound"] * math.sqrt(2):
         raise ConfigError(f"{path}.min_travel: unreachable within position_bound")
+    if out["min_separation"] < 2 * out["agent_radius"]:
+        raise ConfigError(f"{path}.min_separation: below 2 * agent_radius, starts may overlap")
     return out
 
 
 def _validate_training(block: dict) -> dict:
     path = "training"
-    _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
     out = {
         "total_episodes": _int(block, "total_episodes", path, lo=1),
         "gamma": _num(block, "gamma", path, lo=0, strict_lo=True),
@@ -385,7 +382,6 @@ def _validate_training(block: dict) -> dict:
 
 def _validate_mapping(block: dict) -> dict:
     path = "mapping"
-    _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
     hidden = _layer_sizes(block, "hidden", path)
     return {
         "k_n": _int(block, "k_n", path, lo=1),
@@ -404,7 +400,6 @@ def _validate_mapping(block: dict) -> dict:
 
 def _validate_evaluation(block: dict) -> dict:
     path = "evaluation"
-    _require_keys(block, DEFAULT_CONFIG[path].keys(), path)
     modes = block.get("modes")
     if not isinstance(modes, list) or not modes or any(m not in nav.MODES for m in modes):
         raise ConfigError(f"{path}.modes: expected a subset of proposed/outdated/perfect")
@@ -418,20 +413,30 @@ def _validate_evaluation(block: dict) -> dict:
     }
 
 
-def validate(raw: dict) -> RunConfig:
+def _check_blocks(raw) -> None:
+    """raw is an object with every top-level key, each block an object of known keys."""
     _require_keys(raw, DEFAULT_CONFIG.keys(), "config")
-    for key in DEFAULT_CONFIG:
+    for key, default in DEFAULT_CONFIG.items():
         if key not in raw:
             raise ConfigError(f"config.{key}: missing")
+        if isinstance(default, dict):
+            _require_keys(raw[key], default.keys(), key)
+
+
+def validate(raw: dict) -> RunConfig:
+    _check_blocks(raw)
     seed = raw["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"config.seed: expected a non-negative integer, got {seed!r}")
     env = _validate_environment(raw["environment"])
+    training = _validate_training(raw["training"])
+    if training["jammer_height"] >= env.uav_altitude:
+        raise ConfigError("training.jammer_height: must be below environment.uav_altitude")
     return RunConfig(
         seed=seed,
         env=env,
         world=_validate_world(raw["world"]),
-        training=_validate_training(raw["training"]),
+        training=training,
         mapping=_validate_mapping(raw["mapping"]),
         evaluation=_validate_evaluation(raw["evaluation"]),
         raw=raw,
@@ -468,12 +473,13 @@ def load(path=None, preset: str | None = None, seed: int | None = None,
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    _check_blocks(raw)  # before the overrides, which write into its blocks
     if preset is not None:
         raw = apply_preset(raw, preset)
     if seed is not None:
         raw["seed"] = seed
     if episodes is not None:
-        raw.setdefault("training", {})["total_episodes"] = episodes
+        raw["training"]["total_episodes"] = episodes
     return validate(raw)
 
 

@@ -115,42 +115,32 @@ def run_trial(policy, scenario: ScenarioConfig, rules: StepRules,
               env_truth: radio.RadioEnvironment, trajectory: list | None = None) -> TrialLog:
     """Roll out one scenario to arrival, collision, or the step cap: a one-trial
     run_evaluation, its trajectory rows numbered episode 0."""
-    return run_evaluation(policy, env_truth, rules, 1, 0, scenarios=[scenario],
-                          trajectory=trajectory).per_trial[0]
+    return run_evaluation(policy, env_truth, rules, [scenario], trajectory).per_trial[0]
 
 
 def run_evaluation(
     policy,
     env_truth: radio.RadioEnvironment,
     rules: StepRules,
-    trials: int,
-    seed: int,
-    scenario_kwargs: dict | None = None,
-    scenarios: list | None = None,
+    scenarios: list[ScenarioConfig],
     trajectory: list | None = None,
 ) -> MetricsReport:
-    """Seeded evaluation under rules, all trials in lockstep; scenarios come from
-    an explicit list (cycled) or the seeded sampler, so identical seeds give
-    identical reports.  Trajectory rows are appended in trial order.
+    """One trial per scenario under rules, all trials in lockstep.  Trajectory
+    rows are appended in trial order.
 
     policy needs a choose_actions(states, neighbors, t, rules) method that
     returns one action per state; NavPolicy provides the lookahead one.  Each
     step calls it once for the active agents of every live trial, which may
     see different numbers of neighbors.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if scenarios is None:
-        scenarios = sample_scenarios(env_truth, trials, seed, scenario_kwargs)
     if not scenarios:
-        raise ValueError("scenarios is an empty list; give at least one scenario or None")
-    batch = [scenarios[trial % len(scenarios)] for trial in range(trials)]
+        raise ValueError("scenarios is an empty list; give at least one scenario")
 
     def choose(t, agents):
         return policy.choose_actions([uav for _, _, uav, _ in agents],
                                      [nbs for _, _, _, nbs in agents], t, rules)
 
-    rows: list[list[str]] = [[] for _ in batch]
+    rows: list[list[str]] = [[] for _ in scenarios]
 
     def record(b: int, ep: EpisodeState, flags):
         levels = radio.quantize_many(ep.sinr, env_truth)
@@ -166,7 +156,7 @@ def run_evaluation(
             rows[b].append(world.format_trajectory_row(
                 b, ep.t, i, uav, db, int(levels[i]), arrived[i], collided[i], disconnected[i]))
 
-    runs = world.rollout(batch, rules, env_truth, choose,
+    runs = world.rollout(scenarios, rules, env_truth, choose,
                          observe=None if trajectory is None else record)
     if trajectory is not None:
         trajectory.extend(row for trial_rows in rows for row in trial_rows)
@@ -174,15 +164,11 @@ def run_evaluation(
 
 
 def sample_scenarios(
-    env_truth: radio.RadioEnvironment, trials: int, seed: int,
-    scenario_kwargs: dict | None = None,
+    env_truth: radio.RadioEnvironment, missions: valuetrain.MissionRules, trials: int, seed: int,
 ) -> list[ScenarioConfig]:
     """The seeded evaluation missions: endpoints at connected spots of env_truth."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    kwargs = dict(scenario_kwargs or {})
-    kwargs.setdefault("n_agents", 4)
-    kwargs.setdefault("position_ok", valuetrain.coverage_predicate(env_truth))
-    return [valuetrain.sample_scenario(rng, **kwargs) for _ in range(trials)]
+    return [missions.sample(rng, env_truth) for _ in range(trials)]
 
 
 def compare_modes(
@@ -190,25 +176,25 @@ def compare_modes(
     map_model: sinrmap.MapModel | None,
     env_truth: radio.RadioEnvironment,
     rules: StepRules,
+    missions: valuetrain.MissionRules,
     trials: int,
     seed: int,
     gamma: float,
-    scenario_kwargs: dict | None = None,
     j_n: int = 4,
     modes=MODES,
     trajectories: dict | None = None,
 ) -> dict[str, MetricsReport]:
-    """Evaluate the selected modes under rules on one seeded scenario stream, sampled once."""
+    """Evaluate the selected modes under rules on one seeded draw of trials
+    missions, sampled once."""
     oracles = {mode: mode_oracle(mode, env_truth, map_model) for mode in modes}
-    scenarios = sample_scenarios(env_truth, trials, seed, scenario_kwargs)
+    scenarios = sample_scenarios(env_truth, missions, trials, seed)
     out = {}
     for mode in modes:
         policy = NavPolicy(value_net, oracles[mode], gamma, j_n)
         rows = None
         if trajectories is not None:
             rows = trajectories.setdefault(mode, [])
-        out[mode] = run_evaluation(policy, env_truth, rules, trials, seed, scenarios=scenarios,
-                                   trajectory=rows)
+        out[mode] = run_evaluation(policy, env_truth, rules, scenarios, trajectory=rows)
     return out
 
 

@@ -89,7 +89,6 @@ class TrainRunConfig:
     epsilon_start: float = 0.5
     epsilon_end: float = 0.1
     epsilon_decay_fraction: float = 0.4
-    agents: int = 4
     j_n: int = 4
     replay_capacity: int = 100000
     batch_size: int = 200
@@ -261,18 +260,12 @@ def coverage_predicate(env: radio.RadioEnvironment, neighborhood: float = 5.0):
 
 
 def sample_scenario(
-    rng: np.random.Generator,
-    n_agents: int,
-    position_bound: float = 40.0,
-    min_travel: float = 50.0,
-    min_separation: float = 5.0,
-    radius: float = 0.5,
-    speed_range: tuple[float, float] = (4.0, 8.0),
-    position_ok=None,
+    rng: np.random.Generator, *, n_agents: int, position_bound: float, min_travel: float,
+    min_separation: float, radius: float, speed_range: tuple[float, float], position_ok,
 ) -> ScenarioConfig:
     """Random starts and destinations with pairwise separation and a travel floor.
 
-    position_ok, when given, filters endpoint candidates (missions begin and
+    position_ok, unless None, filters endpoint candidates (missions begin and
     end at connected locations); after many rejections it is waived so a
     pathological environment cannot stall the sampler.
     """
@@ -313,6 +306,24 @@ def sample_scenario(
         radii=(radius,) * n_agents,
         max_speeds=speeds,
     )
+
+
+@dataclass(frozen=True)
+class MissionRules:
+    """How a run draws its missions: sample_scenario's settings apart from the
+    coverage filter, which each draw builds for its environment."""
+
+    n_agents: int = 4
+    position_bound: float = 40.0
+    min_travel: float = 50.0
+    min_separation: float = 5.0
+    radius: float = 0.5
+    speed_range: tuple[float, float] = (4.0, 8.0)
+
+    def sample(self, rng: np.random.Generator, env: radio.RadioEnvironment) -> ScenarioConfig:
+        """One mission whose endpoints lie at connected spots of env."""
+        # Both names are looked up in the module at call time, so patched ones see every draw.
+        return sample_scenario(rng, position_ok=coverage_predicate(env), **vars(self))
 
 
 def run_episode(
@@ -416,12 +427,12 @@ def train(
     env_base: radio.RadioEnvironment,
     schedule: JammerSchedule,
     rules: StepRules,
-    scenario_kwargs: dict | None = None,
+    missions: MissionRules,
     resume: Checkpoint | None = None,
     on_checkpoint=None,
 ) -> Checkpoint:
-    """Full offline training loop, every episode under rules; deterministic
-    under config.seed.
+    """Full offline training loop, every episode under rules on a mission that
+    missions draws; deterministic under config.seed.
 
     Starts from resume when given, training its network, Adam state, buffer
     and curve in place, and otherwise from a network pretrained on the
@@ -449,16 +460,11 @@ def train(
     update = neuro.MinibatchStep(value_net, adam)
     jammer = resume.jammer
     last = resume
-    scn_kwargs = dict(scenario_kwargs or {})
-    scn_kwargs.setdefault("n_agents", config.agents)
 
     for episode in range(resume.episode, config.total_episodes):
         jammer = schedule.jammer_for_episode(episode, rng_jam, jammer)
         env = env_base.with_jammer(jammer)
-        # Missions start and end at connected spots of the current environment.
-        scenario = sample_scenario(
-            rng_scn, position_ok=coverage_predicate(env), **scn_kwargs
-        )
+        scenario = missions.sample(rng_scn, env)
         eps = epsilon(episode, config)
         # Keeps the rollout's forward passes off x86's slow path for subnormals.
         neuro.flush_subnormals(value_net.flat, adam.m, adam.v)

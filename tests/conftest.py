@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from uavnav import radio
+from uavnav import radio, valuetrain
 
 
 @pytest.fixture
@@ -52,3 +54,9 @@ def random_env(rng, n_stations=3, with_jammer=True, box=60.0):
         uav_altitude=float(rng.uniform(45, 80)),
         pathloss_exponent=float(rng.uniform(2.0, 3.5)),
     )
+
+
+def draw_scenario(rng, n_agents, position_ok=None, **settings):
+    """valuetrain.sample_scenario with MissionRules' defaults for the settings not given."""
+    rules = replace(valuetrain.MissionRules(n_agents=n_agents), **settings)
+    return valuetrain.sample_scenario(rng, position_ok=position_ok, **vars(rules))

@@ -89,7 +89,7 @@ def _recording_oracle(oracle, log):
     return recording
 
 
-def perfect_fit_map(model, value_net, env, rules, trials, seed, gamma, scenario_kwargs,
+def perfect_fit_map(model, value_net, env, rules, missions, trials, seed, gamma,
                     rng, rounds=8):
     """Refine the map until it reproduces the ground truth at every queried
     position of the evaluation stream (the degenerate-equality construction:
@@ -97,11 +97,12 @@ def perfect_fit_map(model, value_net, env, rules, trials, seed, gamma, scenario_
     truth = valuetrain.ground_truth_oracle(env)
     triples = [(s.position[0], s.position[1], s.height) for s in env.stations]
     extra_feats, extra_labels = None, None
+    scenarios = nav.sample_scenarios(env, missions, trials, seed)
     for _ in range(rounds):
         log: list = []
         inner = sinrmap.learned_oracle(model, env.stations, env.uav_altitude)
         policy = nav.NavPolicy(value_net, _recording_oracle(inner, log), gamma)
-        nav.run_evaluation(policy, env, rules, trials, seed, scenario_kwargs=scenario_kwargs)
+        nav.run_evaluation(policy, env, rules, scenarios)
         pts = np.unique(np.vstack(log), axis=0)
         labels = np.asarray(truth(pts), dtype=int)
         feats = sinrmap.featurize_many(pts, triples, env.uav_altitude, model.k_n)
@@ -388,15 +389,15 @@ class TestCriterion09TableOrdering:
         cfg = desk_run["config"]
         value_net = desk_run["value_net"]
         eval_seed = cfg.seed + cfg.evaluation["seed_offset"]
-        kwargs = cfg.scenario_kwargs()
-        kwargs["n_agents"] = 4  # 200 trials x 4 agents = 800 agent-trials per cell
+        # 200 trials x 4 agents = 800 agent-trials per cell
+        missions = replace(cfg.missions(), n_agents=4)
         lines = []
         all_ok = True
         for preset in ("center-1w", "southeast-1w"):
             env = cfgmod.load(desk_run["config_path"], preset=preset).env
             reports = nav.compare_modes(
-                value_net, preset_maps[preset], env, cfg.step_rules(eval_mode=True), trials=200,
-                seed=eval_seed, gamma=cfg.training["gamma"], scenario_kwargs=kwargs,
+                value_net, preset_maps[preset], env, cfg.step_rules(eval_mode=True), missions,
+                trials=200, seed=eval_seed, gamma=cfg.training["gamma"],
             )
             s = {m: reports[m].success_rate for m in nav.MODES}
             d = {m: reports[m].disconnection_rate for m in nav.MODES}
@@ -424,17 +425,17 @@ class TestCriterion10JammerOffDegeneracy:
         cfg = desk_run["config"]
         env = cfg.env.without_jammer()
         eval_seed = cfg.seed + cfg.evaluation["seed_offset"]
-        kwargs = cfg.scenario_kwargs()
+        missions = cfg.missions()
         rules = cfg.step_rules(eval_mode=True)
         fitted, converged = perfect_fit_map(
             sinrmap.MapModel(replace(preset_maps["none"].network), preset_maps["none"].k_n,
                              preset_maps["none"].env),
-            desk_run["value_net"], env, rules, 100, eval_seed, cfg.training["gamma"], kwargs,
+            desk_run["value_net"], env, rules, missions, 100, eval_seed, cfg.training["gamma"],
             np.random.default_rng(cfg.seed),
         )
         reports = nav.compare_modes(
-            desk_run["value_net"], fitted, env, rules, trials=100, seed=eval_seed,
-            gamma=cfg.training["gamma"], scenario_kwargs=kwargs,
+            desk_run["value_net"], fitted, env, rules, missions, trials=100, seed=eval_seed,
+            gamma=cfg.training["gamma"],
         )
         dicts = {
             m: nav.report_to_dict({"x": reports[m]}, eval_seed)["modes"]["x"]

@@ -11,8 +11,10 @@ import sys
 from pathlib import Path
 
 from uavnav import config as cfgmod
-from uavnav import nav
+from uavnav import nav, valuetrain
 from uavnav.cli import main
+
+from test_cli import tiny_config
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -67,3 +69,32 @@ def test_every_eval_decision_goes_through_navigate_step(tmp_path, monkeypatch):
                    for f in sorted((tmp_path / "traj").glob("trajectories-*.csv")))
     assert expected > 0
     assert sum(decided) == expected
+
+
+def test_every_mission_draw_passes_its_settings_as_keywords(tmp_path, monkeypatch):
+    """bench/spans.py re-checks each drawn mission with the position_ok,
+    min_separation and min_travel keywords of its valuetrain.sample_scenario
+    call; a draw that passed them another way would be checked against
+    defaults instead."""
+    calls = []
+    original = valuetrain.sample_scenario
+
+    def recording(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(valuetrain, "sample_scenario", recording)
+    cfg_path = tiny_config(tmp_path, **{"evaluation.modes": ["outdated", "perfect"]})
+    config, boot, run = ["--config", str(cfg_path)], tmp_path / "boot.csv", tmp_path / "run"
+    assert main(["bootstrap", *config, "--out", str(boot)]) == 0
+    assert main(["train", *config, "--bootstrap", str(boot), "--out-dir", str(run)]) == 0
+    assert main(["eval", *config, "--value-model", str(run / "value-model.json"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    cfg = cfgmod.load(cfg_path)
+    t = cfg.training
+    assert len(calls) == t["bootstrap_episodes"] + t["total_episodes"] + cfg.evaluation["trials"]
+    for positional, kwargs in calls:
+        assert positional == 1  # the generator alone
+        assert callable(kwargs["position_ok"])
+        assert kwargs["min_separation"] == cfg.world["min_separation"]
+        assert kwargs["min_travel"] == cfg.world["min_travel"]

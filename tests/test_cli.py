@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from uavnav import config as cfgmod
-from uavnav import radio
+from uavnav import radio, valuetrain
 from uavnav.cli import main
 
 
@@ -131,6 +131,52 @@ class TestConfigValidation:
         for f in fields(world.StepRules):
             if f.name != "max_episode_steps":
                 assert getattr(train, f.name) == getattr(evaluation, f.name) == cfg.world[f.name]
+
+    def test_missions_take_the_mission_settings_of_the_world_block(self, tmp_path):
+        cfg = cfgmod.load(tiny_config(tmp_path, **{"world.agent_radius": 0.75,
+                                                   "world.speed_range": [5, 9]}))
+        assert cfg.missions() == valuetrain.MissionRules(
+            n_agents=2, position_bound=30.0, min_travel=30.0, min_separation=5.0, radius=0.75,
+            speed_range=(5.0, 9.0))
+
+    def test_separation_that_lets_starts_overlap_exits_2(self, tmp_path, capsys):
+        # Each start is more than min_separation from the others; below twice
+        # the radius two of them may overlap, which aborted bootstrap part-way.
+        cfg_path = tiny_config(tmp_path, **{"world.agent_radius": 3.0,
+                                            "world.min_separation": 1.0})
+        rc = main(["bootstrap", "--config", str(cfg_path), "--episodes", "60",
+                   "--out", str(tmp_path / "b.csv")])
+        assert rc == 2
+        assert "world.min_separation" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_training_jammer_at_uav_altitude_exits_2(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path, **{"training.jammer_height": 60.0})
+        rc = main(["bootstrap", "--config", str(cfg_path), "--out", str(tmp_path / "b.csv")])
+        assert rc == 2
+        assert "training.jammer_height" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("edit, command, flags, message", [
+        (lambda raw: {k: v for k, v in raw.items() if k != "environment"},
+         "covmap", ["--preset", "center-1w"], "config.environment: missing"),
+        (lambda raw: {**raw, "environment": []},
+         "covmap", ["--preset", "center-1w"], "environment: expected an object"),
+        (lambda raw: [raw], "covmap", ["--seed", "5"], "config: expected an object"),
+        (lambda raw: {**raw, "training": []},
+         "train", ["--episodes", "5"], "training: expected an object"),
+    ], ids=["preset-without-environment", "preset-on-environment-list", "seed-on-list",
+            "episodes-on-training-list"])
+    def test_override_flag_on_a_malformed_config_exits_2(self, tmp_path, capsys, edit, command,
+                                                         flags, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(json.loads(json.dumps(cfgmod.DEFAULT_CONFIG)))))
+        outputs = (["--bootstrap", str(tmp_path / "b.csv"), "--out-dir", str(tmp_path / "run")]
+                   if command == "train" else ["--out", str(tmp_path / "c.csv")])
+        # The same message with the flag as without it.
+        for extra in ([], flags):
+            assert main([command, "--config", str(path), *extra, *outputs]) == 2
+            assert message in capsys.readouterr().err
 
     def test_syntax_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"

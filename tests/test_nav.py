@@ -8,9 +8,10 @@ from uavnav import nav, neuro, radio, sinrmap, valuetrain, world
 from uavnav.nav import (
     MetricsReport, NavPolicy, compare_modes, mode_oracle, navigate_step, run_evaluation,
 )
+from uavnav.valuetrain import MissionRules
 from uavnav.world import Action, ScenarioConfig, StepRules
 
-from conftest import single_station_env
+from conftest import draw_scenario, single_station_env
 
 
 RULES = StepRules()
@@ -69,7 +70,7 @@ class TestNavigateStep:
     def test_perfect_mode_equals_trainer_lookahead(self, strong_env, rng):
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
         pol = mode_policy(net, "perfect", strong_env)
-        sc = valuetrain.sample_scenario(np.random.default_rng(2), n_agents=1)
+        sc = draw_scenario(np.random.default_rng(2), n_agents=1)
         st = sc.initial_states()[0]
         space = world.sample_action_space(st, RULES)
         expected = valuetrain.lookahead_select(
@@ -82,7 +83,7 @@ class TestNavigateStep:
         model, curve = trained_constant_map(strong_env, rng)
         assert curve[-1] == 1.0  # uniform labels: regressor rounds to 2 everywhere
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
-        sc = valuetrain.sample_scenario(np.random.default_rng(3), n_agents=1)
+        sc = draw_scenario(np.random.default_rng(3), n_agents=1)
         st = sc.initial_states()[0]
         for t in range(4):
             (a1,) = navigate_step(mode_policy(net, "proposed", strong_env, model), [st], [[]],
@@ -95,7 +96,7 @@ class TestNavigateStep:
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
         clean = single_station_env(tx_power=1e6)
         jammed = clean.with_jammer(radio.Jammer(position=(5.0, 0.0), tx_power=1e9))
-        sc = valuetrain.sample_scenario(np.random.default_rng(4), n_agents=1)
+        sc = draw_scenario(np.random.default_rng(4), n_agents=1)
         st = sc.initial_states()[0]
         (a_clean,) = navigate_step(mode_policy(net, "outdated", clean), [st], [[]], 0, RULES)
         (a_jammed,) = navigate_step(mode_policy(net, "outdated", jammed), [st], [[]], 0, RULES)
@@ -119,8 +120,7 @@ class TestRunEvaluation:
             starts=((0.0, 0.0),), destinations=((1.5, 0.0),),
             radii=(0.5,), max_speeds=(4.0,),
         )
-        rep = run_evaluation(pol, strong_env, StepRules(max_episode_steps=20), trials=4, seed=5,
-                             scenarios=[adjacent])
+        rep = run_evaluation(pol, strong_env, StepRules(max_episode_steps=20), [adjacent] * 4)
         assert rep.success_rate == 1.0
         assert rep.disconnection_rate == 0.0
         assert rep.collision_rate == 0.0
@@ -141,10 +141,8 @@ class TestRunEvaluation:
 
     def test_rates_are_exact_rationals_and_recomputable(self, strong_env):
         pol = mode_policy(zero_value_net(), "perfect", strong_env)
-        rep = run_evaluation(
-            pol, strong_env, StepRules(max_episode_steps=50), trials=5, seed=8,
-            scenario_kwargs={"n_agents": 2},
-        )
+        rep = run_evaluation(pol, strong_env, StepRules(max_episode_steps=50),
+                             nav.sample_scenarios(strong_env, MissionRules(n_agents=2), 5, 8))
         succ = sum(sum(log.successes()) for log in rep.per_trial)
         disc = sum(sum(log.disconnected) for log in rep.per_trial)
         coll = sum(sum(log.collided) for log in rep.per_trial)
@@ -157,8 +155,8 @@ class TestRunEvaluation:
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
         pol = mode_policy(net, "perfect", strong_env)
         reps = [
-            run_evaluation(pol, strong_env, StepRules(max_episode_steps=60), trials=3, seed=11,
-                           scenario_kwargs={"n_agents": 2})
+            run_evaluation(pol, strong_env, StepRules(max_episode_steps=60),
+                           nav.sample_scenarios(strong_env, MissionRules(n_agents=2), 3, 11))
             for _ in range(2)
         ]
         assert nav.report_to_dict({"perfect": reps[0]}, 11) == nav.report_to_dict(
@@ -171,9 +169,11 @@ class TestCompareModes:
         model, _ = trained_constant_map(strong_env, rng)
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
         reports = compare_modes(
-            net, model, strong_env, StepRules(max_episode_steps=80), trials=3, seed=21,
-            gamma=0.95, scenario_kwargs={"n_agents": 2},
+            net, model, strong_env, StepRules(max_episode_steps=80), MissionRules(n_agents=2),
+            trials=3, seed=21, gamma=0.95,
         )
+        # Two agents per trial, as the mission rules ask.
+        assert [len(log.arrived) for log in reports["perfect"].per_trial] == [2, 2, 2]
         base = nav.report_to_dict({"m": reports["perfect"]}, 21)["modes"]["m"]
         for mode in ("proposed", "outdated"):
             other = nav.report_to_dict({"m": reports[mode]}, 21)["modes"]["m"]
@@ -181,12 +181,13 @@ class TestCompareModes:
 
     def test_proposed_requires_map(self, strong_env):
         with pytest.raises(ValueError):
-            compare_modes(zero_value_net(), None, strong_env, RULES, trials=1, seed=1, gamma=0.9)
+            compare_modes(zero_value_net(), None, strong_env, RULES, MissionRules(), trials=1,
+                          seed=1, gamma=0.9)
 
     def test_report_json_round_trip(self, strong_env, tmp_path):
         pol = mode_policy(zero_value_net(), "perfect", strong_env)
-        rep = run_evaluation(pol, strong_env, StepRules(max_episode_steps=40), trials=2, seed=3,
-                             scenario_kwargs={"n_agents": 1})
+        rep = run_evaluation(pol, strong_env, StepRules(max_episode_steps=40),
+                             nav.sample_scenarios(strong_env, MissionRules(n_agents=1), 2, 3))
         path = tmp_path / "report.json"
         nav.write_report_json({"perfect": rep}, path, seed=3, config_digest="beef")
         data = json.loads(path.read_text())
@@ -197,8 +198,9 @@ class TestCompareModes:
     def test_trajectory_rows_schema(self, strong_env):
         pol = mode_policy(zero_value_net(), "perfect", strong_env)
         rows = []
-        run_evaluation(pol, strong_env, StepRules(max_episode_steps=30), trials=1, seed=4,
-                       scenario_kwargs={"n_agents": 2}, trajectory=rows)
+        run_evaluation(pol, strong_env, StepRules(max_episode_steps=30),
+                       nav.sample_scenarios(strong_env, MissionRules(n_agents=2), 1, 4),
+                       trajectory=rows)
         assert rows
         n_cols = len(world.TRAJECTORY_COLUMNS.split(","))
         for row in rows:
@@ -226,6 +228,7 @@ class TestLockstep:
     RULES = StepRules(max_episode_steps=40)
 
     def scenarios(self):
+        """Seven trials: the four scenarios below, then the first three again."""
         fast = RecklessLookahead.RECKLESS
         head_on = ScenarioConfig(
             starts=((-10.0, 0.0), (10.0, 0.0)), destinations=((10.0, 0.0), (-10.0, 0.0)),
@@ -239,8 +242,8 @@ class TestLockstep:
             destinations=((5.0, 0.0), (15.0, 10.0), (25.0, 20.0)),
             radii=(0.5,) * 3, max_speeds=(fast,) * 3,
         )
-        sampled = valuetrain.sample_scenario(np.random.default_rng(7), n_agents=3)
-        return [head_on, capped, staggered, sampled]
+        sampled = draw_scenario(np.random.default_rng(7), n_agents=3)
+        return [head_on, capped, staggered, sampled, head_on, capped, staggered]
 
     ENV = single_station_env(tx_power=2.0, jammer=radio.Jammer(position=(10.0, 5.0),
                                                                tx_power=0.5))
@@ -254,13 +257,12 @@ class TestLockstep:
         scenarios = self.scenarios()
         policy = self.policy(rng)
         rows: list = []
-        rep = run_evaluation(policy, env, self.RULES, trials=7, seed=0, scenarios=scenarios,
-                             trajectory=rows)
+        rep = run_evaluation(policy, env, self.RULES, scenarios, trajectory=rows)
         one_rows: list = []
         logs = []
         for trial in range(7):
             trial_rows: list = []
-            logs.append(nav.run_trial(RecklessLookahead(policy.inner), scenarios[trial % 4],
+            logs.append(nav.run_trial(RecklessLookahead(policy.inner), scenarios[trial],
                                       self.RULES, env, trajectory=trial_rows))
             # run_trial numbers its rows episode 0; renumber them as trial.
             one_rows += [f"{trial}," + row.split(",", 1)[1] for row in trial_rows]
@@ -271,7 +273,7 @@ class TestLockstep:
         head_on, capped, staggered = rep.per_trial[:3]
         assert all(head_on.collided) and head_on.steps < max(log.steps for log in logs)
         assert capped.steps == self.RULES.max_episode_steps and not any(capped.arrived)
-        assert rep.per_trial[4:] == rep.per_trial[:3]  # the list is cycled
+        assert rep.per_trial[4:] == rep.per_trial[:3]  # the repeated scenarios
         first_step = {}  # (episode, agent, flag) -> first step at which the flag is set
         for row in rows:
             episode, t, agent, *_, arrived, collided, _ = row.split(",")
@@ -286,8 +288,7 @@ class TestLockstep:
     def test_one_decision_call_per_step_covers_every_active_agent(self, rng):
         policy = self.policy(rng)
         rows: list = []
-        run_evaluation(policy, self.ENV, self.RULES, trials=7, seed=0,
-                       scenarios=self.scenarios(), trajectory=rows)
+        run_evaluation(policy, self.ENV, self.RULES, self.scenarios(), trajectory=rows)
         # A trial's rows at t hold its state before step t; it flew step t if
         # it has rows at t + 1, and its agents not yet arrived then chose.
         parsed = [row.split(",") for row in rows]
@@ -303,4 +304,4 @@ class TestLockstep:
     def test_empty_scenario_list_rejected(self, strong_env):
         with pytest.raises(ValueError, match="scenarios is an empty list"):
             run_evaluation(mode_policy(zero_value_net(), "perfect", strong_env), strong_env,
-                           RULES, trials=2, seed=1, scenarios=[])
+                           RULES, [])

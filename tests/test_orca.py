@@ -15,7 +15,7 @@ from uavnav.orca import (
 )
 from uavnav.world import ScenarioConfig, StepRules, UavState
 
-from conftest import random_env, single_station_env
+from conftest import draw_scenario, random_env, single_station_env
 
 
 def make_state(pos, vel=(0, 0), dest=(50, 0), vmax=6.0, radius=1.0):
@@ -58,10 +58,8 @@ def mixed_groups():
     """(rules, scenarios) groups, each flown in one lockstep rollout: seeded
     scenarios of 1-4 agents under three dt and n_t pairs, a swap that
     collides under SHORT_SIGHTED and one that hits its step cap."""
-    from uavnav.valuetrain import sample_scenario
-
     rng = np.random.default_rng(16)
-    one, two, three, four = (sample_scenario(rng, n_agents=k, speed_range=(3.0, 8.0))
+    one, two, three, four = (draw_scenario(rng, n_agents=k, speed_range=(3.0, 8.0))
                              for k in (1, 2, 3, 4))
     return [
         (StepRules(n_t=4), [one, four, swap_scenario(gap=30.0, vmax=8.0)]),
@@ -208,9 +206,7 @@ class TestBootstrapSet:
         assert all(v <= 2.0 for _, v in pairs)
 
     def test_value_range_invariant(self, strong_env, rng):
-        from uavnav.valuetrain import sample_scenario
-
-        scenarios = [sample_scenario(rng, n_agents=3) for _ in range(5)]
+        scenarios = [draw_scenario(rng, n_agents=3) for _ in range(5)]
         rules = StepRules()
         pairs, _ = generate_bootstrap_set(scenarios, rules, strong_env, 0.95)
         cap = rules.max_episode_steps

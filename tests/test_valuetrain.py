@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from uavnav import neuro, radio, sinrmap, valuetrain, world
 from uavnav.valuetrain import (
     JammerSchedule,
+    MissionRules,
     ReplayBuffer,
     TrainRunConfig,
     discounted_returns,
@@ -23,7 +24,7 @@ from uavnav.valuetrain import (
 )
 from uavnav.world import Action, ScenarioConfig, StepRules, UavState
 
-from conftest import single_station_env
+from conftest import draw_scenario, single_station_env
 
 
 def zero_value_net(input_size=34):
@@ -38,6 +39,7 @@ def zero_value_net(input_size=34):
 
 RULES = StepRules()
 RULES60 = StepRules(max_episode_steps=60)  # the step cap of the small training runs
+TWO = MissionRules(n_agents=2)  # the missions of the small training runs
 
 
 def simple_scenario(start=(0.0, 0.0), dest=(30.0, 0.0), vmax=4.0):
@@ -455,7 +457,7 @@ class TestRunEpisode:
         assert calls == expected
 
     def test_full_exploration_reproduces_seeded_stream(self, strong_env):
-        cfg = sample_scenario(np.random.default_rng(3), n_agents=3)
+        cfg = draw_scenario(np.random.default_rng(3), n_agents=3)
         logs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
@@ -480,7 +482,7 @@ class TestRunEpisode:
         assert targets[1] == 0.0
 
     def test_buffer_growth_accounting(self, strong_env):
-        cfg = sample_scenario(np.random.default_rng(5), n_agents=2)
+        cfg = draw_scenario(np.random.default_rng(5), n_agents=2)
         buf = ReplayBuffer(100000)
         log = run_episode(zero_value_net(), strong_env, cfg, RULES, 1.0, buf,
                           np.random.default_rng(7), 0.95)
@@ -494,7 +496,7 @@ class TestTrain:
     def _tiny_setup(self):
         env = single_station_env(tx_power=1e6)
         rng = np.random.default_rng(11)
-        scenarios = [sample_scenario(rng, n_agents=2) for _ in range(3)]
+        scenarios = [draw_scenario(rng, n_agents=2) for _ in range(3)]
         from uavnav.orca import generate_bootstrap_set
 
         pairs, _ = generate_bootstrap_set(scenarios, RULES60, env, 0.9)
@@ -502,20 +504,32 @@ class TestTrain:
 
     def test_smoke_tiny_gamma(self):
         env, pairs = self._tiny_setup()
-        cfg = TrainRunConfig(total_episodes=3, gamma=0.05, agents=2,
-                             pretrain_epochs=2, seed=1)
-        result = train(cfg, pairs, env, JammerSchedule(change_period=10), RULES60,
-                       scenario_kwargs={"n_agents": 2})
+        cfg = TrainRunConfig(total_episodes=3, gamma=0.05, pretrain_epochs=2, seed=1)
+        result = train(cfg, pairs, env, JammerSchedule(change_period=10), RULES60, TWO)
         assert result.episode == 3
         assert [p.episode for p in result.curve] == [0, 1, 2]
+
+    def test_flies_the_missions_it_is_given(self, monkeypatch):
+        env, pairs = self._tiny_setup()
+        agents = []
+        real = valuetrain.run_episode
+
+        def spy(value_net, env, scenario, *args, **kwargs):
+            agents.append(scenario.num_agents)
+            return real(value_net, env, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(valuetrain, "run_episode", spy)
+        cfg = TrainRunConfig(total_episodes=2, pretrain_epochs=1, seed=5)
+        for missions in (TWO, MissionRules(n_agents=3)):
+            train(cfg, pairs, env, JammerSchedule(), RULES60, missions)
+        assert agents == [2, 2, 3, 3]
 
     def test_deterministic_under_seed(self):
         env, pairs = self._tiny_setup()
         digests = []
         for _ in range(2):
-            cfg = TrainRunConfig(total_episodes=4, agents=2, pretrain_epochs=2, seed=9)
-            result = train(cfg, pairs, env, JammerSchedule(change_period=2), RULES60,
-                           scenario_kwargs={"n_agents": 2})
+            cfg = TrainRunConfig(total_episodes=4, pretrain_epochs=2, seed=9)
+            result = train(cfg, pairs, env, JammerSchedule(change_period=2), RULES60, TWO)
             import json
 
             digests.append(
@@ -529,9 +543,7 @@ class TestTrain:
 
     def test_resume_from_a_kept_checkpoint_gives_the_uninterrupted_bits(self):
         env, pairs = self._tiny_setup()
-        cfg = TrainRunConfig(total_episodes=5, agents=2, pretrain_epochs=1, checkpoint_every=2,
-                             seed=3)
-        kw = {"scenario_kwargs": {"n_agents": 2}}
+        cfg = TrainRunConfig(total_episodes=5, pretrain_epochs=1, checkpoint_every=2, seed=3)
         schedule = JammerSchedule(change_period=3)
 
         def kept(c):  # a checkpoint's state is live: keep a copy
@@ -543,7 +555,7 @@ class TestTrain:
                                          list(c.curve), c.rng_states, c.jammer)
 
         checkpoints = []
-        whole = train(cfg, pairs, env, schedule, RULES60, **kw,
+        whole = train(cfg, pairs, env, schedule, RULES60, TWO,
                       on_checkpoint=lambda c: checkpoints.append(kept(c)))
         assert [c.episode for c in checkpoints] == [2, 4, 5]
 
@@ -553,14 +565,13 @@ class TestTrain:
                     c.rng_states, c.jammer)
 
         for k in (0, 1):
-            resumed = train(cfg, pairs, env, schedule, RULES60, **kw, resume=checkpoints[k])
+            resumed = train(cfg, pairs, env, schedule, RULES60, TWO, resume=checkpoints[k])
             assert bits(resumed) == bits(whole) == bits(checkpoints[-1])
 
     def test_rollouts_read_the_trained_net_without_subnormals(self, monkeypatch):
         env, pairs = self._tiny_setup()
-        cfg = TrainRunConfig(total_episodes=3, agents=2, pretrain_epochs=1, seed=4)
-        kw = {"scenario_kwargs": {"n_agents": 2}}
-        start = train(replace(cfg, total_episodes=1), pairs, env, JammerSchedule(), RULES60, **kw)
+        cfg = TrainRunConfig(total_episodes=3, pretrain_epochs=1, seed=4)
+        start = train(replace(cfg, total_episodes=1), pairs, env, JammerSchedule(), RULES60, TWO)
         net, adam = start.value_net, start.adam
         tiny = np.finfo(float).tiny
         for a in (net.flat, adam.m, adam.v):
@@ -574,15 +585,14 @@ class TestTrain:
             return real(value_net, *args, **kwargs)
 
         monkeypatch.setattr(valuetrain, "run_episode", spy)
-        result = train(cfg, pairs, env, JammerSchedule(), RULES60, **kw, resume=start)
+        result = train(cfg, pairs, env, JammerSchedule(), RULES60, TWO, resume=start)
         assert result.value_net is net
         assert seen == [(True, 0, 0, 0)] * 2
 
     def test_curve_csv_round_trip(self, tmp_path):
         env, pairs = self._tiny_setup()
-        cfg = TrainRunConfig(total_episodes=3, agents=2, pretrain_epochs=1, seed=2)
-        result = train(cfg, pairs, env, JammerSchedule(), RULES60,
-                       scenario_kwargs={"n_agents": 2})
+        cfg = TrainRunConfig(total_episodes=3, pretrain_epochs=1, seed=2)
+        result = train(cfg, pairs, env, JammerSchedule(), RULES60, TWO)
         path = tmp_path / "curve.csv"
         valuetrain.write_curve_csv(result.curve, path, extra_comments=("digest=q",))
         back = valuetrain.read_curve_csv(path)
@@ -592,9 +602,28 @@ class TestTrain:
 
 
 class TestScenarioSampler:
+    def test_every_setting_is_required(self, rng):
+        with pytest.raises(TypeError):
+            sample_scenario(rng, n_agents=2, position_ok=None)
+
+    def test_mission_rules_place_endpoints_at_connected_spots(self):
+        # The jammer disconnects about half of the square.
+        env = single_station_env(tx_power=300.0, jammer=radio.Jammer(position=(10.0, 5.0),
+                                                                     tx_power=1.0))
+        ok = valuetrain.coverage_predicate(env)
+        missions = MissionRules(n_agents=3, position_bound=30.0, min_travel=20.0,
+                                speed_range=(6.0, 10.0))
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            sc = missions.sample(rng, env)
+            assert sc.num_agents == 3
+            assert all(ok(p) for p in sc.starts + sc.destinations)
+            assert all(abs(c) <= 30.0 for p in sc.starts + sc.destinations for c in p)
+            assert all(6.0 <= v <= 10.0 for v in sc.max_speeds)
+
     def test_separation_and_travel_floor(self, rng):
         for _ in range(20):
-            sc = sample_scenario(rng, n_agents=4)
+            sc = draw_scenario(rng, n_agents=4)
             for i in range(4):
                 assert math.dist(sc.starts[i], sc.destinations[i]) >= 50.0
                 for j in range(i + 1, 4):
@@ -611,7 +640,7 @@ class TestScenarioSampler:
             seen.append((point, point[0] + point[1] > -30.0))
             return seen[-1][1]
 
-        sc = sample_scenario(np.random.default_rng(6), n_agents=4, min_separation=20.0,
+        sc = draw_scenario(np.random.default_rng(6), n_agents=4, min_separation=20.0,
                              position_ok=recording)
         # Each endpoint, starts first, ends the run of candidates drawn for it.
         accepted = list(sc.starts) + list(sc.destinations)

@@ -58,5 +58,5 @@ def random_env(rng, n_stations=3, with_jammer=True, box=60.0):
 
 def draw_scenario(rng, n_agents, position_ok=None, **settings):
     """valuetrain.sample_scenario with MissionRules' defaults for the settings not given."""
-    rules = replace(valuetrain.MissionRules(n_agents=n_agents), **settings)
-    return valuetrain.sample_scenario(rng, position_ok=position_ok, **vars(rules))
+    missions = replace(valuetrain.MissionRules(n_agents=n_agents), **settings)
+    return valuetrain.sample_scenario(rng, position_ok=position_ok, **vars(missions))

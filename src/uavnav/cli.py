@@ -380,13 +380,10 @@ def main(argv=None) -> int:
             raise ConfigError("--episodes must be >= 1")
         if getattr(args, "trials", None) is not None and args.trials < 1:
             raise ConfigError("--trials must be >= 1")
+        key = "bootstrap_episodes" if args.command == "bootstrap" else "total_episodes"
         cfg = cfgmod.load(args.config, preset=args.preset, seed=args.seed,
-                          episodes=episodes if args.command == "train" else None)
+                          training=None if episodes is None else {key: episodes})
         if args.command == "bootstrap":
-            if episodes is not None:
-                raw = json.loads(json.dumps(cfg.raw))
-                raw["training"]["bootstrap_episodes"] = episodes
-                cfg = cfgmod.validate(raw)
             cmd_bootstrap(cfg, args.out)
         elif args.command == "train":
             cmd_train(cfg, args.bootstrap, args.out_dir, resume=args.resume)

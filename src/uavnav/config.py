@@ -461,8 +461,9 @@ def apply_preset(raw: dict, preset: str) -> dict:
 
 
 def load(path=None, preset: str | None = None, seed: int | None = None,
-         episodes: int | None = None) -> RunConfig:
-    """Load and validate a config file (or the defaults) with CLI overrides."""
+         training: dict | None = None) -> RunConfig:
+    """Load and validate a config file (or the defaults) with CLI overrides;
+    training holds entries that replace those of the training block."""
     if path is None:
         raw = json.loads(json.dumps(DEFAULT_CONFIG))
     else:
@@ -478,8 +479,8 @@ def load(path=None, preset: str | None = None, seed: int | None = None,
         raw = apply_preset(raw, preset)
     if seed is not None:
         raw["seed"] = seed
-    if episodes is not None:
-        raw["training"]["total_episodes"] = episodes
+    if training:
+        raw["training"].update(training)
     return validate(raw)
 
 

@@ -8,6 +8,7 @@ connectivity check (i.e. mission completed with constraints respected).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,16 +41,17 @@ class NavPolicy:
 def mode_oracle(mode: str, env_truth: radio.RadioEnvironment,
                 map_model: sinrmap.MapModel | None = None):
     """The level map an evaluation mode reads in env_truth: the learned map
-    (proposed), the jammer-free levels (outdated) or the true levels (perfect)."""
+    over its own jammer-free environment (proposed), the jammer-free levels
+    (outdated) or the true levels (perfect)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "proposed":
         if map_model is None:
             raise ValueError("proposed mode needs a map model")
-        return sinrmap.learned_oracle(map_model, env_truth.stations, env_truth.uav_altitude)
+        return sinrmap.learned_oracle(map_model)
     if mode == "outdated":
-        return world.ground_truth_oracle(env_truth.without_jammer())
-    return world.ground_truth_oracle(env_truth)
+        return functools.partial(radio.levels, env_truth.without_jammer())
+    return functools.partial(radio.levels, env_truth)
 
 
 def navigate_step(policy: NavPolicy, states, neighbors, t: int, rules: StepRules):

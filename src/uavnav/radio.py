@@ -24,10 +24,9 @@ __all__ = [
     "path_loss",
     "jammer_interference",
     "received_powers",
-    "serving_gbs",
-    "sinr",
     "sinr_many",
     "quantize_many",
+    "levels",
     "coverage_grid",
     "write_coverage_csv",
     "read_coverage_csv",
@@ -199,16 +198,6 @@ def sinr_many(env: RadioEnvironment, positions) -> np.ndarray:
     return serving / (env.noise_power + jammer_interference(env, positions) + (total - serving))
 
 
-def sinr(env: RadioEnvironment, uav_position) -> float:
-    """sinr_many at one position."""
-    return float(sinr_many(env, uav_position)[0])
-
-
-def serving_gbs(env: RadioEnvironment, uav_position) -> int:
-    """Index of the station with the largest received power; ties go to the lowest index."""
-    return int(np.argmax(received_powers(env, uav_position)[0]))
-
-
 def quantize_many(linear_sinr: np.ndarray, env: RadioEnvironment) -> np.ndarray:
     """Three-level quantization: 0 below threshold, 1 in the marginal band, 2 above.
 
@@ -216,6 +205,26 @@ def quantize_many(linear_sinr: np.ndarray, env: RadioEnvironment) -> np.ndarray:
     """
     s = np.asarray(linear_sinr)
     return 2 - (s < env.sinr_threshold) - (s < env.sinr_threshold + env.margin)
+
+
+LEVEL_BLOCK = 2048  # positions per sinr_many call: bounds its (block, stations) temporaries
+
+
+def levels(env: RadioEnvironment, positions) -> np.ndarray:
+    """Quantized SINR level in env at each point of an (..., 2) array, shape (...).
+
+    sinr_many runs on blocks of LEVEL_BLOCK rows, so memory does not grow with
+    the batch; a batch of one block is one call on the positions as given.
+    """
+    pos = np.asarray(positions, dtype=float)
+    flat = pos.reshape(-1, 2)
+    if len(flat) <= LEVEL_BLOCK:
+        return quantize_many(sinr_many(env, flat), env).reshape(pos.shape[:-1])
+    out = np.empty(len(flat), dtype=int)
+    for start in range(0, len(flat), LEVEL_BLOCK):
+        block = flat[start:start + LEVEL_BLOCK]
+        out[start:start + LEVEL_BLOCK] = quantize_many(sinr_many(env, block), env)
+    return out.reshape(pos.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -252,10 +261,8 @@ def coverage_grid(env: RadioEnvironment, bounds, resolution: float) -> CoverageG
         raise ValueError(f"bounds {bounds} smaller than one cell at resolution {resolution}")
     xs = xmin + (np.arange(ncols) + 0.5) * resolution
     ys = ymin + (np.arange(nrows) + 0.5) * resolution
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    levels = quantize_many(sinr_many(env, pts), env).reshape(nrows, ncols)
-    return CoverageGrid(xmin=xmin, ymin=ymin, resolution=resolution, levels=levels)
+    cells = np.stack(np.meshgrid(xs, ys), axis=-1)
+    return CoverageGrid(xmin=xmin, ymin=ymin, resolution=resolution, levels=levels(env, cells))
 
 
 def write_coverage_csv(grid: CoverageGrid, path, extra_comments: tuple[str, ...] = ()) -> None:

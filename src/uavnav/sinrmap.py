@@ -26,7 +26,6 @@ from . import neuro, radio
 FAR_STATION = 300.0  # sentinel distance for padded station blocks
 FEATURES_PER_STATION = 5
 POSITION_FEATURES = 2  # the UAV's own x, y, after the station blocks
-LEVEL_BLOCK = 2048  # positions per sinr_many call: bounds its (block, stations) temporaries
 
 
 def featurize_many(positions: np.ndarray, stations, uav_altitude: float, k_n: int) -> np.ndarray:
@@ -68,6 +67,11 @@ def featurize_many(positions: np.ndarray, stations, uav_altitude: float, k_n: in
         feats[:, used:width] = np.tile([0.0, 0.0, FAR_STATION, 0.0, 0.0], k_n - order.shape[1])
     feats[:, width:] = pos
     return feats
+
+
+def station_triples(env: radio.RadioEnvironment) -> np.ndarray:
+    """The (x, y, height) of each of env's stations, as featurize_many reads them."""
+    return np.column_stack(env.station_arrays[:3])
 
 
 def _first_bad_row(features: np.ndarray, levels: np.ndarray) -> int | None:
@@ -165,19 +169,6 @@ def init_map_model(env: radio.RadioEnvironment, k_n: int, rng: np.random.Generat
     return MapModel(network=neuro.init_network(specs, rng), k_n=k_n, env=env.without_jammer())
 
 
-def levels_at(env: radio.RadioEnvironment, features: np.ndarray) -> np.ndarray:
-    """Quantized SINR level in env at the position (the last two columns) of each
-    (..., F) feature row, from the ground-truth kernel; in a map's jammer-free
-    environment, the map's prior."""
-    pos = np.asarray(features, dtype=float)[..., -POSITION_FEATURES:]
-    flat = pos.reshape(-1, 2)
-    levels = np.empty(len(flat), dtype=int)
-    for start in range(0, len(flat), LEVEL_BLOCK):
-        block = flat[start:start + LEVEL_BLOCK]
-        levels[start:start + LEVEL_BLOCK] = radio.quantize_many(radio.sinr_many(env, block), env)
-    return levels.reshape(pos.shape[:-1])
-
-
 def _levels(model: MapModel, features: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """prior minus the network's rounded drop, clipped to [0, prior]."""
     drop, _ = neuro.forward_batch(model.network, features[..., :-POSITION_FEATURES])
@@ -185,19 +176,21 @@ def _levels(model: MapModel, features: np.ndarray, prior: np.ndarray) -> np.ndar
 
 
 def predict_levels(model: MapModel, features: np.ndarray) -> np.ndarray:
-    """Level at each (..., F) feature row: the prior less the predicted drop."""
+    """Level at each (..., F) feature row: the prior (the jammer-free level at the
+    row's position, its last two features) less the predicted drop."""
     feats = np.asarray(features, dtype=float)
-    return _levels(model, feats, levels_at(model.env, feats))
+    return _levels(model, feats, radio.levels(model.env, feats[..., -POSITION_FEATURES:]))
 
 
-def learned_oracle(model: MapModel, stations, uav_altitude: float):
+def learned_oracle(model: MapModel):
     """Level map of an (..., 2) array of positions, backed by the regressor and
-    observed GBS geometry; (A, M, 2) positions run one stacked forward pass."""
-    triples = np.array([(s.position[0], s.position[1], s.height) for s in stations])
+    the GBS geometry of the map's environment; (A, M, 2) positions run one
+    stacked forward pass."""
+    triples = station_triples(model.env)
 
     def oracle(positions: np.ndarray) -> np.ndarray:
         pos = np.asarray(positions, dtype=float)
-        feats = featurize_many(pos.reshape(-1, 2), triples, uav_altitude, model.k_n)
+        feats = featurize_many(pos.reshape(-1, 2), triples, model.env.uav_altitude, model.k_n)
         return predict_levels(model, feats.reshape(*pos.shape[:-1], -1))
 
     return oracle
@@ -238,7 +231,7 @@ def fit_drops(model: MapModel, features: np.ndarray, levels: np.ndarray,
     # One contiguous gather of the station blocks: minibatch takes from a
     # column slice of the full rows run about 50 times slower.
     stations = np.ascontiguousarray(feats[rows, :-POSITION_FEATURES])
-    drops = levels_at(model.env, feats[rows, -POSITION_FEATURES:]) - np.asarray(levels)[rows]
+    drops = radio.levels(model.env, feats[rows, -POSITION_FEATURES:]) - np.asarray(levels)[rows]
     return neuro.train_epochs(model.network, stations, drops, config, rng,
                               after_epoch=after_epoch)
 
@@ -268,7 +261,7 @@ def retrain(
         hold_idx = np.arange(len(feats))
     # Gathered once, prior included: every epoch scores the same holdout rows.
     hold_feats, hold_labels = feats[hold_idx], labels[hold_idx]
-    hold_prior = levels_at(model.env, hold_feats)
+    hold_prior = radio.levels(model.env, hold_feats[:, -POSITION_FEATURES:])
 
     standardizer = neuro.fit_standardizer(feats[train_idx, :-POSITION_FEATURES])
     new_model = MapModel(
@@ -301,9 +294,8 @@ def sample_measurements(
     pos = np.column_stack(
         [rng.uniform(xmin, xmax, count), rng.uniform(ymin, ymax, count)]
     )
-    levels = levels_at(env, pos)
-    triples = [(s.position[0], s.position[1], s.height) for s in env.stations]
-    feats = featurize_many(pos, triples, env.uav_altitude, k_n)
+    levels = radio.levels(env, pos)
+    feats = featurize_many(pos, station_triples(env), env.uav_altitude, k_n)
     return Measurements(feats, levels, np.arange(timestamp_start, timestamp_start + count))
 
 
@@ -392,7 +384,7 @@ def read_measurement_csv(path, k_n: int | None = None,
         raise ValueError(f"{path}: feature length {feats.shape[1]} does not match "
                          f"5 * k_n + 2 = {width}")
     if env is not None and levels:
-        above = np.array(levels) > levels_at(env, feats)
+        above = np.array(levels) > radio.levels(env, feats[:, -POSITION_FEATURES:])
         if above.any():
             raise ValueError(f"{path}:{linenos[int(above.argmax())]}: level lies above the "
                              "jammer-free level at the logged position")

@@ -10,13 +10,14 @@ argmax unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import neuro, radio, world
-from .world import Action, ScenarioConfig, StepRules, UavState, ground_truth_oracle
+from .world import Action, ScenarioConfig, StepRules, UavState
 from .world import to_agent_frame  # noqa: F401  (bench/spans.py traces it here)
 
 TARGET_SCALE = 0.25  # keeps worst-case returns out of the tanh saturation zone
@@ -252,9 +253,7 @@ def coverage_predicate(env: radio.RadioEnvironment, neighborhood: float = 5.0):
     )
 
     def ok(point) -> bool:
-        pts = np.asarray(point, dtype=float)[None, :] + offsets
-        level = radio.quantize_many(radio.sinr_many(env, pts), env)
-        return bool((level == 2).all())
+        return bool((radio.levels(env, np.asarray(point, dtype=float) + offsets) == 2).all())
 
     return ok
 
@@ -267,20 +266,19 @@ def sample_scenario(
 
     position_ok, unless None, filters endpoint candidates (missions begin and
     end at connected locations); after many rejections it is waived so a
-    pathological environment cannot stall the sampler.
+    pathological environment cannot stall the sampler.  Separation is never
+    waived: a ValueError says so when the points do not fit.
     """
 
     def draw_point(others, min_from=None) -> tuple[float, float]:
-        # The coverage filter is waived after many rejections; the travel and
-        # separation constraints relax later, so a cramped setup degrades to a
-        # shorter mission instead of stalling the sampler.  Every attempt draws
-        # its two uniforms first, so checking the cheap constraints before the
+        # The coverage filter is waived after 500 rejections and the travel
+        # floor after 5000, so a cramped setup degrades to a shorter mission
+        # instead of stalling the sampler.  Every attempt draws its two
+        # uniforms first, so checking the cheap constraints before the
         # coverage filter accepts the same candidate with fewer filter calls.
-        best = None
         for attempt in range(10000):
             cand = (float(rng.uniform(-position_bound, position_bound)),
                     float(rng.uniform(-position_bound, position_bound)))
-            best = cand
             if any(
                 math.hypot(cand[0] - p[0], cand[1] - p[1]) <= min_separation for p in others
             ):
@@ -291,7 +289,10 @@ def sample_scenario(
             if position_ok is not None and attempt < 500 and not position_ok(cand):
                 continue
             return cand
-        return best
+        raise ValueError(
+            f"no point within world.position_bound {position_bound} lies more than "
+            f"world.min_separation {min_separation} from the {len(others)} endpoints drawn "
+            f"before it in 10000 draws: world.agents {n_agents} do not fit")
 
     starts: list[tuple[float, float]] = []
     for _ in range(n_agents):
@@ -338,7 +339,7 @@ def run_episode(
     j_n: int = 4,
 ) -> EpisodeLog:
     """One epsilon-greedy episode; visited states get scaled return-to-go targets."""
-    oracle = ground_truth_oracle(env)
+    oracle = functools.partial(radio.levels, env)
 
     def choose(t, agents):
         # The exploration coins are drawn in agent order first; the greedy

@@ -548,16 +548,6 @@ class Outcome:
         )
 
 
-def ground_truth_oracle(env: radio.RadioEnvironment):
-    """Quantized-SINR query of env at an (..., 2) array of positions."""
-
-    def oracle(positions: np.ndarray) -> np.ndarray:
-        levels = radio.quantize_many(radio.sinr_many(env, np.reshape(positions, (-1, 2))), env)
-        return levels.reshape(np.shape(positions)[:-1])
-
-    return oracle
-
-
 class Rollout(NamedTuple):
     """A finished episode, per agent: frames, rewards, terminal frames; and the final state."""
 

@@ -10,6 +10,7 @@ import json
 import math
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -94,13 +95,13 @@ def perfect_fit_map(model, value_net, env, rules, missions, trials, seed, gamma,
     """Refine the map until it reproduces the ground truth at every queried
     position of the evaluation stream (the degenerate-equality construction:
     a learned source that coincides with the truth on the query set)."""
-    truth = valuetrain.ground_truth_oracle(env)
-    triples = [(s.position[0], s.position[1], s.height) for s in env.stations]
+    truth = partial(radio.levels, env)
+    triples = sinrmap.station_triples(env)
     extra_feats, extra_labels = None, None
     scenarios = nav.sample_scenarios(env, missions, trials, seed)
     for _ in range(rounds):
         log: list = []
-        inner = sinrmap.learned_oracle(model, env.stations, env.uav_altitude)
+        inner = sinrmap.learned_oracle(model)
         policy = nav.NavPolicy(value_net, _recording_oracle(inner, log), gamma)
         nav.run_evaluation(policy, env, rules, scenarios)
         pts = np.unique(np.vstack(log), axis=0)
@@ -130,7 +131,7 @@ class TestCriterion01RadioOracle:
         for _ in range(20):
             env = random_env(rng, n_stations=int(rng.integers(2, 7)), with_jammer=True)
             pos = tuple(rng.uniform(-60, 60, 2))
-            got = radio.sinr(env, pos)
+            got = float(radio.sinr_many(env, pos)[0])
             want = brute_force_sinr(env, pos)
             worst = max(worst, abs(got - want) / abs(want))
         elapsed = time.monotonic() - t0

@@ -150,6 +150,22 @@ class TestConfigValidation:
         assert "world.min_separation" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
+    def test_agents_that_do_not_fit_the_square_exit_3(self, tmp_path, capsys):
+        # 30 starts more than 5 m apart do not fit in a 20 m square: the
+        # sampler says which settings, instead of returning an overlapping mission.
+        raw = json.loads(json.dumps(cfgmod.DEFAULT_CONFIG))
+        raw["world"].update({"agents": 30, "position_bound": 10.0, "min_travel": 10.0})
+        raw["training"]["bootstrap_episodes"] = 1
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        rc = main(["bootstrap", "--config", str(cfg_path), "--out", str(tmp_path / "boot.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        for key in ("world.agents", "world.min_separation", "world.position_bound"):
+            assert key in err
+        assert "overlap" not in err
+        assert not (tmp_path / "boot.csv").exists()
+
     def test_training_jammer_at_uav_altitude_exits_2(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path, **{"training.jammer_height": 60.0})
         rc = main(["bootstrap", "--config", str(cfg_path), "--out", str(tmp_path / "b.csv")])
@@ -165,8 +181,10 @@ class TestConfigValidation:
         (lambda raw: [raw], "covmap", ["--seed", "5"], "config: expected an object"),
         (lambda raw: {**raw, "training": []},
          "train", ["--episodes", "5"], "training: expected an object"),
+        (lambda raw: {**raw, "training": []},
+         "bootstrap", ["--episodes", "5"], "training: expected an object"),
     ], ids=["preset-without-environment", "preset-on-environment-list", "seed-on-list",
-            "episodes-on-training-list"])
+            "episodes-on-training-list", "bootstrap-episodes-on-training-list"])
     def test_override_flag_on_a_malformed_config_exits_2(self, tmp_path, capsys, edit, command,
                                                          flags, message):
         path = tmp_path / "bad.json"
@@ -299,6 +317,17 @@ class TestBootstrapCommand:
         rc = main(["bootstrap", "--config", str(cfg_path), "--episodes", "0",
                    "--out", str(tmp_path / "b.csv")])
         assert rc == 2
+
+    def test_episodes_flag_writes_the_bytes_of_the_config_entry(self, tmp_path):
+        (tmp_path / "flag").mkdir()
+        (tmp_path / "file").mkdir()
+        flagged = tiny_config(tmp_path / "flag", **{"training.bootstrap_episodes": 5})
+        in_file = tiny_config(tmp_path / "file", **{"training.bootstrap_episodes": 3})
+        assert main(["bootstrap", "--config", str(flagged), "--episodes", "3",
+                     "--out", str(tmp_path / "flag.csv")]) == 0
+        assert main(["bootstrap", "--config", str(in_file),
+                     "--out", str(tmp_path / "file.csv")]) == 0
+        assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = tiny_config(tmp_path)

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestModeOracle:
 
     def test_outdated_reads_jammer_free_levels(self):
         env = single_station_env(jammer=radio.Jammer(position=(1, 1), tx_power=2.0))
-        clean = world.ground_truth_oracle(env.without_jammer())
+        clean = partial(radio.levels, env.without_jammer())
         points = np.array([[x, y] for x in range(-20, 21, 5) for y in range(-20, 21, 5)], float)
         assert (mode_oracle("outdated", env)(points) == clean(points)).all()
         assert (mode_oracle("perfect", env)(points) != clean(points)).any()
@@ -74,7 +75,7 @@ class TestNavigateStep:
         st = sc.initial_states()[0]
         space = world.sample_action_space(st, RULES)
         expected = valuetrain.lookahead_select(
-            net, st, [], space, valuetrain.ground_truth_oracle(strong_env), 0.95, 0, RULES
+            net, st, [], space, partial(radio.levels, strong_env), 0.95, 0, RULES
         )
         (got,) = navigate_step(pol, [st], [[]], 0, RULES)
         assert got.speed == expected.speed and got.heading == expected.heading

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import hypothesis.strategies as hst
 import numpy as np
@@ -32,6 +33,16 @@ def brute_force_sinr(env, pos):
         jam = j.tx_power * (dh / math.sqrt(dj**2 + dh**2)) / (dj**2 + dh**2) ** (alpha / 2.0)
     best = max(range(len(powers)), key=lambda k: powers[k])
     return powers[best] / (env.noise_power + jam + sum(powers) - powers[best])
+
+
+def sinr_at(env, pos) -> float:
+    """radio.sinr_many at one position."""
+    return float(radio.sinr_many(env, pos)[0])
+
+
+def serving_gbs(env, pos) -> int:
+    """Index of the station with the largest received power at pos; ties go to the lowest."""
+    return int(radio.received_powers(env, pos)[0].argmax())
 
 
 class TestGbsAntennaGain:
@@ -172,19 +183,19 @@ class TestReceivedPower:
 
 class TestServingGbs:
     def test_single_station(self):
-        assert radio.serving_gbs(single_station_env(), (12, 7)) == 0
+        assert serving_gbs(single_station_env(), (12, 7)) == 0
 
     def test_tie_breaks_to_lowest_index(self):
         env = radio.RadioEnvironment(
             stations=(make_station(-10, 0), make_station(10, 0))
         )
-        assert radio.serving_gbs(env, (0.0, 5.0)) == 0
+        assert serving_gbs(env, (0.0, 5.0)) == 0
 
     def test_proximity_wins_for_identical_stations(self):
         env = radio.RadioEnvironment(
             stations=(make_station(-40, 0, max_atten_db=5.0), make_station(40, 0, max_atten_db=5.0))
         )
-        assert radio.serving_gbs(env, (38, 2)) == 1
+        assert serving_gbs(env, (38, 2)) == 1
         p0, p1 = radio.received_powers(env, (38, 2))[0]
         assert p1 > p0
 
@@ -205,7 +216,7 @@ class TestServingGbs:
                 uav_altitude=env.uav_altitude,
                 pathloss_exponent=env.pathloss_exponent,
             )
-            assert radio.serving_gbs(env, pos) == radio.serving_gbs(scaled, pos)
+            assert serving_gbs(env, pos) == serving_gbs(scaled, pos)
 
 
 class TestSinr:
@@ -213,7 +224,7 @@ class TestSinr:
         env = single_station_env()
         pos = (25.0, -14.0)
         expected = component_power(env.stations[0], env, pos) / env.noise_power
-        assert radio.sinr(env, pos) == pytest.approx(expected, rel=1e-12)
+        assert sinr_at(env, pos) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_jammer_power(self, rng):
         for _ in range(50):
@@ -227,21 +238,21 @@ class TestSinr:
                     tx_power=env.jammer.tx_power * 10 + 1.0,
                 )
             )
-            assert radio.sinr(boosted, pos) < radio.sinr(env, pos) or math.isclose(
-                radio.sinr(boosted, pos), radio.sinr(env, pos)
+            assert sinr_at(boosted, pos) < sinr_at(env, pos) or math.isclose(
+                sinr_at(boosted, pos), sinr_at(env, pos)
             )
 
     def test_huge_jammer_drives_sinr_to_zero(self):
         env = single_station_env(
             jammer=radio.Jammer(position=(0, 0), tx_power=1e12)
         )
-        assert radio.sinr(env, (10, 10)) < 1e-6
+        assert sinr_at(env, (10, 10)) < 1e-6
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(20):
             env = random_env(rng, n_stations=3, with_jammer=True)
             pos = tuple(rng.uniform(-60, 60, 2))
-            assert radio.sinr(env, pos) == pytest.approx(
+            assert sinr_at(env, pos) == pytest.approx(
                 brute_force_sinr(env, pos), rel=1e-12
             )
 
@@ -254,27 +265,67 @@ class TestSinr:
                 assert vec[i] == pytest.approx(brute_force_sinr(env, tuple(p)), rel=1e-12)
 
 
-class TestScalarViews:
+class TestLevels:
+    """radio.levels is quantize_many(sinr_many(...)) row for row, whatever the
+    batch's size or shape."""
+
+    @staticmethod
+    def env_of(rng, jammer="active"):
+        env = random_env(rng, n_stations=int(rng.integers(1, 6)), with_jammer=False)
+        if jammer == "absent":
+            return env
+        return env.with_jammer(radio.Jammer(
+            position=tuple(rng.uniform(-60, 60, 2)), height=float(rng.uniform(0, 20)),
+            tx_power=0.0 if jammer == "silent" else float(rng.uniform(0.1, 3.0)),
+            active=jammer != "inactive",
+        ))
+
     @settings(max_examples=60, deadline=None)
     @given(seed=hst.integers(0, 2**32 - 1),
            jammer=hst.sampled_from(["absent", "active", "inactive", "silent"]))
-    def test_sinr_and_serving_gbs_are_kernel_rows(self, seed, jammer):
+    def test_levels_are_quantized_kernel_rows(self, seed, jammer):
         rng = np.random.default_rng(seed)
-        env = random_env(rng, n_stations=int(rng.integers(1, 6)), with_jammer=False)
-        if jammer != "absent":
-            env = env.with_jammer(radio.Jammer(
-                position=tuple(rng.uniform(-60, 60, 2)), height=float(rng.uniform(0, 20)),
-                tx_power=0.0 if jammer == "silent" else float(rng.uniform(0.1, 3.0)),
-                active=jammer != "inactive",
-            ))
+        env = self.env_of(rng, jammer)
         pts = rng.uniform(-80, 80, (15, 2))
         many = radio.sinr_many(env, pts)
-        powers = radio.received_powers(env, pts)
-        for i, p in enumerate(pts):
-            assert radio.sinr(env, tuple(p)) == many[i]
-            assert radio.serving_gbs(env, tuple(p)) == int(np.argmax(powers[i]))
+        want = radio.quantize_many(many, env)
+        assert radio.levels(env, pts).tolist() == want.tolist()
+        for p, level in zip(pts, want):
+            got = radio.levels(env, p)
+            assert got.shape == () and got == level
         if jammer in ("inactive", "silent"):
             assert (many == radio.sinr_many(env.without_jammer(), pts)).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=hst.sampled_from([0, 1, 2047, 2048, 2049, 5000]), seed=hst.integers(0, 2**32 - 1))
+    def test_every_batch_size_in_blocks(self, n, seed):
+        rng = np.random.default_rng(seed)
+        env = self.env_of(rng)
+        pts = rng.uniform(-80, 80, (n, 2))
+        want = radio.quantize_many(radio.sinr_many(env, pts), env)
+        with mock.patch.object(radio, "sinr_many", wraps=radio.sinr_many) as spy:
+            got = radio.levels(env, pts)
+        assert got.shape == (n,) and got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+        # One call per block of LEVEL_BLOCK rows; a batch of one block, the
+        # empty one included, is one call on the positions as given, not a copy.
+        sizes = [len(c.args[1]) for c in spy.call_args_list]
+        if n <= radio.LEVEL_BLOCK:
+            assert sizes == [n] and spy.call_args.args[1].base is pts
+        else:
+            assert sizes == [min(radio.LEVEL_BLOCK, n - i) for i in range(0, n, radio.LEVEL_BLOCK)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=hst.integers(0, 5), m=hst.sampled_from([1, 15, 409, 410, 1000]),
+           seed=hst.integers(0, 2**32 - 1))
+    def test_stacks_keep_their_shape(self, a, m, seed):
+        rng = np.random.default_rng(seed)
+        env = self.env_of(rng)
+        pts = rng.uniform(-80, 80, (a, m, 2))
+        want = radio.quantize_many(radio.sinr_many(env, pts.reshape(-1, 2)), env)
+        got = radio.levels(env, pts)
+        assert got.shape == (a, m)
+        assert got.reshape(-1).tolist() == want.tolist()
 
 
 class TestQuantize:
@@ -307,7 +358,7 @@ class TestCoverageGrid:
         # The jammer at (0, 0) lies in row 10, col 10, the 2 m cell centered on (1, 1).
         row, col = 10, 10
         # Direct oracle: the SINR at the jammer cell center is below threshold.
-        assert radio.sinr(env, (1.0, 1.0)) < env.sinr_threshold
+        assert sinr_at(env, (1.0, 1.0)) < env.sinr_threshold
         assert grid.levels[row, col] == 0
 
     def test_jammer_never_improves_coverage(self, rng):

@@ -199,7 +199,7 @@ class TestPredict:
             (got,) = predict_levels(self._const_model(value), row)
             return got
 
-        priors = sinrmap.levels_at(single_station_env(), np.array([[0.0, 0.0], FAR]))
+        priors = radio.levels(single_station_env(), np.array([[0.0, 0.0], FAR]))
         assert priors.tolist() == [2, 0]
         # level = prior - clip(rint(drop), 0, prior), with prior 2 at the origin
         assert level(1.4) == 1
@@ -216,8 +216,7 @@ class TestPredict:
         env = random_env(rng, n_stations=4)
         model = init_map_model(env, 3, rng, hidden=(8,))
         pts = rng.uniform(-80, 80, (300, 2))
-        triples = [(s.position[0], s.position[1], s.height) for s in env.stations]
-        feats = featurize_many(pts, triples, env.uav_altitude, 3)
+        feats = featurize_many(pts, sinrmap.station_triples(env), env.uav_altitude, 3)
         truth_off = radio.quantize_many(radio.sinr_many(env.without_jammer(), pts), env)
         for scale in (0.0, 1.0, 100.0):  # exact prior, and drops of every sign and size
             model.network.flat[:] = rng.normal(size=model.network.flat.shape) * scale
@@ -441,7 +440,7 @@ class TestMeasurementCsv:
     def test_level_above_the_jammer_free_level_names_line(self, rng, tmp_path):
         env = jammed_env(power=1e6)
         ms = sample_measurements(env, 50, rng, (-30, -30, 30, 30), k_n=1)
-        prior = sinrmap.levels_at(env.without_jammer(), ms.features)
+        prior = radio.levels(env.without_jammer(), ms.features[:, -2:])
         assert (ms.levels <= prior).all() and (ms.levels < prior).any()
         path = tmp_path / "meas.csv"
         sinrmap.write_measurement_csv(ms, path)

@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from functools import partial
 from dataclasses import replace
 from unittest import mock
 
@@ -16,7 +17,6 @@ from uavnav.valuetrain import (
     TrainRunConfig,
     discounted_returns,
     epsilon,
-    ground_truth_oracle,
     lookahead_select,
     run_episode,
     sample_scenario,
@@ -223,7 +223,7 @@ class TestLookaheadSelect:
         cfg = simple_scenario()
         st = cfg.initial_states()[0]
         only = Action(2.0, 0.0)
-        got = lookahead_select(net, st, [], [only], ground_truth_oracle(strong_env),
+        got = lookahead_select(net, st, [], [only], partial(radio.levels, strong_env),
                                0.95, 0, RULES)
         assert got is only
 
@@ -231,7 +231,7 @@ class TestLookaheadSelect:
         cfg = simple_scenario()
         with pytest.raises(ValueError):
             lookahead_select(zero_value_net(), cfg.initial_states()[0], [], [],
-                             ground_truth_oracle(strong_env), 0.95, 0, RULES)
+                             partial(radio.levels, strong_env), 0.95, 0, RULES)
 
     def test_arriving_action_dominates_with_stub_net(self, strong_env):
         # Destination one step ahead: immediate arrival reward 2 beats cruising.
@@ -239,7 +239,7 @@ class TestLookaheadSelect:
         st = cfg.initial_states()[0]
         space = world.sample_action_space(st, RULES)
         got = lookahead_select(zero_value_net(), st, [], space,
-                               ground_truth_oracle(strong_env), 0.95, 1, RULES)
+                               partial(radio.levels, strong_env), 0.95, 1, RULES)
         nxt = world.propagate(st, got, RULES.dt, RULES.arrival_tolerance)
         assert nxt.arrived
 
@@ -249,7 +249,7 @@ class TestLookaheadSelect:
         st = cfg.initial_states()[0]
         space = world.sample_action_space(st, RULES)
         got = lookahead_select(zero_value_net(), st, [], space,
-                               ground_truth_oracle(strong_env), 0.95, 1, RULES)
+                               partial(radio.levels, strong_env), 0.95, 1, RULES)
         assert got is space[0]
 
     def test_scale_invariance_of_argmax(self, strong_env, rng):
@@ -259,7 +259,7 @@ class TestLookaheadSelect:
         st = cfg.initial_states()[0]
         nbs = [(8.0, 4.0, -1.0, 0.5, 0.5)]
         space = world.sample_action_space(st, RULES)
-        oracle = ground_truth_oracle(strong_env)
+        oracle = partial(radio.levels, strong_env)
         a1 = lookahead_select(net, st, nbs, space, oracle, 0.95, 0, RULES, reward_scale=0.5)
         # tanh output cannot be scaled linearly; emulate with identity output
         specs = neuro.dense_specs(34, (8,), 1, "relu", "identity")
@@ -278,7 +278,7 @@ class TestLookaheadSelect:
         env = single_station_env(
             jammer=radio.Jammer(position=(10.0, 0.0), tx_power=0.8)
         )
-        oracle = ground_truth_oracle(env)
+        oracle = partial(radio.levels, env)
         net = neuro.init_network(neuro.dense_specs(34, (16, 8), 1, "relu", "tanh"), rng)
         for trial in range(30):
             start = tuple(rng.uniform(-30, 30, 2))
@@ -328,9 +328,9 @@ class TestStackedLookahead:
         env = single_station_env(jammer=radio.Jammer(position=(10.0, 0.0), tx_power=0.8))
         if learned:
             model = sinrmap.init_map_model(env, 2, rng, hidden=(8,))
-            inner = sinrmap.learned_oracle(model, env.stations, env.uav_altitude)
+            inner = sinrmap.learned_oracle(model)
         else:
-            inner = ground_truth_oracle(env)
+            inner = partial(radio.levels, env)
         queries = []
 
         def oracle(positions):
@@ -376,9 +376,9 @@ class TestStackedLookahead:
         env = single_station_env(jammer=radio.Jammer(position=(10.0, 0.0), tx_power=0.8))
         if learned:
             model = sinrmap.init_map_model(env, 2, rng, hidden=(8,))
-            inner = sinrmap.learned_oracle(model, env.stations, env.uav_altitude)
+            inner = sinrmap.learned_oracle(model)
         else:
-            inner = ground_truth_oracle(env)
+            inner = partial(radio.levels, env)
         queries, seen = [], []  # oracle positions; (feature rows, values) of each forward
 
         def oracle(positions):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from functools import partial
 
 import hypothesis.strategies as hst
 import numpy as np
@@ -707,7 +708,7 @@ class TestRolloutRecordsTrueLevels:
         return made
 
     def check(self, run, made):
-        truth = world.ground_truth_oracle(self.ENV)
+        truth = partial(radio.levels, self.ENV)
         recorded = [f for frames in run.frames for f in frames] + [f for _, f in run.terminals]
         assert run.terminals and len(recorded) == len(made)
         for frame in recorded:
@@ -750,7 +751,7 @@ class TestRolloutRecordsTrueLevels:
         rows = []
         policy = nav.NavPolicy(neuro.init_network(
             neuro.dense_specs(34, (8,), 1, "relu", "tanh"), np.random.default_rng(2)),
-            world.ground_truth_oracle(self.ENV), 0.95)
+            partial(radio.levels, self.ENV), 0.95)
         nav.run_trial(policy, self.SCENARIO, self.RULES, self.ENV, trajectory=rows)
         sinr = radio.sinr_many(self.ENV, np.array(self.SCENARIO.starts))
         levels = radio.quantize_many(sinr, self.ENV)

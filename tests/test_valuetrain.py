@@ -1,7 +1,7 @@
 import math
 from collections import deque
-from functools import partial
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import hypothesis.strategies as hst

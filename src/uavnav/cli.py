@@ -140,7 +140,7 @@ def _read_checkpoint(out: Path, cfg: cfgmod.RunConfig) -> valuetrain.Checkpoint:
     if not state_path.exists():
         raise ConfigError(f"{state_path}: no checkpoint to resume from")
     state = _train_state(_read(lambda p: json.loads(p.read_text()), state_path),
-                         str(state_path), _resume_digest(cfg))
+                         str(state_path), _resume_digest(cfg), cfg.env)
     episode = state["episode"]
     if episode > run_cfg.total_episodes:
         raise ConfigError(f"{state_path}: checkpoint is at episode {episode}, past "
@@ -163,10 +163,11 @@ def _read_checkpoint(out: Path, cfg: cfgmod.RunConfig) -> valuetrain.Checkpoint:
     )
 
 
-def _train_state(raw, path: str, config_digest: str) -> dict:
+def _train_state(raw, path: str, config_digest: str, env: radio.RadioEnvironment) -> dict:
     """A train-state.json's episode, rng (three PCG64 states), jammer (None or a
-    radio.Jammer) and sha256 (of each other checkpoint file), written under the
-    config of config_digest; a bad field is a ConfigError naming it."""
+    radio.Jammer that env admits) and sha256 (of each other checkpoint file),
+    written under the config of config_digest; a bad field is a ConfigError
+    naming it."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object")
     episode = _int(raw, "episode", path, lo=0)
@@ -191,6 +192,10 @@ def _train_state(raw, path: str, config_digest: str) -> dict:
         jam = radio.Jammer(position=_point(jam.get("position"), f"{jpath}.position"),
                            height=_num(jam, "height", jpath),
                            tx_power=_num(jam, "tx_power", jpath, lo=0))
+        try:
+            env.with_jammer(jam)
+        except ValueError as exc:
+            raise ConfigError(f"{jpath}: {exc}") from None
     return {"episode": episode, "rng": rng, "jammer": jam, "sha256": sha}
 
 
@@ -288,7 +293,7 @@ def cmd_eval(cfg: cfgmod.RunConfig, value_path: str, map_path: str | None,
     trajectories: dict | None = {} if trajectories_dir else None
     reports = nav.compare_modes(
         value_net, map_model, cfg.env, cfg.step_rules(eval_mode=True), cfg.missions(),
-        n_trials, eval_seed, cfg.training["gamma"], j_n=cfg.world["j_n"], modes=modes,
+        n_trials, eval_seed, cfg.training["gamma"], modes=modes,
         trajectories=trajectories,
     )
     writes = []

@@ -336,6 +336,19 @@ def _validate_world(block: dict) -> dict:
         raise ConfigError(f"{path}.min_travel: unreachable within position_bound")
     if out["min_separation"] < 2 * out["agent_radius"]:
         raise ConfigError(f"{path}.min_separation: below 2 * agent_radius, starts may overlap")
+    if out["position_bound"] > out["arena_half_extent"]:
+        raise ConfigError(f"{path}.position_bound: {out['position_bound']} exceeds "
+                          f"{path}.arena_half_extent {out['arena_half_extent']}, the extent "
+                          "of the SINR maps")
+    # Oler's inequality bounds how many points more than s apart fit in a
+    # convex region: (2 / sqrt(3)) * area / s^2 + perimeter / (2 * s) + 1.
+    # Each mission's starts, and its destinations, lie in the square of side 2b.
+    b, sep = out["position_bound"], out["min_separation"]
+    fit = 2.0 / math.sqrt(3.0) * 4.0 * b * b / (sep * sep) + 4.0 * b / sep + 1.0
+    if out["agents"] > fit:
+        raise ConfigError(
+            f"{path}.agents: {out['agents']} points more than {path}.min_separation {sep} "
+            f"apart do not fit within {path}.position_bound {b} (at most {fit:.1f})")
     return out
 
 

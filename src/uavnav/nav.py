@@ -12,30 +12,14 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import neuro, radio, sinrmap, valuetrain, world
+from .valuetrain import NavPolicy
 from .world import Action, EpisodeState, ScenarioConfig, StepRules
 
 MODES = ("proposed", "outdated", "perfect")
-
-
-@dataclass(frozen=True)
-class NavPolicy:
-    """Everything a lookahead decision reads apart from the step and its rules:
-    the value network, the level map (oracle) it scores candidates on, and the
-    lookahead settings."""
-
-    value_net: neuro.NetworkParams
-    oracle: Callable[[np.ndarray], np.ndarray]
-    gamma: float
-    j_n: int = 4
-
-    def choose_actions(self, states, neighbors, t: int, rules: StepRules) -> list[Action]:
-        # Looked up in the module at call time, so a patched navigate_step sees every decision.
-        return navigate_step(self, states, neighbors, t, rules)
 
 
 def mode_oracle(mode: str, env_truth: radio.RadioEnvironment,
@@ -54,20 +38,15 @@ def mode_oracle(mode: str, env_truth: radio.RadioEnvironment,
     return functools.partial(radio.levels, env_truth)
 
 
-def navigate_step(policy: NavPolicy, states, neighbors, t: int, rules: StepRules):
+def navigate_step(policy: NavPolicy, states, neighbors, t: int,
+                  rules: StepRules) -> list[Action]:
     """Greedy one-step-lookahead Actions of a step's active agents (states, with
-    neighbors[a] seen by states[a]) from one valuetrain.lookahead_index call
-    on the policy's level map.
+    neighbors[a] seen by states[a]): valuetrain.lookahead_actions on the
+    policy's level map.
     """
     if any(s.arrived for s in states):
         raise ValueError("agent already arrived")
-    speeds, headings = world.action_grids(states, rules)
-    ks = valuetrain.lookahead_index(
-        policy.value_net, states, neighbors, speeds, headings,
-        policy.oracle, policy.gamma, t, rules, j_n=policy.j_n,
-    )
-    return [Action(speed=float(s[k]), heading=float(h[k]))
-            for s, h, k in zip(speeds, headings, ks)]
+    return valuetrain.lookahead_actions(policy, states, neighbors, t, rules)
 
 
 @dataclass
@@ -113,7 +92,7 @@ class MetricsReport:
         )
 
 
-def run_trial(policy, scenario: ScenarioConfig, rules: StepRules,
+def run_trial(policy: NavPolicy, scenario: ScenarioConfig, rules: StepRules,
               env_truth: radio.RadioEnvironment, trajectory: list | None = None) -> TrialLog:
     """Roll out one scenario to arrival, collision, or the step cap: a one-trial
     run_evaluation, its trajectory rows numbered episode 0."""
@@ -121,7 +100,7 @@ def run_trial(policy, scenario: ScenarioConfig, rules: StepRules,
 
 
 def run_evaluation(
-    policy,
+    policy: NavPolicy,
     env_truth: radio.RadioEnvironment,
     rules: StepRules,
     scenarios: list[ScenarioConfig],
@@ -130,22 +109,20 @@ def run_evaluation(
     """One trial per scenario under rules, all trials in lockstep.  Trajectory
     rows are appended in trial order.
 
-    policy needs a choose_actions(states, neighbors, t, rules) method that
-    returns one action per state; NavPolicy provides the lookahead one.  Each
-    step calls it once for the active agents of every live trial, which may
-    see different numbers of neighbors.
+    Each step makes one navigate_step call with the policy for the active
+    agents of every live trial, which may see different numbers of neighbors.
     """
     if not scenarios:
         raise ValueError("scenarios is an empty list; give at least one scenario")
 
     def choose(t, agents):
-        return policy.choose_actions([uav for _, _, uav, _ in agents],
-                                     [nbs for _, _, _, nbs in agents], t, rules)
+        # Looked up in the module at call time, so a patched navigate_step sees every decision.
+        return navigate_step(policy, [uav for _, _, uav, _ in agents],
+                             [nbs for _, _, _, nbs in agents], t, rules)
 
     rows: list[list[str]] = [[] for _ in scenarios]
 
     def record(b: int, ep: EpisodeState, flags):
-        levels = radio.quantize_many(ep.sinr, env_truth)
         n = len(ep.uavs)
         arrived, collided, disconnected = (
             (f.tolist() for f in flags) if flags is not None
@@ -156,7 +133,7 @@ def run_evaluation(
             s = float(ep.sinr[i])
             db = 10.0 * math.log10(s) if s > 0 else -math.inf
             rows[b].append(world.format_trajectory_row(
-                b, ep.t, i, uav, db, int(levels[i]), arrived[i], collided[i], disconnected[i]))
+                b, ep.t, i, uav, db, int(ep.levels[i]), arrived[i], collided[i], disconnected[i]))
 
     runs = world.rollout(scenarios, rules, env_truth, choose,
                          observe=None if trajectory is None else record)
@@ -182,7 +159,6 @@ def compare_modes(
     trials: int,
     seed: int,
     gamma: float,
-    j_n: int = 4,
     modes=MODES,
     trajectories: dict | None = None,
 ) -> dict[str, MetricsReport]:
@@ -192,7 +168,7 @@ def compare_modes(
     scenarios = sample_scenarios(env_truth, missions, trials, seed)
     out = {}
     for mode in modes:
-        policy = NavPolicy(value_net, oracles[mode], gamma, j_n)
+        policy = NavPolicy(value_net, oracles[mode], gamma)
         rows = None
         if trajectories is not None:
             rows = trajectories.setdefault(mode, [])

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -90,7 +91,6 @@ class TrainRunConfig:
     epsilon_start: float = 0.5
     epsilon_end: float = 0.1
     epsilon_decay_fraction: float = 0.4
-    j_n: int = 4
     replay_capacity: int = 100000
     batch_size: int = 200
     learning_rate: float = 1e-3
@@ -128,42 +128,46 @@ def epsilon(episode: int, config: TrainRunConfig) -> float:
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
 
 
-def lookahead_select(
-    value_net: neuro.NetworkParams,
-    self_state: UavState,
-    neighbors,
-    action_space,
-    sinr_oracle,
-    gamma: float,
-    t: int,
-    rules: StepRules,
-    j_n: int = 4,
-    reward_scale: float = TARGET_SCALE,
-) -> Action:
+@dataclass(frozen=True)
+class NavPolicy:
+    """Everything a lookahead decision reads apart from the step and its rules:
+    the value network, the level map (oracle) it scores candidates on, and
+    the discount.  The frames it builds have the network's neighbor slots
+    (j_n, from value_net.input_size); a network whose input is no agent
+    frame is a ValueError."""
+
+    value_net: neuro.NetworkParams
+    oracle: Callable[[np.ndarray], np.ndarray]
+    gamma: float
+    j_n: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "j_n", world.neighbor_slots(self.value_net.input_size))
+
+
+def lookahead_select(policy: NavPolicy, self_state: UavState, neighbors, action_space, t: int,
+                     rules: StepRules) -> Action:
     """lookahead_index of one agent over a list of Actions; returns the chosen element itself."""
     speeds = np.array([[a.speed for a in action_space]])
     headings = np.array([[a.heading for a in action_space]])
-    k = lookahead_index(
-        value_net, [self_state], [neighbors], speeds, headings, sinr_oracle, gamma, t, rules,
-        j_n, reward_scale,
-    )
+    k = lookahead_index(policy, [self_state], [neighbors], speeds, headings, t, rules)
     return action_space[int(k[0])]
 
 
-def lookahead_index(
-    value_net: neuro.NetworkParams,
-    states,
-    neighbors,
-    speeds: np.ndarray,
-    headings: np.ndarray,
-    sinr_oracle,
-    gamma: float,
-    t: int,
-    rules: StepRules,
-    j_n: int = 4,
-    reward_scale: float = TARGET_SCALE,
-) -> np.ndarray:
-    """Per agent, the argmax over actions of scaled estimated reward + gamma * V(next state).
+def lookahead_actions(policy: NavPolicy, states, neighbors, t: int,
+                      rules: StepRules) -> list[Action]:
+    """Each agent's greedy Action on its world.action_grids row, from one
+    lookahead_index call."""
+    speeds, headings = world.action_grids(states, rules)
+    ks = lookahead_index(policy, states, neighbors, speeds, headings, t, rules)
+    return [Action(speed=float(s[k]), heading=float(h[k]))
+            for s, h, k in zip(speeds, headings, ks)]
+
+
+def lookahead_index(policy: NavPolicy, states, neighbors, speeds: np.ndarray,
+                    headings: np.ndarray, t: int, rules: StepRules) -> np.ndarray:
+    """Per agent, the argmax over actions of TARGET_SCALE * estimated reward +
+    gamma * V(next state), with the policy's network, level map and gamma.
 
     A agents (states), each with its neighbors' observables (any count per
     agent) and a row of the (A, M) speed and heading arrays (see
@@ -200,7 +204,7 @@ def lookahead_index(
     positions = np.where(arrived[..., None], dest[:, None, :], raw_pos)
     state_vel = np.where(arrived[..., None], 0.0, vel)
 
-    levels = np.asarray(sinr_oracle(positions), dtype=int)
+    levels = np.asarray(policy.oracle(positions), dtype=int)
 
     # Closest approach to each neighbor (axis 1) under each action (axis 2).
     counts = [len(nbs) for nbs in neighbors]
@@ -233,10 +237,10 @@ def lookahead_index(
     moved = np.concatenate([obs[..., 0:2] + obs[..., 2:4] * dt, obs[..., 2:5]], axis=-1)
     feature_rows = world.agent_frame_rows(
         positions, state_vel, headings, dest, radii, [s.max_speed for s in states],
-        moved, levels, j_n, present,
+        moved, levels, policy.j_n, present,
     )
-    values, _ = neuro.forward_batch(value_net, feature_rows)
-    scores = reward_scale * rewards + gamma * values[..., 0]
+    values, _ = neuro.forward_batch(policy.value_net, feature_rows)
+    scores = TARGET_SCALE * rewards + policy.gamma * values[..., 0]
     return np.argmax(scores, axis=-1)
 
 
@@ -328,43 +332,41 @@ class MissionRules:
 
 
 def run_episode(
-    value_net: neuro.NetworkParams,
+    policy: NavPolicy,
     env: radio.RadioEnvironment,
     scenario: ScenarioConfig,
     rules: StepRules,
     eps: float,
     buffer: ReplayBuffer | None,
     rng: np.random.Generator,
-    gamma: float,
-    j_n: int = 4,
 ) -> EpisodeLog:
-    """One epsilon-greedy episode; visited states get scaled return-to-go targets."""
-    oracle = functools.partial(radio.levels, env)
+    """One epsilon-greedy episode in env; visited states get scaled
+    return-to-go targets under the policy's gamma."""
+    n_actions = rules.n_speeds * rules.n_headings
 
     def choose(t, agents):
         # The exploration coins are drawn in agent order first; the greedy
         # agents then share one lookahead, which draws nothing.
-        speeds, headings = world.action_grids([uav for _, _, uav, _ in agents], rules)
-        n = speeds.shape[1]
-        picks = [int(rng.integers(n)) if rng.random() <= eps else None for _ in agents]
-        greedy = [a for a, k in enumerate(picks) if k is None]
-        if greedy:
-            ks = lookahead_index(
-                value_net, [agents[a][2] for a in greedy], [agents[a][3] for a in greedy],
-                speeds[greedy], headings[greedy], oracle, gamma, t, rules, j_n=j_n,
-            )
-            for a, k in zip(greedy, ks):
-                picks[a] = int(k)
-        return [Action(speed=float(s[k]), heading=float(h[k]))
-                for s, h, k in zip(speeds, headings, picks)]
+        picks = [int(rng.integers(n_actions)) if rng.random() <= eps else None for _ in agents]
+        greedy = [agent for agent, k in zip(agents, picks) if k is None]
+        decided = iter(lookahead_actions(policy, [uav for _, _, uav, _ in greedy],
+                                         [nbs for _, _, _, nbs in greedy], t, rules)
+                       if greedy else ())
+        return [next(decided) if k is None else explore(uav, k)
+                for (_, _, uav, _), k in zip(agents, picks)]
 
-    (run,) = world.rollout([scenario], rules, env, choose, j_n=None if buffer is None else j_n)
+    def explore(uav, k):
+        speeds, headings = world.action_grid(uav, rules)
+        return Action(speed=float(speeds[k]), heading=float(headings[k]))
+
+    (run,) = world.rollout([scenario], rules, env, choose,
+                           j_n=None if buffer is None else policy.j_n)
     if buffer is not None:
         # Agent by agent: its visited states, then its terminal state.
         terminals = dict(run.terminals)
         rows, targets = [], []
         for i, (frames, rewards) in enumerate(zip(run.frames, run.rewards)):
-            for vec, target in zip(frames, discounted_returns(rewards, gamma)):
+            for vec, target in zip(frames, discounted_returns(rewards, policy.gamma)):
                 rows.append(vec)
                 targets.append(TARGET_SCALE * target)
             if i in terminals:
@@ -469,8 +471,8 @@ def train(
         eps = epsilon(episode, config)
         # Keeps the rollout's forward passes off x86's slow path for subnormals.
         neuro.flush_subnormals(value_net.flat, adam.m, adam.v)
-        log = run_episode(value_net, env, scenario, rules, eps, buffer, rng_ep, config.gamma,
-                          j_n=config.j_n)
+        policy = NavPolicy(value_net, functools.partial(radio.levels, env), config.gamma)
+        log = run_episode(policy, env, scenario, rules, eps, buffer, rng_ep)
         for _ in range(config.updates_per_episode):
             feats, targets = buffer.sample(config.batch_size, rng_ep)
             update(feats, targets[:, None], config.l2, config.learning_rate)

@@ -71,6 +71,14 @@ def frame_length(j_n: int) -> int:
     return 9 + 6 * j_n + 1
 
 
+def neighbor_slots(length: int) -> int:
+    """The j_n whose frame_length is length; a ValueError when none is."""
+    j_n, rest = divmod(length - frame_length(0), 6)
+    if j_n < 0 or rest:
+        raise ValueError(f"{length} is no agent frame length (9 + 6 * j_n + 1 for j_n >= 0)")
+    return j_n
+
+
 class StepFlags(NamedTuple):
     """Per-agent flags of one joint step, each a bool array over the agents."""
 
@@ -385,9 +393,9 @@ def transition_rewards(levels, gated, collision, arrived, movement_penalty):
     worst collision_ramp over the agent's pairs, 0.0 without one), the
     arrival bonus where the step arrives, and the movement penalty (one
     value for all transitions).  gated is one value for all transitions or
-    one each; levels may be None when no transition is gated.
+    one each.
     """
-    conn = 0.0 if levels is None else np.where(gated, CONNECTIVITY_BANDS[levels], 0.0)
+    conn = np.where(gated, CONNECTIVITY_BANDS[levels], 0.0)
     return conn + collision + ARRIVAL_BONUS * arrived + movement_penalty
 
 
@@ -399,9 +407,11 @@ class EpisodeState:
     t: int = 0
     ever_disconnected: list[bool] = None
     ever_collided: list[bool] = None
-    # Linear SINR at each agent's position, set by rollout on the initial state
-    # and by step_all after every step; not compared (an array).
+    # Linear SINR at each agent's position and its quantized level, set by
+    # rollout on the initial state and by step_all after every step; not
+    # compared (arrays).
     sinr: np.ndarray | None = field(default=None, compare=False)
+    levels: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = len(self.uavs)
@@ -501,15 +511,11 @@ def step_all(
         worst_pair[j] = min(worst_pair[j], penalties[2 * k + 1])
 
     sinr = radio.sinr_many(env, np.array([u.position for u in nxt]))
+    levels = radio.quantize_many(sinr, env)
     acting = [not u.arrived for u in uavs]
     arrived = np.array([u.arrived for u in nxt])
-    # Only a gated step checks connectivity, so only then are the levels read.
-    if any(gated):
-        gated = np.array(gated)
-        levels = radio.quantize_many(sinr, env)
-        disconnected = (levels == 0) & gated & np.array(acting)
-    else:
-        levels, disconnected = None, np.zeros(len(nxt), dtype=bool)
+    gated = np.array(gated, dtype=bool)
+    disconnected = (levels == 0) & gated & np.array(acting, dtype=bool)
     totals = transition_rewards(levels, gated, np.array(worst_pair), arrived,
                                 rules.movement_penalty)
     rewards = [r if a else 0.0 for r, a in zip(totals.tolist(), acting)]
@@ -525,6 +531,7 @@ def step_all(
                                                       f.disconnected.tolist())],
             ever_collided=[e or c for e, c in zip(state.ever_collided, collided[lo:hi])],
             sinr=sinr[lo:hi],
+            levels=levels[lo:hi],
         ))
         step_rewards.append(rewards[lo:hi])
         flags.append(f)
@@ -576,16 +583,18 @@ def rollout(
     stops at the step cap.
     With j_n given, each active agent's frame is recorded before it acts, and
     after a collision-free episode so is the terminal frame of each arrived
-    agent; their SINR levels quantize the episode's own SINR
-    (EpisodeState.sinr), computed here for all initial positions in one call
-    and by step_all after every step.  observe(b, ep, flags), if given, sees
-    episode b's initial state (flags None) and its state after every step.
+    agent; their SINR levels are the episode's own (EpisodeState.levels),
+    computed here for all initial positions in one call and by step_all
+    after every step.  observe(b, ep, flags), if given, sees episode b's
+    initial state (flags None) and its state after every step.
     """
     eps = [EpisodeState(uavs=sc.initial_states()) for sc in scenarios]
     positions = np.array([u.position for ep in eps for u in ep.uavs]).reshape(-1, 2)
     sinr = radio.sinr_many(env, positions)
-    for ep, ep_sinr in zip(eps, np.split(sinr, np.cumsum([len(ep.uavs) for ep in eps])[:-1])):
-        ep.sinr = ep_sinr
+    bounds = np.cumsum([len(ep.uavs) for ep in eps])[:-1]
+    for ep, ep_sinr, ep_levels in zip(eps, np.split(sinr, bounds),
+                                      np.split(radio.quantize_many(sinr, env), bounds)):
+        ep.sinr, ep.levels = ep_sinr, ep_levels
     rewards = [[[] for _ in range(sc.num_agents)] for sc in scenarios]
     frames = [[[] for _ in range(sc.num_agents)] for sc in scenarios]
     if observe is not None:
@@ -600,9 +609,8 @@ def rollout(
             active = [i for i, u in enumerate(ep.uavs) if not u.arrived]
             neighbors = [ep.neighbors_of(i) for i in active]
             if j_n is not None:
-                levels = radio.quantize_many(ep.sinr, env)
                 for i, nbs in zip(active, neighbors):
-                    frames[b][i].append(to_agent_frame(ep.uavs[i], nbs, int(levels[i]), j_n))
+                    frames[b][i].append(to_agent_frame(ep.uavs[i], nbs, int(ep.levels[i]), j_n))
             agents += [(b, i, ep.uavs[i], nbs) for i, nbs in zip(active, neighbors)]
         actions: dict[int, list[Action | None]] = {b: [None] * len(eps[b].uavs) for b in live}
         for (b, i, _, _), act in zip(agents, choose(t, agents), strict=True):
@@ -622,9 +630,8 @@ def rollout(
         # Arrived terminals carry zero future value and anchor the value net there.
         terminals = []
         if j_n is not None and not ep.any_collision and any(u.arrived for u in ep.uavs):
-            levels = radio.quantize_many(ep.sinr, env)
             terminals = [
-                (i, to_agent_frame(u, ep.neighbors_of(i), int(levels[i]), j_n))
+                (i, to_agent_frame(u, ep.neighbors_of(i), int(ep.levels[i]), j_n))
                 for i, u in enumerate(ep.uavs) if u.arrived
             ]
         runs.append(Rollout(frames[b], rewards[b], terminals, ep))

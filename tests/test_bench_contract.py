@@ -71,6 +71,31 @@ def test_every_eval_decision_goes_through_navigate_step(tmp_path, monkeypatch):
     assert sum(decided) == expected
 
 
+def test_training_makes_no_navigation_decision(tmp_path, monkeypatch):
+    """bench/run.py's decision timer counts nav.navigate_step calls as evaluation
+    decisions; training decides through valuetrain.lookahead_actions alone,
+    so a train run must add none to nav.decision_ms_*."""
+    navigated, looked_ahead = [], []
+    original_step, original_lookahead = nav.navigate_step, valuetrain.lookahead_actions
+
+    def counting_step(*args, **kwargs):
+        navigated.append(1)
+        return original_step(*args, **kwargs)
+
+    def counting_lookahead(policy, states, *args, **kwargs):
+        looked_ahead.append(len(states))
+        return original_lookahead(policy, states, *args, **kwargs)
+
+    monkeypatch.setattr(nav, "navigate_step", counting_step)
+    monkeypatch.setattr(valuetrain, "lookahead_actions", counting_lookahead)
+    cfg_path = tiny_config(tmp_path)
+    config, boot = ["--config", str(cfg_path)], tmp_path / "boot.csv"
+    assert main(["bootstrap", *config, "--out", str(boot)]) == 0
+    assert main(["train", *config, "--bootstrap", str(boot),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert looked_ahead and not navigated
+
+
 def test_every_mission_draw_passes_its_settings_as_keywords(tmp_path, monkeypatch):
     """bench/spans.py re-checks each drawn mission with the position_ok,
     min_separation and min_travel keywords of its valuetrain.sample_scenario

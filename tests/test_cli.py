@@ -150,21 +150,43 @@ class TestConfigValidation:
         assert "world.min_separation" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
-    def test_agents_that_do_not_fit_the_square_exit_3(self, tmp_path, capsys):
-        # 30 starts more than 5 m apart do not fit in a 20 m square: the
-        # sampler says which settings, instead of returning an overlapping mission.
+    @staticmethod
+    def _bootstrap_in_a_small_square(tmp_path, capsys, agents):
+        """bootstrap of missions whose endpoints lie more than 5 m apart in a
+        20 m square; checks that it fails naming the three settings and
+        writes nothing, and returns its exit code."""
         raw = json.loads(json.dumps(cfgmod.DEFAULT_CONFIG))
-        raw["world"].update({"agents": 30, "position_bound": 10.0, "min_travel": 10.0})
+        raw["world"].update({"agents": agents, "position_bound": 10.0, "min_travel": 10.0})
         raw["training"]["bootstrap_episodes"] = 1
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(raw))
         rc = main(["bootstrap", "--config", str(cfg_path), "--out", str(tmp_path / "boot.csv")])
         err = capsys.readouterr().err
-        assert rc == 3
         for key in ("world.agents", "world.min_separation", "world.position_bound"):
             assert key in err
         assert "overlap" not in err
         assert not (tmp_path / "boot.csv").exists()
+        return rc
+
+    def test_agents_above_the_packing_bound_exit_2(self, tmp_path, capsys):
+        # By Oler's inequality at most 27.5 points more than 5 m apart fit in
+        # a 20 m square, so 30 agents are refused at load.
+        assert self._bootstrap_in_a_small_square(tmp_path, capsys, 30) == 2
+
+    def test_agents_that_do_not_fit_the_square_exit_3(self, tmp_path, capsys):
+        # 27 agents pass the packing bound, but the sampler finds no room for
+        # them: it says which settings, instead of returning an overlapping mission.
+        assert self._bootstrap_in_a_small_square(tmp_path, capsys, 27) == 3
+
+    def test_position_bound_beyond_the_arena_exits_2(self, tmp_path, capsys):
+        # The SINR maps cover only the arena; missions must stay inside it.
+        cfg_path = tiny_config(tmp_path, **{"world.position_bound": 60.0,
+                                            "world.arena_half_extent": 20.0})
+        rc = main(["covmap", "--config", str(cfg_path), "--out", str(tmp_path / "cov.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "world.position_bound" in err and "world.arena_half_extent" in err
+        assert not (tmp_path / "cov.csv").exists()
 
     def test_training_jammer_at_uav_altitude_exits_2(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path, **{"training.jammer_height": 60.0})
@@ -504,6 +526,21 @@ class TestTrainCommand:
         capsys.readouterr()
         assert main(resume) == 2
         assert f"train-state.json.{key}:" in capsys.readouterr().err
+
+    def test_resume_with_a_jammer_above_the_uavs_exits_2(self, tmp_path, capsys):
+        # A well-formed jammer that the environment cannot hold is a bad
+        # checkpoint, not a runtime abort part-way into training.
+        out_dir, resume = self._interrupted_run(tmp_path)
+        state_path = out_dir / "train-state.json"
+        state = json.loads(state_path.read_text())
+        state["jammer"]["height"] = 60.0  # the config's uav_altitude is 50
+        state_path.write_text(json.dumps(state))
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert main(resume) == 2
+        err = capsys.readouterr().err
+        assert "train-state.json.jammer:" in err and "uav_altitude" in err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = tiny_config(tmp_path)

@@ -40,11 +40,9 @@ def trained_constant_map(env, rng, k_n=2, samples=2000, epochs=30):
     return model, curve
 
 
-class StraightPolicy:
-    """Always full speed at the current heading; ignores everything else."""
-
-    def choose_actions(self, states, neighbors, t, rules):
-        return [Action(speed=state.max_speed, heading=state.orientation) for state in states]
+def straight_step(policy, states, neighbors, t, rules):
+    """A navigate_step that flies full speed at the current heading and ignores the rest."""
+    return [Action(speed=state.max_speed, heading=state.orientation) for state in states]
 
 
 def mode_policy(net, mode, env, map_model=None, gamma=0.95):
@@ -75,7 +73,7 @@ class TestNavigateStep:
         st = sc.initial_states()[0]
         space = world.sample_action_space(st, RULES)
         expected = valuetrain.lookahead_select(
-            net, st, [], space, partial(radio.levels, strong_env), 0.95, 0, RULES
+            NavPolicy(net, partial(radio.levels, strong_env), 0.95), st, [], space, 0, RULES
         )
         (got,) = navigate_step(pol, [st], [[]], 0, RULES)
         assert got.speed == expected.speed and got.heading == expected.heading
@@ -126,7 +124,9 @@ class TestRunEvaluation:
         assert rep.disconnection_rate == 0.0
         assert rep.collision_rate == 0.0
 
-    def test_corridor_straight_policy_always_collides(self, strong_env):
+    def test_corridor_straight_policy_always_collides(self, strong_env, monkeypatch):
+        monkeypatch.setattr(nav, "navigate_step", straight_step)
+        pol = mode_policy(zero_value_net(), "perfect", strong_env)
         logs = []
         for _ in range(3):
             sc = ScenarioConfig(
@@ -134,8 +134,7 @@ class TestRunEvaluation:
                 destinations=((10.0, 0.0), (-10.0, 0.0)),
                 radii=(0.5, 0.5), max_speeds=(4.0, 4.0),
             )
-            logs.append(nav.run_trial(StraightPolicy(), sc, StepRules(max_episode_steps=60),
-                                      strong_env))
+            logs.append(nav.run_trial(pol, sc, StepRules(max_episode_steps=60), strong_env))
         rep = MetricsReport.from_trials(logs)
         assert rep.collision_rate == 1.0
         assert rep.success_rate == 0.0
@@ -209,18 +208,18 @@ class TestCompareModes:
 
 
 class RecklessLookahead:
-    """A policy's lookahead, except that agents whose top speed is RECKLESS fly
-    straight at it; logs the step and neighbor counts of every call."""
+    """A navigate_step: the lookahead, except that agents whose top speed is
+    RECKLESS fly straight at it; logs the step and neighbor counts of every call."""
 
     RECKLESS = 7.25
 
-    def __init__(self, inner):
-        self.inner = inner
+    def __init__(self):
+        self.inner = nav.navigate_step
         self.calls = []
 
-    def choose_actions(self, states, neighbors, t, rules):
+    def __call__(self, policy, states, neighbors, t, rules):
         self.calls.append((t, tuple(len(nbs) for nbs in neighbors)))
-        picked = self.inner.choose_actions(states, neighbors, t, rules)
+        picked = self.inner(policy, states, neighbors, t, rules)
         return [Action(speed=s.max_speed, heading=s.orientation) if s.max_speed == self.RECKLESS
                 else a for s, a in zip(states, picked)]
 
@@ -251,20 +250,28 @@ class TestLockstep:
 
     def policy(self, rng):
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
-        return RecklessLookahead(mode_policy(net, "perfect", self.ENV))
+        return mode_policy(net, "perfect", self.ENV)
 
-    def test_lockstep_equals_one_trial_at_a_time(self, rng):
+    def reckless(self, monkeypatch):
+        """Patches nav.navigate_step with a fresh RecklessLookahead and returns it."""
+        step = RecklessLookahead()
+        monkeypatch.setattr(nav, "navigate_step", step)
+        return step
+
+    def test_lockstep_equals_one_trial_at_a_time(self, rng, monkeypatch):
         env = self.ENV
         scenarios = self.scenarios()
         policy = self.policy(rng)
+        step = self.reckless(monkeypatch)
         rows: list = []
         rep = run_evaluation(policy, env, self.RULES, scenarios, trajectory=rows)
+        lockstep_calls = list(step.calls)
         one_rows: list = []
         logs = []
         for trial in range(7):
             trial_rows: list = []
-            logs.append(nav.run_trial(RecklessLookahead(policy.inner), scenarios[trial],
-                                      self.RULES, env, trajectory=trial_rows))
+            logs.append(nav.run_trial(policy, scenarios[trial], self.RULES, env,
+                                      trajectory=trial_rows))
             # run_trial numbers its rows episode 0; renumber them as trial.
             one_rows += [f"{trial}," + row.split(",", 1)[1] for row in trial_rows]
         assert rep == MetricsReport.from_trials(logs)
@@ -284,10 +291,11 @@ class TestLockstep:
         assert head_on.steps == first_step["0", "0", "collided"]  # it stopped right after
         assert len({first_step["2", agent, "arrived"] for agent in "012"}) == 3
         # Agents with different neighbor counts share a call.
-        assert any(len(set(counts)) >= 3 for _, counts in policy.calls)
+        assert any(len(set(counts)) >= 3 for _, counts in lockstep_calls)
 
-    def test_one_decision_call_per_step_covers_every_active_agent(self, rng):
+    def test_one_decision_call_per_step_covers_every_active_agent(self, rng, monkeypatch):
         policy = self.policy(rng)
+        step = self.reckless(monkeypatch)
         rows: list = []
         run_evaluation(policy, self.ENV, self.RULES, self.scenarios(), trajectory=rows)
         # A trial's rows at t hold its state before step t; it flew step t if
@@ -299,8 +307,8 @@ class TestLockstep:
         for episode, t, *_, arrived, _, _ in parsed:
             if (episode, int(t)) in flown and arrived == "0":
                 active[int(t)] += 1
-        assert [t for t, _ in policy.calls] == list(range(steps))
-        assert [len(counts) for _, counts in policy.calls] == active
+        assert [t for t, _ in step.calls] == list(range(steps))
+        assert [len(counts) for _, counts in step.calls] == active
 
     def test_empty_scenario_list_rejected(self, strong_env):
         with pytest.raises(ValueError, match="scenarios is an empty list"):

@@ -13,6 +13,7 @@ from uavnav import neuro, radio, sinrmap, valuetrain, world
 from uavnav.valuetrain import (
     JammerSchedule,
     MissionRules,
+    NavPolicy,
     ReplayBuffer,
     TrainRunConfig,
     discounted_returns,
@@ -35,6 +36,11 @@ def zero_value_net(input_size=34):
         biases=[np.zeros(4), np.zeros(1)],
         standardizer=neuro.Standardizer.identity(input_size),
     )
+
+
+def truth_policy(value_net, env, gamma=0.95):
+    """The lookahead of a training episode in env."""
+    return NavPolicy(value_net, partial(radio.levels, env), gamma)
 
 
 RULES = StepRules()
@@ -193,7 +199,7 @@ class TestJammerSchedule:
 
 
 def reference_lookahead(value_net, self_state, neighbors, space, oracle, gamma, t, rules,
-                        j_n=4, scale=0.5):
+                        j_n=4, scale=valuetrain.TARGET_SCALE):
     """Plain per-action reference: propagate, estimate reward, score, argmax."""
     dt = rules.dt
     moved = [(ob[0] + ob[2] * dt, ob[1] + ob[3] * dt, ob[2], ob[3], ob[4]) for ob in neighbors]
@@ -217,29 +223,40 @@ def reference_lookahead(value_net, self_state, neighbors, space, oracle, gamma, 
     return best_action
 
 
+class TestNavPolicy:
+    def test_neighbor_slots_come_from_the_network(self, strong_env):
+        for j_n in (0, 1, 4, 7):
+            net = zero_value_net(world.frame_length(j_n))
+            assert truth_policy(net, strong_env).j_n == j_n
+
+    @pytest.mark.parametrize("input_size", [9, 33, 35, 41])
+    def test_a_network_whose_input_is_no_frame_is_rejected(self, strong_env, input_size):
+        with pytest.raises(ValueError, match="no agent frame length"):
+            truth_policy(zero_value_net(input_size), strong_env)
+
+
 class TestLookaheadSelect:
     def test_single_action_space(self, strong_env):
         net = zero_value_net()
         cfg = simple_scenario()
         st = cfg.initial_states()[0]
         only = Action(2.0, 0.0)
-        got = lookahead_select(net, st, [], [only], partial(radio.levels, strong_env),
-                               0.95, 0, RULES)
+        got = lookahead_select(truth_policy(net, strong_env), st, [], [only], 0, RULES)
         assert got is only
 
     def test_empty_space_rejected(self, strong_env):
         cfg = simple_scenario()
         with pytest.raises(ValueError):
-            lookahead_select(zero_value_net(), cfg.initial_states()[0], [], [],
-                             partial(radio.levels, strong_env), 0.95, 0, RULES)
+            lookahead_select(truth_policy(zero_value_net(), strong_env), cfg.initial_states()[0],
+                             [], [], 0, RULES)
 
     def test_arriving_action_dominates_with_stub_net(self, strong_env):
         # Destination one step ahead: immediate arrival reward 2 beats cruising.
         cfg = simple_scenario(start=(28.5, 0.0), dest=(30.0, 0.0))
         st = cfg.initial_states()[0]
         space = world.sample_action_space(st, RULES)
-        got = lookahead_select(zero_value_net(), st, [], space,
-                               partial(radio.levels, strong_env), 0.95, 1, RULES)
+        got = lookahead_select(truth_policy(zero_value_net(), strong_env), st, [], space, 1,
+                               RULES)
         nxt = world.propagate(st, got, RULES.dt, RULES.arrival_tolerance)
         assert nxt.arrived
 
@@ -248,19 +265,19 @@ class TestLookaheadSelect:
         cfg = simple_scenario()
         st = cfg.initial_states()[0]
         space = world.sample_action_space(st, RULES)
-        got = lookahead_select(zero_value_net(), st, [], space,
-                               partial(radio.levels, strong_env), 0.95, 1, RULES)
+        got = lookahead_select(truth_policy(zero_value_net(), strong_env), st, [], space, 1,
+                               RULES)
         assert got is space[0]
 
-    def test_scale_invariance_of_argmax(self, strong_env, rng):
+    def test_scale_invariance_of_argmax(self, strong_env, rng, monkeypatch):
         # Scaling rewards and values by the same positive constant keeps the argmax.
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"), rng)
         cfg = simple_scenario(start=(5.0, 3.0), dest=(-20.0, 14.0))
         st = cfg.initial_states()[0]
         nbs = [(8.0, 4.0, -1.0, 0.5, 0.5)]
         space = world.sample_action_space(st, RULES)
-        oracle = partial(radio.levels, strong_env)
-        a1 = lookahead_select(net, st, nbs, space, oracle, 0.95, 0, RULES, reward_scale=0.5)
+        monkeypatch.setattr(valuetrain, "TARGET_SCALE", 0.5)
+        a1 = lookahead_select(truth_policy(net, strong_env), st, nbs, space, 0, RULES)
         # tanh output cannot be scaled linearly; emulate with identity output
         specs = neuro.dense_specs(34, (8,), 1, "relu", "identity")
         lin = neuro.NetworkParams(specs=specs, weights=[w.copy() for w in net.weights],
@@ -269,8 +286,9 @@ class TestLookaheadSelect:
         lin2 = replace(lin)
         lin2.weights[-1][:] *= 3.0
         lin2.biases[-1][:] *= 3.0
-        b1 = lookahead_select(lin, st, nbs, space, oracle, 0.95, 0, RULES, reward_scale=0.5)
-        b2 = lookahead_select(lin2, st, nbs, space, oracle, 0.95, 0, RULES, reward_scale=1.5)
+        b1 = lookahead_select(truth_policy(lin, strong_env), st, nbs, space, 0, RULES)
+        monkeypatch.setattr(valuetrain, "TARGET_SCALE", 1.5)
+        b2 = lookahead_select(truth_policy(lin2, strong_env), st, nbs, space, 0, RULES)
         assert b1 is b2
         assert a1 in space
 
@@ -293,7 +311,7 @@ class TestLookaheadSelect:
             ]
             space = world.sample_action_space(st, RULES)
             t = int(rng.integers(0, 8))
-            fast = lookahead_select(net, st, nbs, space, oracle, 0.95, t, RULES)
+            fast = lookahead_select(NavPolicy(net, oracle, 0.95), st, nbs, space, t, RULES)
             slow = reference_lookahead(net, st, nbs, space, oracle, 0.95, t, RULES)
             assert fast.speed == pytest.approx(slow.speed)
             assert fast.heading == pytest.approx(slow.heading)
@@ -353,12 +371,12 @@ class TestStackedLookahead:
 
         real_forward = neuro.forward_batch
         with mock.patch.object(neuro, "forward_batch", forward):
-            stacked = valuetrain.lookahead_index(net, states, nbs, speeds, headings, oracle,
-                                                 0.95, t, RULES)
+            policy = NavPolicy(net, oracle, 0.95)
+            stacked = valuetrain.lookahead_index(policy, states, nbs, speeds, headings, t, RULES)
             assert len(queries) == 1 and queries[0].shape == (a, 15, 2)
             for i in range(a):
-                one = valuetrain.lookahead_index(net, [states[i]], [nbs[i]], speeds[i:i + 1],
-                                                 headings[i:i + 1], oracle, 0.95, t, RULES)
+                one = valuetrain.lookahead_index(policy, [states[i]], [nbs[i]], speeds[i:i + 1],
+                                                 headings[i:i + 1], t, RULES)
                 assert one[0] == stacked[i]
                 assert queries[-1].tobytes() == queries[0][i:i + 1].tobytes()
         assert np.concatenate(values[1:]).tobytes() == values[0].tobytes()
@@ -405,13 +423,13 @@ class TestStackedLookahead:
         real_forward, real_rewards = neuro.forward_batch, world.transition_rewards
         with mock.patch.object(neuro, "forward_batch", forward), \
                 mock.patch.object(world, "transition_rewards", transition_rewards):
-            ragged = valuetrain.lookahead_index(net, states, nbs, speeds, headings, oracle,
-                                                0.95, t, RULES)
+            policy = NavPolicy(net, oracle, 0.95)
+            ragged = valuetrain.lookahead_index(policy, states, nbs, speeds, headings, t, RULES)
             for count in sorted(set(counts)):
                 group = [a for a, c in enumerate(counts) if c == count]
                 one = valuetrain.lookahead_index(
-                    net, [states[a] for a in group], [nbs[a] for a in group], speeds[group],
-                    headings[group], oracle, 0.95, t, RULES)
+                    policy, [states[a] for a in group], [nbs[a] for a in group], speeds[group],
+                    headings[group], t, RULES)
                 assert one.tolist() == ragged[group].tolist()
                 assert queries[-1].tobytes() == queries[0][group].tobytes()
                 assert rewards[-1].tobytes() == rewards[0][group].tobytes()
@@ -433,13 +451,13 @@ class TestRunEpisode:
         calls = []
         real = valuetrain.lookahead_index
 
-        def spy(value_net, states, *args, **kwargs):
+        def spy(policy, states, *args, **kwargs):
             calls.append((len(states), rng.bit_generator.state))
-            return real(value_net, states, *args, **kwargs)
+            return real(policy, states, *args, **kwargs)
 
         monkeypatch.setattr(valuetrain, "lookahead_index", spy)
-        run_episode(zero_value_net(), strong_env, cfg, StepRules(max_episode_steps=3), 0.5, None,
-                    rng, 0.95)
+        run_episode(truth_policy(zero_value_net(), strong_env), strong_env, cfg,
+                    StepRules(max_episode_steps=3), 0.5, None, rng)
         # Replay the stream: per step, each agent's coin in agent order, then
         # one lookahead over the agents whose coin came up greedy.
         replay = np.random.default_rng(9)
@@ -462,15 +480,16 @@ class TestRunEpisode:
         for _ in range(2):
             rng = np.random.default_rng(42)
             buf = ReplayBuffer(1000)
-            log = run_episode(zero_value_net(), strong_env, cfg, RULES, 1.0, buf, rng, 0.95)
+            log = run_episode(truth_policy(zero_value_net(), strong_env), strong_env, cfg, RULES,
+                              1.0, buf, rng)
             logs.append((tuple(log.reward_sums), log.steps, ring_bytes(buf)))
         assert logs[0] == logs[1]
 
     def test_single_agent_one_step_arrival(self, strong_env):
         cfg = simple_scenario(start=(28.3, 0.0), dest=(30.0, 0.0))
         buf = ReplayBuffer(100)
-        log = run_episode(zero_value_net(), strong_env, cfg, RULES, 0.0, buf,
-                          np.random.default_rng(0), 0.95)
+        log = run_episode(truth_policy(zero_value_net(), strong_env), strong_env, cfg, RULES,
+                          0.0, buf, np.random.default_rng(0))
         assert log.arrived == [True]
         assert log.steps == 1
         # One transition: arrival 2 + movement penalty (connectivity 0, full coverage).
@@ -484,8 +503,8 @@ class TestRunEpisode:
     def test_buffer_growth_accounting(self, strong_env):
         cfg = draw_scenario(np.random.default_rng(5), n_agents=2)
         buf = ReplayBuffer(100000)
-        log = run_episode(zero_value_net(), strong_env, cfg, RULES, 1.0, buf,
-                          np.random.default_rng(7), 0.95)
+        log = run_episode(truth_policy(zero_value_net(), strong_env), strong_env, cfg, RULES,
+                          1.0, buf, np.random.default_rng(7))
         visited = sum(min(log.steps, RULES.max_episode_steps) for _ in range(2))
         # states pushed = steps each agent was active; <= visited, plus <= 2 terminals
         assert len(buf) <= visited + 2
@@ -514,9 +533,9 @@ class TestTrain:
         agents = []
         real = valuetrain.run_episode
 
-        def spy(value_net, env, scenario, *args, **kwargs):
+        def spy(policy, env, scenario, *args, **kwargs):
             agents.append(scenario.num_agents)
-            return real(value_net, env, scenario, *args, **kwargs)
+            return real(policy, env, scenario, *args, **kwargs)
 
         monkeypatch.setattr(valuetrain, "run_episode", spy)
         cfg = TrainRunConfig(total_episodes=2, pretrain_epochs=1, seed=5)
@@ -579,10 +598,10 @@ class TestTrain:
         seen = []
         real = valuetrain.run_episode
 
-        def spy(value_net, *args, **kwargs):
-            seen.append((value_net is net, *(
+        def spy(policy, *args, **kwargs):
+            seen.append((policy.value_net is net, *(
                 int(((x != 0.0) & (np.abs(x) < tiny)).sum()) for x in (net.flat, adam.m, adam.v))))
-            return real(value_net, *args, **kwargs)
+            return real(policy, *args, **kwargs)
 
         monkeypatch.setattr(valuetrain, "run_episode", spy)
         result = train(cfg, pairs, env, JammerSchedule(), RULES60, TWO, resume=start)

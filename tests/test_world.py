@@ -111,6 +111,17 @@ class TestAgentFrameRows:
             assert rows[i:i + 1].tobytes() == one.tobytes()
 
 
+class TestFrameLength:
+    @given(j_n=hst.integers(0, 10**6))
+    def test_neighbor_slots_inverts_frame_length(self, j_n):
+        assert world.neighbor_slots(world.frame_length(j_n)) == j_n
+
+    @given(length=hst.integers(-100, 10**6).filter(lambda n: n < 10 or (n - 10) % 6))
+    def test_neighbor_slots_rejects_every_other_length(self, length):
+        with pytest.raises(ValueError, match="no agent frame length"):
+            world.neighbor_slots(length)
+
+
 class TestAgentFrame:
     def test_no_neighbors_padding(self):
         vec = to_agent_frame(make_state(), [], sinr_level=2, j_n=3)
@@ -730,8 +741,9 @@ class TestRolloutRecordsTrueLevels:
         net = neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"),
                                  np.random.default_rng(2))
         buf = valuetrain.ReplayBuffer(1000)
-        log = valuetrain.run_episode(net, self.ENV, self.SCENARIO, self.RULES, 0.5, buf,
-                                     np.random.default_rng(1), 0.95)
+        policy = valuetrain.NavPolicy(net, partial(radio.levels, self.ENV), 0.95)
+        log = valuetrain.run_episode(policy, self.ENV, self.SCENARIO, self.RULES, 0.5, buf,
+                                     np.random.default_rng(1))
         assert any(log.arrived)
         (run,) = runs
         self.check(run, made)
@@ -740,6 +752,19 @@ class TestRolloutRecordsTrueLevels:
         levels = [f[-1] for i, frames in enumerate(run.frames)
                   for f in frames + ([terminals[i]] if i in terminals else [])]
         assert buf.arrays()[0][:, -1].tolist() == levels
+
+    def test_every_state_carries_the_levels_of_its_sinr(self):
+        # The levels are set on every state, gated step or not, so frames and
+        # trajectory rows read them instead of quantizing again.
+        seen = []
+
+        def observe(b, ep, flags):
+            assert ep.levels.tolist() == radio.quantize_many(ep.sinr, self.ENV).tolist()
+            seen.append(ep.t)
+
+        world.rollout([self.SCENARIO], replace(self.RULES, n_t=3), self.ENV,
+                      orca.orca_rule(self.RULES, orca.OrcaConfig(), {}), observe=observe)
+        assert seen == list(range(len(seen))) and len(seen) > 3
 
     def test_orca_episode(self, monkeypatch):
         made = self.spy_frames(monkeypatch)

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import zipfile
@@ -398,8 +399,9 @@ def main(argv=None) -> int:
             cmd_eval(cfg, args.value_model, args.map_model, args.out,
                      args.trajectories, args.trials)
         elif args.command == "covmap":
-            if args.resolution <= 0:
-                raise ConfigError("--resolution must be > 0")
+            if not (math.isfinite(args.resolution) and args.resolution > 0):
+                raise ConfigError(f"--resolution must be a finite number > 0, "
+                                  f"got {args.resolution}")
             cmd_covmap(cfg, args.out, args.resolution)
         return 0
     except ConfigError as exc:

@@ -22,20 +22,31 @@ from .world import Action, EpisodeState, ScenarioConfig, StepRules
 MODES = ("proposed", "outdated", "perfect")
 
 
-def mode_oracle(mode: str, env_truth: radio.RadioEnvironment,
+def mode_source(mode: str, env_truth: radio.RadioEnvironment,
                 map_model: sinrmap.MapModel | None = None):
     """The level map an evaluation mode reads in env_truth: the learned map
-    over its own jammer-free environment (proposed), the jammer-free levels
-    (outdated) or the true levels (perfect)."""
+    (proposed), the jammer-free environment (outdated) or env_truth itself
+    (perfect).  perfect reads the jammer-free environment too when the jammer
+    does not emit (radio.Jammer.emits), whose levels are then the same, so
+    modes with equal sources read equal levels."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "proposed":
         if map_model is None:
             raise ValueError("proposed mode needs a map model")
-        return sinrmap.learned_oracle(map_model)
-    if mode == "outdated":
-        return functools.partial(radio.levels, env_truth.without_jammer())
-    return functools.partial(radio.levels, env_truth)
+        return map_model
+    if mode == "perfect" and env_truth.jammer is not None and env_truth.jammer.emits:
+        return env_truth
+    return env_truth.without_jammer()
+
+
+def mode_oracle(mode: str, env_truth: radio.RadioEnvironment,
+                map_model: sinrmap.MapModel | None = None):
+    """The levels oracle of mode_source(mode, env_truth, map_model)."""
+    source = mode_source(mode, env_truth, map_model)
+    if isinstance(source, sinrmap.MapModel):
+        return sinrmap.learned_oracle(source)
+    return functools.partial(radio.levels, source)
 
 
 def navigate_step(policy: NavPolicy, states, neighbors, t: int,
@@ -163,16 +174,25 @@ def compare_modes(
     trajectories: dict | None = None,
 ) -> dict[str, MetricsReport]:
     """Evaluate the selected modes under rules on one seeded draw of trials
-    missions, sampled once."""
-    oracles = {mode: mode_oracle(mode, env_truth, map_model) for mode in modes}
+    missions, sampled once.
+
+    Each distinct mode_source flies once; every other mode reading it gets
+    that flight's report and a copy of its trajectory rows.
+    """
+    sources = {mode: mode_source(mode, env_truth, map_model) for mode in modes}
     scenarios = sample_scenarios(env_truth, missions, trials, seed)
+    flights: dict = {}  # source -> (report, trajectory rows)
     out = {}
     for mode in modes:
-        policy = NavPolicy(value_net, oracles[mode], gamma)
-        rows = None
+        if sources[mode] not in flights:
+            policy = NavPolicy(value_net, mode_oracle(mode, env_truth, map_model), gamma)
+            rows: list = []
+            report = run_evaluation(policy, env_truth, rules, scenarios,
+                                    trajectory=None if trajectories is None else rows)
+            flights[sources[mode]] = report, rows
+        out[mode], rows = flights[sources[mode]]
         if trajectories is not None:
-            rows = trajectories.setdefault(mode, [])
-        out[mode] = run_evaluation(policy, env_truth, rules, scenarios, trajectory=rows)
+            trajectories.setdefault(mode, []).extend(rows)
     return out
 
 

@@ -58,7 +58,7 @@ class GroundStation:
 
 @dataclass(frozen=True)
 class Jammer:
-    """Adversarial transmitter; contributes interference when active."""
+    """Adversarial transmitter; contributes interference when it emits."""
 
     position: tuple[float, float]
     height: float = 0.0
@@ -69,6 +69,11 @@ class Jammer:
         object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
         if self.tx_power < 0:
             raise ValueError(f"jammer tx_power must be >= 0, got {self.tx_power}")
+
+    @property
+    def emits(self) -> bool:
+        """Whether the jammer adds interference: active, with tx_power > 0."""
+        return bool(self.active) and self.tx_power > 0.0
 
 
 @dataclass(frozen=True)
@@ -177,10 +182,10 @@ def received_powers(env: RadioEnvironment, positions) -> np.ndarray:
 def jammer_interference(env: RadioEnvironment, positions):
     """Interference power (watts) from the jammer at each of N positions, shape (N,).
 
-    0.0 (a scalar) when there is no jammer, or it is inactive or silent.
+    0.0 (a scalar) when there is no jammer or it does not emit.
     """
     jam = env.jammer
-    if jam is None or not jam.active or not jam.tx_power > 0.0:
+    if jam is None or not jam.emits:
         return 0.0
     pos = _points(positions)
     dj = np.hypot(pos[:, 0] - jam.position[0], pos[:, 1] - jam.position[1])
@@ -251,8 +256,8 @@ class CoverageGrid:
 def coverage_grid(env: RadioEnvironment, bounds, resolution: float) -> CoverageGrid:
     """Rasterize quantized SINR on cell centers over bounds = (xmin, ymin, xmax, ymax)."""
     xmin, ymin, xmax, ymax = (float(b) for b in bounds)
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be a finite number > 0, got {resolution}")
     if xmax <= xmin or ymax <= ymin:
         raise ValueError(f"degenerate bounds {bounds}")
     ncols = int(round((xmax - xmin) / resolution))

@@ -140,10 +140,11 @@ class MeasurementCloud(neuro.RowRing):
         return self.keep(self._cols[self._index(np.arange(len(self))), 1] >= timestamp)
 
 
-@dataclass
+@dataclass(eq=False)
 class MapModel:
     """The drop regressor, reading the k_n station blocks of a feature row, and
-    the jammer-free environment whose levels are its prior."""
+    the jammer-free environment whose levels are its prior.  Compared and
+    hashed by identity, so a map can key a dict (nav.compare_modes)."""
 
     network: neuro.NetworkParams
     k_n: int

@@ -305,6 +305,14 @@ class TestCovmap:
         assert main(["covmap", "--config", str(cfg_path), "--out",
                      str(tmp_path / "x.csv"), "--resolution", "0"]) == 2
 
+    @pytest.mark.parametrize("resolution", ["nan", "inf"])
+    def test_non_finite_resolution_is_validation_error(self, tmp_path, capsys, resolution):
+        cfg_path = tiny_config(tmp_path)
+        assert main(["covmap", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "x.csv"), "--resolution", resolution]) == 2
+        assert "--resolution must be a finite number > 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_deterministic_bytes(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
         outs = [tmp_path / f"c{i}.csv" for i in range(2)]

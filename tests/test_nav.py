@@ -5,9 +5,10 @@ from functools import partial
 import numpy as np
 import pytest
 
+from uavnav import config as cfgmod
 from uavnav import nav, neuro, radio, sinrmap, valuetrain, world
 from uavnav.nav import (
-    MetricsReport, NavPolicy, compare_modes, mode_oracle, navigate_step, run_evaluation,
+    MODES, MetricsReport, NavPolicy, compare_modes, mode_oracle, navigate_step, run_evaluation,
 )
 from uavnav.valuetrain import MissionRules
 from uavnav.world import Action, ScenarioConfig, StepRules
@@ -205,6 +206,102 @@ class TestCompareModes:
         n_cols = len(world.TRAJECTORY_COLUMNS.split(","))
         for row in rows:
             assert len(row.split(",")) == n_cols
+
+
+# A jammer that emits at ENV_ON's station, and the three ways of it not emitting.
+JAMMER_ON = radio.Jammer(position=(10.0, 5.0), tx_power=0.5)
+ENV_ON = single_station_env(tx_power=2.0, jammer=JAMMER_ON)
+JAMMER_OFF = {
+    "absent": None,
+    "inactive": radio.Jammer(position=(10.0, 5.0), tx_power=0.5, active=False),
+    "silent": radio.Jammer(position=(10.0, 5.0), tx_power=0.0),
+}
+
+
+class TestSharedFlights:
+    RULES = StepRules(max_episode_steps=40)
+    MISSIONS = MissionRules(n_agents=2, position_bound=20.0, min_travel=15.0)
+
+    def net(self):
+        return neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"),
+                                  np.random.default_rng(5))
+
+    def counted_rollouts(self, monkeypatch):
+        """Patches world.rollout to log each call; returns the log."""
+        calls = []
+        inner = world.rollout
+
+        def rollout(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(world, "rollout", rollout)
+        return calls
+
+    def compare(self, env, modes, map_model=None, trajectories=None):
+        return compare_modes(self.net(), map_model, env, self.RULES, self.MISSIONS, trials=3,
+                             seed=8, gamma=0.95, modes=modes, trajectories=trajectories)
+
+    def alone(self, env, mode):
+        """mode flown by itself, through run_evaluation: its report dict and rows."""
+        rows: list = []
+        rep = run_evaluation(mode_policy(self.net(), mode, env), env, self.RULES,
+                             nav.sample_scenarios(env, self.MISSIONS, 3, 8), trajectory=rows)
+        return nav.report_to_dict({mode: rep}, 8)["modes"][mode], rows
+
+    @pytest.mark.parametrize("off", sorted(JAMMER_OFF))
+    def test_shared_flight_equals_each_mode_flown_alone(self, off):
+        env = ENV_ON.with_jammer(JAMMER_OFF[off])
+        assert env.jammer is None or not env.jammer.emits
+        trajectories: dict = {}
+        reports = self.compare(env, ("outdated", "perfect"), trajectories=trajectories)
+        shared = nav.report_to_dict(reports, 8)["modes"]
+        for mode in ("outdated", "perfect"):
+            report, rows = self.alone(env, mode)
+            assert shared[mode] == report
+            assert trajectories[mode] == rows
+        # Each mode owns its rows: one file's list is not the other's.
+        assert trajectories["outdated"] is not trajectories["perfect"]
+
+    def test_emitting_jammer_parts_outdated_from_perfect(self):
+        # The environment of the test above tells the two maps apart once its jammer emits.
+        assert JAMMER_ON.emits
+        assert self.alone(ENV_ON, "outdated")[1] != self.alone(ENV_ON, "perfect")[1]
+
+    @pytest.mark.parametrize("off", sorted(JAMMER_OFF))
+    def test_one_flight_per_distinct_level_map(self, off, monkeypatch):
+        env = ENV_ON.with_jammer(JAMMER_OFF[off])
+        model = sinrmap.init_map_model(env, 1, np.random.default_rng(3), hidden=(4,))
+        calls = self.counted_rollouts(monkeypatch)
+        self.compare(env, ("outdated", "perfect"))
+        assert len(calls) == 1
+        calls.clear()
+        reports = self.compare(env, MODES, map_model=model)
+        assert len(calls) == 2
+        assert reports["outdated"] is reports["perfect"]
+        assert reports["proposed"] is not reports["perfect"]
+
+    def test_emitting_jammer_flies_every_mode(self, monkeypatch):
+        env = cfgmod.load(preset="center-1w").env
+        model = sinrmap.init_map_model(env, 2, np.random.default_rng(3), hidden=(4,))
+        calls = self.counted_rollouts(monkeypatch)
+        trajectories: dict = {}
+        reports = compare_modes(self.net(), model, env, self.RULES, self.MISSIONS, trials=2,
+                                seed=8, gamma=0.95, trajectories=trajectories)
+        assert len(calls) == 3
+        assert len({id(reports[m]) for m in MODES}) == 3
+        assert sorted(trajectories) == sorted(MODES)
+        calls.clear()
+        self.compare(ENV_ON, ("outdated", "perfect"))
+        assert len(calls) == 2
+
+    def test_bad_mode_fails_before_any_flight(self, strong_env, monkeypatch):
+        calls = self.counted_rollouts(monkeypatch)
+        with pytest.raises(ValueError, match="needs a map model"):
+            self.compare(strong_env, ("outdated", "perfect", "proposed"))
+        with pytest.raises(ValueError, match="mode must be one of"):
+            self.compare(strong_env, ("outdated", "bogus"))
+        assert calls == []
 
 
 class RecklessLookahead:

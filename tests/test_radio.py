@@ -136,6 +136,11 @@ class TestJammerInterference:
         env = single_station_env(jammer=radio.Jammer(position=(5, 5), tx_power=0.0))
         assert radio.jammer_interference(env, self.POINTS) == 0.0
 
+    def test_emits_only_when_active_with_power(self):
+        assert radio.Jammer(position=(5, 5), tx_power=1.0).emits
+        assert not radio.Jammer(position=(5, 5), tx_power=1.0, active=False).emits
+        assert not radio.Jammer(position=(5, 5), tx_power=0.0).emits
+
     def test_overhead_value(self):
         env = single_station_env(jammer=radio.Jammer(position=(0, 0), height=0.0, tx_power=1.0))
         got = radio.jammer_interference(env, self.POINTS)
@@ -386,6 +391,11 @@ class TestCoverageGrid:
             radio.coverage_grid(env, (-10, -5, -10, 5), 1.0)
         with pytest.raises(ValueError):
             radio.coverage_grid(env, (-10, -5, 10, 5), 0.0)
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf])
+    def test_non_finite_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be a finite number > 0"):
+            radio.coverage_grid(single_station_env(), (-10, -5, 10, 5), resolution)
 
     def test_csv_round_trip(self, tmp_path):
         env = single_station_env(jammer=radio.Jammer(position=(2, 2), tx_power=0.5))

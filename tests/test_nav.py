@@ -263,11 +263,6 @@ class TestSharedFlights:
         # Each mode owns its rows: one file's list is not the other's.
         assert trajectories["outdated"] is not trajectories["perfect"]
 
-    def test_emitting_jammer_parts_outdated_from_perfect(self):
-        # The environment of the test above tells the two maps apart once its jammer emits.
-        assert JAMMER_ON.emits
-        assert self.alone(ENV_ON, "outdated")[1] != self.alone(ENV_ON, "perfect")[1]
-
     @pytest.mark.parametrize("off", sorted(JAMMER_OFF))
     def test_one_flight_per_distinct_level_map(self, off, monkeypatch):
         env = ENV_ON.with_jammer(JAMMER_OFF[off])
@@ -292,8 +287,11 @@ class TestSharedFlights:
         assert len({id(reports[m]) for m in MODES}) == 3
         assert sorted(trajectories) == sorted(MODES)
         calls.clear()
-        self.compare(ENV_ON, ("outdated", "perfect"))
+        trajectories = {}
+        self.compare(ENV_ON, ("outdated", "perfect"), trajectories=trajectories)
         assert len(calls) == 2
+        # The environment of the shared-flight test tells the two maps apart once its jammer emits.
+        assert trajectories["outdated"] != trajectories["perfect"]
 
     def test_bad_mode_fails_before_any_flight(self, strong_env, monkeypatch):
         calls = self.counted_rollouts(monkeypatch)

@@ -325,6 +325,33 @@ def cmd_covmap(cfg: cfgmod.RunConfig, out_path: str, resolution: float) -> None:
     print(f"covmap: {grid.nrows}x{grid.ncols} cells, {fractions}, written to {out_path}")
 
 
+# Each command's output flags (argparse dests), True where the flag names a directory.
+OUTPUT_FLAGS = {
+    "bootstrap": {"out": False},
+    "train": {"out_dir": True},
+    "trainmap": {"out": False, "curve": False},
+    "eval": {"out": False, "trajectories": True},
+    "covmap": {"out": False},
+    "defaults": {"out": False},
+}
+
+
+def _check_outputs(args) -> None:
+    """Every output flag of the command names a path in an existing directory,
+    and a file flag no directory, a directory flag no file: a ConfigError
+    naming the flag otherwise, raised before any work."""
+    for dest, is_dir in OUTPUT_FLAGS[args.command].items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        path, flag = Path(value), "--" + dest.replace("_", "-")
+        if not path.parent.is_dir():
+            raise ConfigError(f"{flag} {value}: {path.parent} is not an existing directory")
+        if path.exists() and path.is_dir() != is_dir:
+            raise ConfigError(f"{flag} {value}: exists and is "
+                              f"{'not a directory' if is_dir else 'a directory'}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavnav",
@@ -377,6 +404,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         if args.command == "defaults":
             cfgmod.write_default(args.out)
             print(f"defaults: wrote {args.out}")

@@ -110,28 +110,43 @@ def run_trial(policy: NavPolicy, scenario: ScenarioConfig, rules: StepRules,
     return run_evaluation(policy, env_truth, rules, [scenario], trajectory).per_trial[0]
 
 
-def run_evaluation(
-    policy: NavPolicy,
-    env_truth: radio.RadioEnvironment,
-    rules: StepRules,
-    scenarios: list[ScenarioConfig],
-    trajectory: list | None = None,
-) -> MetricsReport:
-    """One trial per scenario under rules, all trials in lockstep.  Trajectory
-    rows are appended in trial order.
+def run_evaluation(policy: NavPolicy, env_truth: radio.RadioEnvironment, rules: StepRules,
+                   scenarios: list[ScenarioConfig],
+                   trajectory: list | None = None) -> MetricsReport:
+    """One trial per scenario under rules, all in lockstep: run_evaluations of
+    the policy's one oracle.  Trajectory rows are appended in trial order."""
+    return run_evaluations(policy.value_net, [policy.oracle], policy.gamma, env_truth, rules,
+                           scenarios, None if trajectory is None else [trajectory])[0]
 
-    Each step makes one navigate_step call with the policy for the active
-    agents of every live trial, which may see different numbers of neighbors.
+
+def run_evaluations(value_net: neuro.NetworkParams, oracles: list, gamma: float,
+                    env_truth: radio.RadioEnvironment, rules: StepRules,
+                    scenarios: list[ScenarioConfig],
+                    trajectories: list[list] | None = None) -> list[MetricsReport]:
+    """Per level map (oracles), the report of one trial per scenario under rules;
+    every map's trials fly in one lockstep rollout, map-major.  trajectories,
+    if given, holds one list per map for its trials' rows, numbered from 0.
+
+    Each step makes one navigate_step call for the active agents of every live
+    trial, which may see different numbers of neighbors.  Its policy's oracle
+    gives each map only its own block of agents, as if flown alone.
     """
     if not scenarios:
         raise ValueError("scenarios is an empty list; give at least one scenario")
+    trials = len(scenarios)
 
     def choose(t, agents):
+        counts = np.bincount([b // trials for b, _, _, _ in agents], minlength=len(oracles))
+
+        def oracle(positions):
+            return np.concatenate([levels(block) for levels, block in zip(
+                oracles, np.split(positions, np.cumsum(counts)[:-1])) if len(block)])
+
         # Looked up in the module at call time, so a patched navigate_step sees every decision.
-        return navigate_step(policy, [uav for _, _, uav, _ in agents],
+        return navigate_step(NavPolicy(value_net, oracle, gamma), [uav for _, _, uav, _ in agents],
                              [nbs for _, _, _, nbs in agents], t, rules)
 
-    rows: list[list[str]] = [[] for _ in scenarios]
+    rows: list[list[str]] = [[] for _ in oracles for _ in scenarios]
 
     def record(b: int, ep: EpisodeState, flags):
         n = len(ep.uavs)
@@ -143,14 +158,16 @@ def run_evaluation(
         for i, uav in enumerate(ep.uavs):
             s = float(ep.sinr[i])
             db = 10.0 * math.log10(s) if s > 0 else -math.inf
-            rows[b].append(world.format_trajectory_row(
-                b, ep.t, i, uav, db, int(ep.levels[i]), arrived[i], collided[i], disconnected[i]))
+            rows[b].append(world.format_trajectory_row(b % trials, ep.t, i, uav, db,
+                int(ep.levels[i]), arrived[i], collided[i], disconnected[i]))
 
-    runs = world.rollout(scenarios, rules, env_truth, choose,
-                         observe=None if trajectory is None else record)
-    if trajectory is not None:
-        trajectory.extend(row for trial_rows in rows for row in trial_rows)
-    return MetricsReport.from_trials([TrialLog.of(run.final) for run in runs])
+    runs = world.rollout(scenarios * len(oracles), rules, env_truth, choose,
+                         observe=None if trajectories is None else record)
+    blocks = [slice(k * trials, (k + 1) * trials) for k in range(len(oracles))]
+    for trajectory, block in zip(trajectories or [], blocks):
+        trajectory.extend(row for trial_rows in rows[block] for row in trial_rows)
+    return [MetricsReport.from_trials([TrialLog.of(run.final) for run in runs[block]])
+            for block in blocks]
 
 
 def sample_scenarios(
@@ -176,24 +193,22 @@ def compare_modes(
     """Evaluate the selected modes under rules on one seeded draw of trials
     missions, sampled once.
 
-    Each distinct mode_source flies once; every other mode reading it gets
-    that flight's report and a copy of its trajectory rows.
+    Each distinct mode_source flies the trials once, all in one
+    run_evaluations rollout; every mode reading a source gets that source's
+    report and a copy of its trajectory rows.
     """
     sources = {mode: mode_source(mode, env_truth, map_model) for mode in modes}
+    # Modes on one source have equal oracles; the dict keeps each source's first place.
+    oracles = {sources[mode]: mode_oracle(mode, env_truth, map_model) for mode in modes}
     scenarios = sample_scenarios(env_truth, missions, trials, seed)
-    flights: dict = {}  # source -> (report, trajectory rows)
-    out = {}
+    rows = {source: [] for source in oracles}
+    reports = dict(zip(oracles, run_evaluations(
+        value_net, [*oracles.values()], gamma, env_truth, rules, scenarios,
+        None if trajectories is None else [*rows.values()])))
     for mode in modes:
-        if sources[mode] not in flights:
-            policy = NavPolicy(value_net, mode_oracle(mode, env_truth, map_model), gamma)
-            rows: list = []
-            report = run_evaluation(policy, env_truth, rules, scenarios,
-                                    trajectory=None if trajectories is None else rows)
-            flights[sources[mode]] = report, rows
-        out[mode], rows = flights[sources[mode]]
         if trajectories is not None:
-            trajectories.setdefault(mode, []).extend(rows)
-    return out
+            trajectories.setdefault(mode, []).extend(rows[sources[mode]])
+    return {mode: reports[sources[mode]] for mode in modes}
 
 
 def report_to_dict(reports: dict[str, MetricsReport], seed: int,

@@ -849,3 +849,78 @@ class TestDefaults:
         assert main(["defaults", "--out", str(out)]) == 0
         cfg = cfgmod.load(out)
         assert cfg.digest == cfgmod.load(None).digest
+
+
+# Per command: its arguments apart from --config, with {bad} in the place of
+# the flag under test and fine paths for any other output.
+OUTPUT_COMMANDS = {
+    "bootstrap": (["bootstrap", "--out", "{bad}"], "--out"),
+    "train": (["train", "--bootstrap", "boot.csv", "--out-dir", "{bad}"], "--out-dir"),
+    "trainmap-out": (["trainmap", "--out", "{bad}", "--curve", "acc.csv"], "--out"),
+    "trainmap-curve": (["trainmap", "--out", "map.json", "--curve", "{bad}"], "--curve"),
+    "eval-out": (["eval", "--value-model", "value.json", "--out", "{bad}",
+                  "--trajectories", "trajs"], "--out"),
+    "eval-trajectories": (["eval", "--value-model", "value.json", "--out", "r.json",
+                           "--trajectories", "{bad}"], "--trajectories"),
+    "covmap": (["covmap", "--out", "{bad}"], "--out"),
+    "defaults": (["defaults", "--out", "{bad}"], "--out"),
+}
+DIRECTORY_FLAGS = ("--out-dir", "--trajectories")
+
+
+class TestOutputPaths:
+    """A bad output path exits 2 naming its flag, before any work and without writing a file."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A directory holding a config, a bootstrap set, a value net and a file named afile."""
+        from uavnav import neuro
+
+        d = tmp_path_factory.mktemp("inputs")
+        cfg = tiny_config(d, **{"evaluation.modes": ["outdated", "perfect"]})
+        assert main(["bootstrap", "--config", str(cfg), "--out", str(d / "boot.csv")]) == 0
+        net = neuro.init_network(neuro.dense_specs(34, (4,), 1, "relu", "tanh"),
+                                 np.random.default_rng(0))
+        neuro.save_model(net, d / "value.json")
+        (d / "afile").write_text("not a directory\n")
+        return d
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Spies on every command's work; returns the names of the calls it saw."""
+        from uavnav import sinrmap, world
+
+        calls = []
+        for owner, name in ((world, "rollout"), (valuetrain, "pretrain_value_net"),
+                            (sinrmap, "retrain"), (radio, "coverage_grid")):
+            inner = getattr(owner, name)
+
+            def spy(*args, _name=name, _inner=inner, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("command,bad", [
+        (command, bad) for command, (_, flag) in sorted(OUTPUT_COMMANDS.items())
+        # A missing parent, a file for a parent, then a file for a directory or a directory
+        # for a file.
+        for bad in ("nodir/x", "afile/x", "afile" if flag in DIRECTORY_FLAGS else ".")
+    ])
+    def test_bad_output_path_exits_2_before_any_work(self, inputs, work, capsys, monkeypatch,
+                                                     command, bad):
+        args, flag = OUTPUT_COMMANDS[command]
+        monkeypatch.chdir(inputs)
+
+        def listing():
+            return {p: p.is_file() and p.read_bytes() for p in inputs.rglob("*")}
+
+        before = listing()
+        argv = [a.replace("{bad}", bad) for a in args]
+        if command != "defaults":
+            argv[1:1] = ["--config", "config.json"]
+        assert main(argv) == 2
+        assert f"error: {flag} {bad}:" in capsys.readouterr().err
+        assert work == []
+        assert listing() == before  # no file or directory written

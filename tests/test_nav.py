@@ -267,12 +267,14 @@ class TestSharedFlights:
     def test_one_flight_per_distinct_level_map(self, off, monkeypatch):
         env = ENV_ON.with_jammer(JAMMER_OFF[off])
         model = sinrmap.init_map_model(env, 1, np.random.default_rng(3), hidden=(4,))
+        scenarios = nav.sample_scenarios(env, self.MISSIONS, 3, 8)
         calls = self.counted_rollouts(monkeypatch)
         self.compare(env, ("outdated", "perfect"))
-        assert len(calls) == 1
+        assert calls == [scenarios]
         calls.clear()
         reports = self.compare(env, MODES, map_model=model)
-        assert len(calls) == 2
+        # One rollout: the trials once per distinct level map, the learned map's first.
+        assert calls == [scenarios * 2]
         assert reports["outdated"] is reports["perfect"]
         assert reports["proposed"] is not reports["perfect"]
 
@@ -283,13 +285,13 @@ class TestSharedFlights:
         trajectories: dict = {}
         reports = compare_modes(self.net(), model, env, self.RULES, self.MISSIONS, trials=2,
                                 seed=8, gamma=0.95, trajectories=trajectories)
-        assert len(calls) == 3
+        assert calls == [nav.sample_scenarios(env, self.MISSIONS, 2, 8) * 3]
         assert len({id(reports[m]) for m in MODES}) == 3
         assert sorted(trajectories) == sorted(MODES)
         calls.clear()
         trajectories = {}
         self.compare(ENV_ON, ("outdated", "perfect"), trajectories=trajectories)
-        assert len(calls) == 2
+        assert calls == [nav.sample_scenarios(ENV_ON, self.MISSIONS, 3, 8) * 2]
         # The environment of the shared-flight test tells the two maps apart once its jammer emits.
         assert trajectories["outdated"] != trajectories["perfect"]
 
@@ -300,6 +302,19 @@ class TestSharedFlights:
         with pytest.raises(ValueError, match="mode must be one of"):
             self.compare(strong_env, ("outdated", "bogus"))
         assert calls == []
+
+
+def active_per_step(rows) -> list[int]:
+    """Per step t, the agents that chose an action at t, read from trajectory rows."""
+    # A trial's rows at t hold its state before step t; it flew step t if it
+    # has rows at t + 1, and its agents not yet arrived then chose.
+    parsed = [row.split(",") for row in rows]
+    flown = {(episode, int(t) - 1) for episode, t, *_ in parsed}
+    active = [0] * (max(t for _, t in flown) + 1)
+    for episode, t, *_, arrived, _, _ in parsed:
+        if (episode, int(t)) in flown and arrived == "0":
+            active[int(t)] += 1
+    return active
 
 
 class RecklessLookahead:
@@ -393,19 +408,77 @@ class TestLockstep:
         step = self.reckless(monkeypatch)
         rows: list = []
         run_evaluation(policy, self.ENV, self.RULES, self.scenarios(), trajectory=rows)
-        # A trial's rows at t hold its state before step t; it flew step t if
-        # it has rows at t + 1, and its agents not yet arrived then chose.
-        parsed = [row.split(",") for row in rows]
-        flown = {(episode, int(t) - 1) for episode, t, *_ in parsed}
-        steps = max(t for _, t in flown) + 1
-        active = [0] * steps
-        for episode, t, *_, arrived, _, _ in parsed:
-            if (episode, int(t)) in flown and arrived == "0":
-                active[int(t)] += 1
-        assert [t for t, _ in step.calls] == list(range(steps))
+        active = active_per_step(rows)
+        assert [t for t, _ in step.calls] == list(range(len(active)))
         assert [len(counts) for _, counts in step.calls] == active
 
     def test_empty_scenario_list_rejected(self, strong_env):
         with pytest.raises(ValueError, match="scenarios is an empty list"):
             run_evaluation(mode_policy(zero_value_net(), "perfect", strong_env), strong_env,
                            RULES, [])
+
+
+class TestOneRolloutForEveryMap:
+    """compare_modes on center-1w, where the three modes read three level maps."""
+
+    RULES = StepRules(max_episode_steps=40)
+    # Trials 0, 1 and 3 end early in a different mode each; the rest fly to the cap.
+    MISSIONS = MissionRules(n_agents=3, position_bound=30.0, min_travel=20.0)
+    ENV = cfgmod.load(preset="center-1w").env
+
+    def net(self):
+        return neuro.init_network(neuro.dense_specs(34, (8,), 1, "relu", "tanh"),
+                                  np.random.default_rng(7))
+
+    def model(self):
+        return sinrmap.init_map_model(self.ENV, 2, np.random.default_rng(3), hidden=(4,))
+
+    def compare(self, trajectories):
+        return compare_modes(self.net(), self.model(), self.ENV, self.RULES, self.MISSIONS,
+                             trials=4, seed=8, gamma=0.95, trajectories=trajectories)
+
+    def test_equals_each_mode_flown_alone(self):
+        trajectories: dict = {}
+        merged = nav.report_to_dict(self.compare(trajectories), 8)["modes"]
+        net, model = self.net(), self.model()
+        scenarios = nav.sample_scenarios(self.ENV, self.MISSIONS, 4, 8)
+        ends = {}
+        for mode in MODES:
+            rows: list = []
+            alone = run_evaluation(mode_policy(net, mode, self.ENV, model), self.ENV, self.RULES,
+                                   scenarios, trajectory=rows)
+            assert merged[mode] == nav.report_to_dict({mode: alone}, 8)["modes"][mode]
+            assert trajectories[mode] == rows
+            assert rows[0].startswith("0,0,0,")  # each mode numbers its trials from 0
+            ends[mode] = [log.steps for log in alone.per_trial]
+        # Each map's block of agents shrinks at its own steps.
+        early = {mode: [t for t in steps if t < self.RULES.max_episode_steps]
+                 for mode, steps in ends.items()}
+        assert all(early.values()) and len({tuple(steps) for steps in ends.values()}) == 3
+
+    def test_one_decision_call_per_step_covers_every_mode(self, monkeypatch):
+        step = RecklessLookahead()  # no agent has the reckless top speed: it only logs
+        monkeypatch.setattr(nav, "navigate_step", step)
+        queried = {}  # mode -> the number of agents of each of its oracle's calls
+        inner = nav.mode_oracle
+
+        def mode_oracle(mode, *args):
+            levels = inner(mode, *args)
+
+            def logged(positions):
+                queried.setdefault(mode, []).append(len(positions))
+                return levels(positions)
+
+            return logged
+
+        monkeypatch.setattr(nav, "mode_oracle", mode_oracle)
+        trajectories: dict = {}
+        self.compare(trajectories)
+        active = {mode: active_per_step(rows) for mode, rows in trajectories.items()}
+        steps = max(len(counts) for counts in active.values())
+        assert [t for t, _ in step.calls] == list(range(steps))
+        assert [len(counts) for _, counts in step.calls] == [
+            sum(counts[t] for counts in active.values() if t < len(counts)) for t in range(steps)
+        ]
+        # Each map's oracle scores only its own agents, and only while it has any.
+        assert queried == active

@@ -8,6 +8,7 @@ connectivity check (i.e. mission completed with constraints respected).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -134,16 +135,19 @@ def run_evaluations(value_net: neuro.NetworkParams, oracles: list, gamma: float,
     if not scenarios:
         raise ValueError("scenarios is an empty list; give at least one scenario")
     trials = len(scenarios)
+    cuts: list[int] = []  # where each map's block of the step's agents starts, the first's aside
+
+    def oracle(positions):
+        return np.concatenate([levels(block) for levels, block in
+                               zip(oracles, np.split(positions, cuts)) if len(block)])
+
+    policy = NavPolicy(value_net, oracle if len(oracles) > 1 else oracles[0], gamma)
 
     def choose(t, agents):
-        counts = np.bincount([b // trials for b, _, _, _ in agents], minlength=len(oracles))
-
-        def oracle(positions):
-            return np.concatenate([levels(block) for levels, block in zip(
-                oracles, np.split(positions, np.cumsum(counts)[:-1])) if len(block)])
-
+        cuts[:] = [bisect.bisect_left(agents, k * trials, key=lambda agent: agent[0])
+                   for k in range(1, len(oracles))]
         # Looked up in the module at call time, so a patched navigate_step sees every decision.
-        return navigate_step(NavPolicy(value_net, oracle, gamma), [uav for _, _, uav, _ in agents],
+        return navigate_step(policy, [uav for _, _, uav, _ in agents],
                              [nbs for _, _, _, nbs in agents], t, rules)
 
     rows: list[list[str]] = [[] for _ in oracles for _ in scenarios]
